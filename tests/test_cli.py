@@ -1,9 +1,12 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from monored.cli import main
 from monored.serialize import config_to_obj, load_config
+
+DATA = Path(__file__).parent / "data"
 
 GOLDEN = {
     "components": ["x", "y", "u", "v"],
@@ -146,6 +149,13 @@ class TestReduceCommand:
         tampered = str(tmp_path / "tampered.json")
         open(tampered, "w").write(json.dumps(trace))
         assert main(["replay", "--trace", tampered]) == 2
+
+    def test_replay_format_1(self, capsys):
+        # written by the blowup command when traces were monored-trace-1
+        path = DATA / "worked_blowup_trace1.json"
+        assert json.loads(path.read_text())["format"] == "monored-trace-1"
+        assert main(["replay", "--trace", str(path)]) == 0
+        assert "replay: final state identical" in capsys.readouterr().out
 
 
 class TestPrincipalizeResolve:
