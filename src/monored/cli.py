@@ -15,7 +15,7 @@ import sys
 
 from . import arithmetic
 from .arithmetic import IntPoly
-from .core import Stratum, distinguished_order, max_order, support
+from .core import Stratum, chart_name, distinguished_order, max_order, support
 from .errors import ContractError, ValidationError
 from .reduction import reduce
 from .resolution import principalize, total_transform_generators, weak_resolve
@@ -52,7 +52,7 @@ def cmd_order(args) -> int:
     print(HEADER)
     print(f"max_order: {max_order(cfg)}")
     for ch in cfg.charts:
-        print(f"chart {ch.display_name(cfg.registry)}: order {distinguished_order(ch)}")
+        print(f"chart {chart_name(cfg.registry, ch.label, ch.path)}: order {distinguished_order(ch)}")
     return 0
 
 
@@ -65,7 +65,7 @@ def cmd_support(args) -> int:
         return 0
     for s in strata:
         print(
-            f"chart {s.chart.display_name(cfg.registry)}: minimal stratum "
+            f"chart {chart_name(cfg.registry, s.chart.label, s.chart.path)}: minimal stratum "
             f"{_strata_names(cfg, s)}"
         )
     return 0
@@ -96,7 +96,7 @@ def _principal_extra(trace) -> dict:
     return {
         "cosupport": [
             {
-                "chart": "/".join([key[0]] + [trace.initial.registry[c] for _, c in key[1]]),
+                "chart": chart_name(trace.initial.registry, *key),
                 "vanishing": [trace.initial.registry[c] for c in sorted(vanishing)],
             }
             for key, vanishing in trace.cosupport
@@ -115,7 +115,7 @@ def cmd_principalize(args) -> int:
     for ch in charts:
         gens = total_transform_generators(ch)
         print(
-            f"chart {ch.display_name(trace.final.registry)}: total transform "
+            f"chart {chart_name(trace.final.registry, ch.label, ch.path)}: total transform "
             f"{[{trace.final.registry[c]: e for c, e in g.exps} for g in gens]}"
         )
     _emit(args.out, trace_to_obj(trace.initial, trace.records, trace.final, _principal_extra(trace)))
@@ -135,7 +135,7 @@ def cmd_resolve(args) -> int:
         "stage": trace.separation_stage,
         "charts": [
             {
-                "chart": "/".join([key[0]] + [trace.initial.registry[c] for _, c in key[1]]),
+                "chart": chart_name(trace.final.registry, *key),
                 "strict": [
                     {trace.initial.registry[c]: e for c, e in g.exps} for g in gens
                 ],

@@ -205,9 +205,10 @@ class Chart:
     def mark(self) -> int:
         return self.ideal.mark
 
-    def display_name(self, registry) -> str:
-        parts = [self.label] + [registry[c] for _, c in self.path]
-        return "/".join(parts)
+
+def chart_name(registry, label: str, path) -> str:
+    """Display name of a chart: its root label, then each defining component."""
+    return "/".join([label] + [registry[c] for _, c in path])
 
 
 @dataclass(frozen=True)
@@ -250,7 +251,7 @@ class Configuration:
                 p_sets.add(ch.p_components)
             key = (ch.label, ch.path)
             if key in keys:
-                raise ValidationError(f"duplicate chart {ch.display_name(self.registry)!r}")
+                raise ValidationError(f"duplicate chart {chart_name(self.registry, *key)!r}")
             keys.add(key)
         if len(marks) != 1:
             raise ValidationError("all charts must carry the same mark")
@@ -375,8 +376,11 @@ def power_generators(gens, k: int) -> tuple[Monomial, ...]:
     """Minimal generators of the k-th power of a monomial ideal."""
     if k == 0:
         return (UNIT,)
+    gens = minimalize(gens)
+    if len(gens) == 1:
+        return (gens[0].power(k),)
     out = []
-    for combo in itertools.combinations_with_replacement(minimalize(gens), k):
+    for combo in itertools.combinations_with_replacement(gens, k):
         prod = UNIT
         for g in combo:
             prod = prod.times(g)
@@ -405,5 +409,7 @@ def sum_marked(ideals) -> MarkedIdeal:
     return MarkedIdeal.of(gens, total)
 
 
-def with_ideal(chart: Chart, ideal: MarkedIdeal) -> Chart:
-    return replace(chart, ideal=ideal)
+def map_ideals(cfg: Configuration, ideal_of) -> Configuration:
+    """The configuration with each chart's ideal replaced by `ideal_of(chart)`."""
+    charts = tuple(replace(ch, ideal=ideal_of(ch)) for ch in cfg.charts)
+    return Configuration(cfg.registry, charts, cfg.dim_p, cfg.n_blowups)

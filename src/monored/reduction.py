@@ -31,6 +31,7 @@ from .core import (
     chart_support,
     min_degree,
     distinguished_order,
+    map_ideals,
     sum_marked,
     support,
 )
@@ -369,9 +370,12 @@ def reduce(
             )
         m = cfg.mark
         if nu >= m:
-            sub = _with_residual_ideals(cfg, nu)
+            sub = map_ideals(
+                cfg,
+                lambda ch: MarkedIdeal.of(monomial_split(ch).nonmonomial_part.generators, nu),
+            )
         elif nu > 0:
-            sub = _with_companion_ideals(cfg, nu)
+            sub = map_ideals(cfg, lambda ch: balanced_companion(ch, nu))
         else:
             final, recs = reduce_monomial(cfg)
             records.extend(recs)
@@ -385,22 +389,3 @@ def reduce(
         raise InternalLogicError("order reduction failed to empty the support")
     return cfg, records
 
-
-def _with_residual_ideals(cfg: Configuration, nu: int) -> Configuration:
-    charts = tuple(
-        replace(
-            ch,
-            ideal=MarkedIdeal.of(
-                monomial_split(ch).nonmonomial_part.generators, nu
-            ),
-        )
-        for ch in cfg.charts
-    )
-    return Configuration(cfg.registry, charts, cfg.dim_p, cfg.n_blowups)
-
-
-def _with_companion_ideals(cfg: Configuration, nu: int) -> Configuration:
-    charts = tuple(
-        replace(ch, ideal=balanced_companion(ch, nu)) for ch in cfg.charts
-    )
-    return Configuration(cfg.registry, charts, cfg.dim_p, cfg.n_blowups)

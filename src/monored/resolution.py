@@ -22,11 +22,12 @@ from .core import (
     MarkedIdeal,
     Monomial,
     chart_support,
+    map_ideals,
     minimalize,
 )
 from .errors import ValidationError
 from .serialize import config_digest
-from .transform import BlowUpRecord, ChartKey
+from .transform import BlowUpRecord, ChartKey, substitute
 from .reduction import reduce
 
 
@@ -43,20 +44,12 @@ class ResolutionTrace:
     separated: tuple[tuple[ChartKey, tuple[Monomial, ...]], ...] = ()
 
 
-def _remarked(cfg: Configuration, mark: int) -> Configuration:
-    charts = tuple(
-        replace(ch, ideal=MarkedIdeal.of(ch.ideal.generators, mark)) for ch in cfg.charts
-    )
-    return Configuration(cfg.registry, charts, cfg.dim_p, cfg.n_blowups)
-
-
 def _cosupport(cfg: Configuration):
-    out = []
-    for ch in cfg.charts:
-        unit_marked = replace(ch, ideal=MarkedIdeal.of(ch.ideal.generators, 1))
-        for vanishing in chart_support(unit_marked, cfg.dim_p):
-            out.append(((ch.label, ch.path), vanishing))
-    return tuple(out)
+    return tuple(
+        ((ch.label, ch.path), vanishing)
+        for ch in cfg.charts
+        for vanishing in chart_support(ch, cfg.dim_p)
+    )
 
 
 def total_transform_generators(chart: Chart) -> tuple[Monomial, ...]:
@@ -68,7 +61,7 @@ def total_transform_generators(chart: Chart) -> tuple[Monomial, ...]:
 
 def principalize(cfg: Configuration) -> ResolutionTrace:
     """Blow up until the pullback ideal is everywhere generated by one monomial."""
-    initial = _remarked(cfg, 1)
+    initial = map_ideals(cfg, lambda ch: MarkedIdeal.of(ch.ideal.generators, 1))
     cosupport = _cosupport(initial)
     if all(len(ch.ideal.generators) == 1 for ch in initial.charts):
         final, records = initial, []
@@ -90,18 +83,10 @@ def is_locally_principal(cfg: Configuration, trace: ResolutionTrace | None = Non
     return all(len(total_transform_generators(ch)) == 1 for ch in cfg.charts)
 
 
-def _pullback_generator(g: Monomial, center, chart_var: int, exceptional: int) -> Monomial:
-    out = {c: e for c, e in g.exps if c != chart_var}
-    total = g.degree(center)
-    if total:
-        out[exceptional] = total
-    return Monomial.of(out)
-
-
 def _strict_step(gens, center, chart_var, exceptional, original_count):
     stripped = []
     for g in gens:
-        pulled = _pullback_generator(g, center, chart_var, exceptional)
+        pulled = substitute(g, center, chart_var, exceptional)
         bare = Monomial(tuple((c, e) for c, e in pulled.exps if c < original_count))
         if not bare.is_unit():
             stripped.append(bare)
@@ -139,8 +124,6 @@ def weak_resolve(cfg: Configuration) -> ResolutionTrace:
     separated: list[tuple[ChartKey, tuple[Monomial, ...]]] = []
     for rec in trace.records:
         for (label, parent), children in rec.outcomes:
-            if children is None:
-                continue
             gens = strict.pop((label, parent))
             for child, k in zip(children, sorted(rec.center)):
                 strict[(label, child)] = _strict_step(

@@ -2,9 +2,12 @@
 
 Configurations are read from a JSON document keyed by component names; ids
 are assigned in file order, which fixes the total order on components.
-Traces serialize the permissible sequence with per-step chart outcomes and
-a canonical final-state section; loading the input plus the trace replays
-to a byte-identical final state.
+Traces (format `monored-trace-2`) serialize the permissible sequence, each
+step listing the charts it replaces with their children, and a canonical
+final-state section; loading the input plus the trace replays to a
+byte-identical final state.  Replay reads only each step's centre and
+exceptional name, so `monored-trace-1` traces, which also list every chart
+a step leaves untouched, replay the same way.
 """
 
 from __future__ import annotations
@@ -12,10 +15,12 @@ from __future__ import annotations
 import hashlib
 import json
 
-from .core import Chart, Configuration, MarkedIdeal, Monomial, max_order
+from .core import Chart, Configuration, MarkedIdeal, Monomial, chart_name, max_order
 from .errors import ValidationError
 
 SUPERSCRIPTS = str.maketrans("0123456789", "⁰¹²³⁴⁵⁶⁷⁸⁹")
+TRACE_FORMAT = "monored-trace-2"
+READABLE_TRACE_FORMATS = ("monored-trace-1", TRACE_FORMAT)
 
 
 def canonical_json(obj) -> str:
@@ -27,6 +32,11 @@ def canonical_json(obj) -> str:
 def _expect(cond: bool, where: str, message: str) -> None:
     if not cond:
         raise ValidationError(f"{where}: {message}")
+
+
+def _is_int(value) -> bool:
+    # JSON true/false load as bool, a subclass of int
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def load_config(obj) -> Configuration:
@@ -44,9 +54,9 @@ def load_config(obj) -> Configuration:
     ids = {name: i for i, name in enumerate(components)}
 
     dim_p = obj.get("dim_p")
-    _expect(isinstance(dim_p, int) and dim_p >= 0, "dim_p", "non-negative integer required")
+    _expect(_is_int(dim_p) and dim_p >= 0, "dim_p", "non-negative integer required")
     mark = obj.get("mark")
-    _expect(isinstance(mark, int) and mark >= 1, "mark", "positive integer required")
+    _expect(_is_int(mark) and mark >= 1, "mark", "positive integer required")
 
     raw_charts = obj.get("charts")
     _expect(isinstance(raw_charts, list) and raw_charts, "charts", "non-empty chart list required")
@@ -94,7 +104,7 @@ def load_config(obj) -> Configuration:
             exps = {}
             for n, e in graw.items():
                 _expect(n in ids, gwhere, f"unknown component {n!r}")
-                _expect(isinstance(e, int) and e >= 0, gwhere, f"bad exponent for {n!r}")
+                _expect(_is_int(e) and e >= 0, gwhere, f"bad exponent for {n!r}")
                 exps[ids[n]] = e
             gens.append(Monomial.of(exps))
         try:
@@ -185,7 +195,7 @@ def render_ideal(cfg: Configuration, chart: Chart, exc_stage: dict[int, int]) ->
 
 def chart_to_obj(cfg: Configuration, chart: Chart, exc_stage: dict[int, int]) -> dict:
     return {
-        "name": chart.display_name(cfg.registry),
+        "name": chart_name(cfg.registry, chart.label, chart.path),
         "path": [[s, cfg.registry[k]] for s, k in chart.path],
         "e_components": [cfg.registry[c] for c in chart.e_components],
         "n_vars": sorted(chart.n_vars),
@@ -211,11 +221,6 @@ def final_state_obj(cfg: Configuration, records) -> dict:
     }
 
 
-def _chart_name(cfg: Configuration, label: str, path) -> str:
-    parts = [label] + [cfg.registry[c] for _, c in path]
-    return "/".join(parts)
-
-
 def trace_to_obj(initial: Configuration, records, final: Configuration, extra=None) -> dict:
     """Serialize a permissible sequence, replaying it for per-step detail."""
     from .transform import blow_up_global  # local import to avoid a cycle
@@ -228,15 +233,12 @@ def trace_to_obj(initial: Configuration, records, final: Configuration, extra=No
         if check != rec:
             raise ValidationError("trace records do not replay deterministically")
         by_key = {(ch.label, ch.path): ch for ch in nxt.charts}
-        outcomes = []
-        for (label, path), children in rec.outcomes:
-            entry = {"chart": _chart_name(cfg, label, path)}
-            if children is None:
-                entry["untouched"] = True
-            else:
-                entry["children"] = [
+        outcomes = [
+            {
+                "chart": chart_name(cfg.registry, label, path),
+                "children": [
                     {
-                        "chart": _chart_name(nxt, label, cpath),
+                        "chart": chart_name(nxt.registry, label, cpath),
                         "generators": [
                             {nxt.registry[c]: e for c, e in g.exps}
                             for g in by_key[(label, cpath)].ideal.generators
@@ -244,8 +246,10 @@ def trace_to_obj(initial: Configuration, records, final: Configuration, extra=No
                         "rendered": render_ideal(nxt, by_key[(label, cpath)], exc_stage),
                     }
                     for cpath in children
-                ]
-            outcomes.append(entry)
+                ],
+            }
+            for (label, path), children in rec.outcomes
+        ]
         rec_objs.append(
             {
                 "stage": rec.stage,
@@ -258,7 +262,7 @@ def trace_to_obj(initial: Configuration, records, final: Configuration, extra=No
     if cfg != final:
         raise ValidationError("records do not reproduce the final configuration")
     obj = {
-        "format": "monored-trace-1",
+        "format": TRACE_FORMAT,
         "input_digest": config_digest(initial),
         "input": config_to_obj(initial),
         "records": rec_objs,
@@ -272,7 +276,9 @@ def trace_to_obj(initial: Configuration, records, final: Configuration, extra=No
 def replay_trace(initial: Configuration, trace_obj) -> tuple[Configuration, list]:
     """Re-run the recorded centres from the initial configuration."""
     _expect(isinstance(trace_obj, dict), "$", "trace must be an object")
-    _expect(trace_obj.get("format") == "monored-trace-1", "format", "unsupported trace format")
+    _expect(
+        trace_obj.get("format") in READABLE_TRACE_FORMATS, "format", "unsupported trace format"
+    )
     digest = config_digest(initial)
     _expect(
         trace_obj.get("input_digest") == digest,
@@ -281,9 +287,11 @@ def replay_trace(initial: Configuration, trace_obj) -> tuple[Configuration, list
     )
     from .transform import blow_up_global
 
+    raw_records = trace_obj.get("records", [])
+    _expect(isinstance(raw_records, list), "records", "record list required")
     cfg = initial
     records = []
-    for i, rec in enumerate(trace_obj.get("records", [])):
+    for i, rec in enumerate(raw_records):
         where = f"records[{i}]"
         _expect(isinstance(rec, dict), where, "record must be an object")
         center_names = rec.get("center")

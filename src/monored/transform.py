@@ -4,8 +4,8 @@ A blow-up along the intersection of a component set K replaces every chart
 containing all of K by one child chart per k in K.  Generators move by the
 substitution rule for blow-up coordinates followed by division by the m-th
 power of the exceptional coordinate; on exponent vectors that is pure
-integer arithmetic, verified independently by the polynomial oracle in
-`arithmetic`.
+integer arithmetic (`substitute`), verified independently by the polynomial
+oracle in `arithmetic`.
 """
 
 from __future__ import annotations
@@ -29,44 +29,42 @@ ChartKey = tuple[str, ChartPath]
 class BlowUpRecord:
     """One step of a permissible sequence.
 
-    `outcomes` lists, per chart present before the step, either the child
-    paths replacing it or None when the chart misses the centre and is kept;
-    charts are keyed by (root label, path).
+    `outcomes` lists the charts the step replaces, in chart order: each is
+    keyed by (root label, path) and paired with the paths of its children.
+    Charts that miss the centre are carried over unchanged and not listed.
     """
 
     stage: int
     center: frozenset[int]
     exceptional: int
-    outcomes: tuple[tuple[ChartKey, tuple[ChartPath, ...] | None], ...]
+    outcomes: tuple[tuple[ChartKey, tuple[ChartPath, ...]], ...]
+
+
+def substitute(g: Monomial, center, chart_var: int, exceptional: int, shift: int = 0) -> Monomial:
+    """The substitution rule x_k = E, x_c = x_c' E (c in the centre) in the
+    child chart of k = `chart_var`.
+
+    The chart-defining component disappears (its strict transform misses its
+    own chart) and the exceptional component E receives the centre degree
+    plus `shift`: -mark for the birational transform, +mark for the pullback
+    multiplier, 0 for the literal pullback.  Everything else is untouched.
+    """
+    out = {c: e for c, e in g.exps if c != chart_var}
+    out[exceptional] = g.degree(center) + shift
+    return Monomial.of(out)
 
 
 def transform_generator(
     g: Monomial, center, chart_var: int, exceptional: int, mark: int
 ) -> Monomial:
-    """Birational transform of one monomial generator in one child chart.
-
-    The exceptional component receives the centre-degree minus the mark; the
-    chart-defining component disappears (its strict transform misses its own
-    chart); everything else is untouched.
-    """
+    """Birational transform of one monomial generator in one child chart."""
     center = frozenset(center)
     total = g.degree(center)
     if total < mark:
         raise NonPermissibleError(
             f"generator {g!r} has degree {total} < mark {mark} along the centre"
         )
-    out = {c: e for c, e in g.exps if c != chart_var}
-    if total > mark:
-        out[exceptional] = total - mark
-    return Monomial.of(out)
-
-
-def _transform_excess(excess: Monomial, center, chart_var: int, exceptional: int, mark: int) -> Monomial:
-    # Pullback (no division) of the accumulated multiplier, then one more
-    # factor exceptional^mark from this step's division being undone.
-    out = {c: e for c, e in excess.exps if c != chart_var}
-    out[exceptional] = excess.degree(center) + mark
-    return Monomial.of(out)
+    return substitute(g, center, chart_var, exceptional, -mark)
 
 
 def blow_up_chart(
@@ -101,7 +99,9 @@ def blow_up_chart(
                 ideal=MarkedIdeal.of(gens, mark),
                 path=chart.path + ((stage, k),),
                 p_empty=chart.p_empty or (k in chart.p_components),
-                pullback_excess=_transform_excess(
+                # the pullback of the multiplier, times the exceptional^mark
+                # this step divided out
+                pullback_excess=substitute(
                     chart.pullback_excess, center, k, exceptional, mark
                 ),
             )
@@ -121,7 +121,7 @@ def blow_up_global(cfg: Configuration, center) -> tuple[Configuration, BlowUpRec
 
     Appends one exceptional component to the registry, replaces every chart
     containing the centre by its children (in centre-component order), and
-    copies every other chart unchanged.
+    keeps every other chart as it is.
     """
     center = frozenset(center)
     if not is_permissible(cfg, center):
@@ -142,7 +142,6 @@ def blow_up_global(cfg: Configuration, center) -> tuple[Configuration, BlowUpRec
             outcomes.append(((ch.label, ch.path), tuple(k.path for k in kids)))
         else:
             charts.append(ch)
-            outcomes.append(((ch.label, ch.path), None))
     record = BlowUpRecord(stage, center, exceptional, tuple(outcomes))
     new_cfg = Configuration(registry, tuple(charts), cfg.dim_p, stage)
     return new_cfg, record

@@ -85,12 +85,22 @@ class TestValidation:
         assert main(["order", str(path)]) == 1
         assert "charts[0]" in capsys.readouterr().err
 
-    def test_bad_mark(self, tmp_path, capsys):
-        obj = dict(GOLDEN, mark=0)
+    @pytest.mark.parametrize(
+        "changes, field",
+        [
+            ({"mark": 0}, "mark"),
+            ({"mark": True}, "mark"),
+            ({"dim_p": True}, "dim_p"),
+            ({"charts": [dict(GOLDEN["charts"][0], generators=[{"x": True}])]}, "exponent"),
+        ],
+        ids=["mark-zero", "mark-true", "dim_p-true", "exponent-true"],
+    )
+    def test_bad_mark(self, tmp_path, capsys, changes, field):
+        obj = dict(GOLDEN, **changes)
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(obj))
         assert main(["order", str(path)]) == 1
-        assert "mark" in capsys.readouterr().err
+        assert field in capsys.readouterr().err
 
     def test_missing_file(self, capsys):
         assert main(["order", "/nonexistent.json"]) == 1
@@ -101,12 +111,33 @@ class TestValidation:
         assert cfg == again
 
 
+# One chart whose companion ideal is a single generator raised to the power
+# 782 369 280; building that power through combinations exhausts memory.
+HUGE_COFACTOR = {
+    "components": ["a", "b", "c"],
+    "dim_p": 3,
+    "mark": 8,
+    "charts": [
+        {
+            "name": "U",
+            "e_components": ["a", "b", "c"],
+            "generators": [
+                {"a": 5, "b": 2, "c": 3},
+                {"a": 4, "b": 2, "c": 5},
+                {"a": 8, "b": 1, "c": 3},
+                {"a": 3, "b": 10, "c": 6},
+            ],
+        }
+    ],
+}
+
+
 class TestBlowup:
     def test_golden_blowup(self, golden_file, tmp_path, capsys):
         out_path = str(tmp_path / "trace.json")
         assert main(["blowup", golden_file, "--center", "x,y,u,v", "--out", out_path]) == 0
         trace = json.loads(open(out_path).read())
-        assert trace["format"] == "monored-trace-1"
+        assert trace["format"] == "monored-trace-2"
         (record,) = trace["records"]
         assert record["center"] == ["x", "y", "u", "v"]
         children = record["outcomes"][0]["children"]
@@ -150,6 +181,24 @@ class TestReduceCommand:
         open(tampered, "w").write(json.dumps(trace))
         assert main(["replay", "--trace", tampered]) == 2
 
+    def test_replay_rejects_non_list_records(self, golden_file, tmp_path, capsys):
+        out_path = str(tmp_path / "trace.json")
+        main(["reduce", golden_file, "--out", out_path])
+        trace = json.loads(open(out_path).read())
+        trace["records"] = 5
+        bad = str(tmp_path / "bad.json")
+        open(bad, "w").write(json.dumps(trace))
+        assert main(["replay", "--trace", bad]) == 1
+        assert "records" in capsys.readouterr().err
+
+    def test_reduce_single_generator_companion_power(self, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(HUGE_COFACTOR))
+        out_path = str(tmp_path / "trace.json")
+        assert main(["reduce", str(path), "--out", out_path]) == 0
+        assert "order reduction: 4 blow-ups" in capsys.readouterr().out
+        assert main(["replay", "--trace", out_path]) == 0
+
     def test_replay_format_1(self, capsys):
         # written by the blowup command when traces were monored-trace-1
         path = DATA / "worked_blowup_trace1.json"
@@ -190,6 +239,29 @@ class TestPrincipalizeResolve:
         charts = {c["chart"]: c["strict"] for c in trace["separation"]["charts"]}
         assert charts["U/x"] == [{"y": 1}]
         assert charts["U/y"] == [{"x": 1}]
+
+    def test_resolve_separates_on_exceptional_path(self, tmp_path, capsys):
+        obj = {
+            "components": ["a", "b", "c", "d"],
+            "dim_p": 3,
+            "mark": 1,
+            "charts": [
+                {
+                    "name": "U",
+                    "e_components": ["a", "b", "c", "d"],
+                    "p_components": ["a"],
+                    "generators": [{"b": 2, "c": 1, "d": 3}, {"b": 1, "c": 6, "d": 6}],
+                }
+            ],
+        }
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps(obj))
+        out_path = str(tmp_path / "trace.json")
+        assert main(["resolve", str(path), "--out", out_path]) == 0
+        trace = json.loads(open(out_path).read())
+        assert trace["separation"]["stage"] == 3
+        charts = {c["chart"]: c["strict"] for c in trace["separation"]["charts"]}
+        assert charts["U/c/exc1/d"] == [{"b": 1}]
 
     def test_resolve_codimension_one_rejected(self, tmp_path, capsys):
         obj = dict(LINES, charts=[dict(LINES["charts"][0], generators=[{"x": 2}])])

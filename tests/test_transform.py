@@ -127,7 +127,7 @@ class TestBlowUpGlobal:
         cfg2, rec = blow_up_global(cfg, K)
         kept = [ch for ch in cfg2.charts if ch.label == "Q"]
         assert kept == [extra]
-        assert rec.outcomes[-1] == (("Q", ()), None)
+        assert [key for key, _ in rec.outcomes] == [("U", ())]
 
     def test_centre_missing_everywhere(self):
         cfg = golden_config()
@@ -135,7 +135,7 @@ class TestBlowUpGlobal:
         cfg2, rec = blow_up_global(wide, {4})
         assert cfg2.charts == wide.charts
         assert len(cfg2.registry) == 6
-        assert all(children is None for _, children in rec.outcomes)
+        assert rec.outcomes == ()
 
     def test_non_permissible_rejected(self):
         with pytest.raises(NonPermissibleError):
