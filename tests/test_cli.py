@@ -111,8 +111,9 @@ class TestValidation:
         assert cfg == again
 
 
-# One chart whose companion ideal is a single generator raised to the power
-# 782 369 280; building that power through combinations exhausts memory.
+# One chart whose companion ideal raises a single generator to the power
+# 782 369 280: enumerating that many factors would exhaust memory, so the
+# power has to be taken directly.
 HUGE_COFACTOR = {
     "components": ["a", "b", "c"],
     "dim_p": 3,
