@@ -15,7 +15,7 @@ import sys
 
 from . import arithmetic
 from .arithmetic import IntPoly
-from .core import Stratum, chart_name, distinguished_order, max_order, support
+from .core import Stratum, chart_name, chart_order, max_order, support
 from .errors import ContractError, ValidationError
 from .reduction import reduce
 from .resolution import principalize, total_transform_generators, weak_resolve
@@ -52,7 +52,7 @@ def cmd_order(args) -> int:
     print(HEADER)
     print(f"max_order: {max_order(cfg)}")
     for ch in cfg.charts:
-        print(f"chart {chart_name(cfg.registry, ch.label, ch.path)}: order {distinguished_order(ch)}")
+        print(f"chart {chart_name(cfg.registry, ch.label, ch.path)}: order {chart_order(ch, cfg.dim_p)}")
     return 0
 
 

@@ -19,7 +19,7 @@ distinguished point.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from .errors import (
     InvalidStratumError,
@@ -184,6 +184,8 @@ class Chart:
     path: tuple[tuple[int, int], ...] = ()
     p_empty: bool = False
     pullback_excess: Monomial = UNIT
+    # (dim_p, chart_support(self, dim_p)) once asked for; see chart_support
+    _support: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if list(self.e_components) != sorted(set(self.e_components)):
@@ -231,6 +233,8 @@ class Configuration:
     charts: tuple[Chart, ...]
     dim_p: int
     n_blowups: int = 0
+    # the (label, path) keys of `charts`; built once, never changed
+    _keys: set | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.dim_p < 0:
@@ -239,24 +243,9 @@ class Configuration:
             raise ValidationError("registry names must be unique")
         if not self.charts:
             raise ValidationError("a configuration needs at least one chart")
-        n = len(self.registry)
-        marks = set()
-        p_sets = set()
-        keys = set()
-        for ch in self.charts:
-            if ch.e_components and ch.e_components[-1] >= n:
-                raise ValidationError(f"chart {ch.label!r} references an unregistered component")
-            marks.add(ch.mark)
-            if not ch.p_empty:
-                p_sets.add(ch.p_components)
-            key = (ch.label, ch.path)
-            if key in keys:
-                raise ValidationError(f"duplicate chart {chart_name(self.registry, *key)!r}")
-            keys.add(key)
-        if len(marks) != 1:
-            raise ValidationError("all charts must carry the same mark")
-        if len(p_sets) > 1:
-            raise ValidationError("charts meeting P must agree on the components cutting P")
+        keys: set = set()
+        _check_charts(self.registry, self.charts, set(), set(), keys)
+        object.__setattr__(self, "_keys", keys)
 
     @property
     def mark(self) -> int:
@@ -274,6 +263,59 @@ class Configuration:
             return self.registry.index(name)
         except ValueError:
             raise ValidationError(f"unknown component name {name!r}") from None
+
+
+def _check_charts(registry, charts, marks: set, p_sets: set, keys: set) -> None:
+    """The per-chart checks of a configuration, for `charts` joining charts
+    that carry the marks `marks`, cut P by `p_sets` and are keyed `keys`.
+
+    Each chart adds its mark, P-cutting set and (label, path) key to the
+    three sets; the checks fail on an unregistered component, a key already
+    taken, a second mark or a second P-cutting set.
+    """
+    n = len(registry)
+    for ch in charts:
+        if ch.e_components and ch.e_components[-1] >= n:
+            raise ValidationError(f"chart {ch.label!r} references an unregistered component")
+        marks.add(ch.mark)
+        if not ch.p_empty:
+            p_sets.add(ch.p_components)
+        key = (ch.label, ch.path)
+        if key in keys:
+            raise ValidationError(f"duplicate chart {chart_name(registry, *key)!r}")
+        keys.add(key)
+    if len(marks) != 1:
+        raise ValidationError("all charts must carry the same mark")
+    if len(p_sets) > 1:
+        raise ValidationError("charts meeting P must agree on the components cutting P")
+
+
+def grow(cfg: Configuration, name: str, charts, added, replaced) -> Configuration:
+    """`cfg` after one blow-up: the registry gains `name`, the charts keyed
+    `replaced` give way to `added`, and `charts` is the new chart list.
+
+    Checks only what the blow-up adds, by the checks of a full
+    configuration: `name` must be new, and the added charts must agree with
+    the mark, P-cutting set and keys of `cfg` (less the replaced keys).
+    Charts carried over were checked when `cfg` was built.
+    """
+    if name in cfg.registry:
+        raise ValidationError("registry names must be unique")
+    registry = cfg.registry + (name,)
+    meeting = next((ch for ch in cfg.charts if not ch.p_empty), None)
+    p_sets = {meeting.p_components} if meeting is not None else set()
+    keys = cfg._keys - set(replaced)
+    _check_charts(registry, added, {cfg.mark}, p_sets, keys)
+    new = object.__new__(Configuration)
+    for attr, value in (
+        ("registry", registry),
+        ("charts", tuple(charts)),
+        ("dim_p", cfg.dim_p),
+        ("n_blowups", cfg.n_blowups + 1),
+        ("_keys", keys),
+    ):
+        object.__setattr__(new, attr, value)
+    return new
 
 
 def min_degree(gens, vanishing) -> int:
@@ -303,10 +345,15 @@ def distinguished_order(chart: Chart) -> int:
     return min_degree(chart.ideal.generators, set(chart.e_components))
 
 
+def chart_order(chart: Chart, dim_p: int) -> int:
+    """Maximal order of the chart's ideal over its points of P (0 off P)."""
+    gens = chart.ideal.generators
+    return max((min_degree(gens, s) for s in chart_strata(chart, dim_p)), default=0)
+
+
 def max_order(cfg: Configuration) -> int:
-    """Maximal order over P; the distinguished point of each chart attains it."""
-    orders = [distinguished_order(ch) for ch in cfg.charts if not ch.p_empty]
-    return max(orders, default=0)
+    """Maximal order over P."""
+    return max((chart_order(ch, cfg.dim_p) for ch in cfg.charts), default=0)
 
 
 def chart_strata(chart: Chart, dim_p: int):
@@ -324,7 +371,19 @@ def chart_strata(chart: Chart, dim_p: int):
 
 
 def chart_support(chart: Chart, dim_p: int) -> tuple[frozenset[int], ...]:
-    """Inclusion-minimal strata of this chart with order >= mark."""
+    """Inclusion-minimal strata of this chart with order >= mark.
+
+    Charts are frozen, so the answer is kept on the chart for its `dim_p`
+    and a chart carried over by a blow-up is not scanned again.
+    """
+    memo = chart._support
+    if memo is None or memo[0] != dim_p:
+        memo = (dim_p, _scan_support(chart, dim_p))
+        object.__setattr__(chart, "_support", memo)
+    return memo[1]
+
+
+def _scan_support(chart: Chart, dim_p: int) -> tuple[frozenset[int], ...]:
     m = chart.mark
     minimal: list[frozenset[int]] = []
     for vanishing in chart_strata(chart, dim_p):

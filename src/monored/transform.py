@@ -17,6 +17,7 @@ from .core import (
     Configuration,
     MarkedIdeal,
     Monomial,
+    grow,
     is_permissible,
 )
 from .errors import NonPermissibleError, ValidationError
@@ -132,16 +133,18 @@ def blow_up_global(cfg: Configuration, center) -> tuple[Configuration, BlowUpRec
         )
     stage = cfg.n_blowups + 1
     exceptional = len(cfg.registry)
-    registry = cfg.registry + (_fresh_name(cfg.registry, stage),)
     charts: list[Chart] = []
+    added: list[Chart] = []
     outcomes = []
     for ch in cfg.charts:
         if center <= set(ch.e_components):
             kids = blow_up_chart(ch, center, exceptional, stage)
             charts.extend(kids)
+            added.extend(kids)
             outcomes.append(((ch.label, ch.path), tuple(k.path for k in kids)))
         else:
             charts.append(ch)
     record = BlowUpRecord(stage, center, exceptional, tuple(outcomes))
-    new_cfg = Configuration(registry, tuple(charts), cfg.dim_p, stage)
+    replaced = [key for key, _ in outcomes]
+    new_cfg = grow(cfg, _fresh_name(cfg.registry, stage), charts, added, replaced)
     return new_cfg, record

@@ -71,6 +71,29 @@ class TestOrderSupport:
         assert main(["order", str(path)]) == 0
         assert "max_order: 0" in capsys.readouterr().out
 
+    def test_order_only_over_points_of_p(self, tmp_path, capsys):
+        # dim_p 2 of 4 components: the all-components stratum (order 9 at
+        # a2b4c3) is no point of P; the largest order over two components is 5
+        obj = {
+            "components": ["a", "b", "c", "d"],
+            "dim_p": 2,
+            "mark": 3,
+            "charts": [
+                {
+                    "name": "U",
+                    "e_components": ["a", "b", "c", "d"],
+                    "n_vars": [],
+                    "p_components": [],
+                    "generators": [{"a": 2, "b": 4, "c": 3}, {"a": 3, "c": 5, "d": 3}],
+                }
+            ],
+        }
+        path = tmp_path / "low_dim_p.json"
+        path.write_text(json.dumps(obj))
+        assert main(["order", str(path)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[1:] == ["max_order: 5", "chart U: order 5"]
+
     def test_support(self, golden_file, capsys):
         assert main(["support", golden_file]) == 0
         assert "{x,y,u,v}" in capsys.readouterr().out

@@ -2,10 +2,12 @@ import random
 
 import pytest
 
+from monored import reduction
 from monored.core import (
     Chart,
     Configuration,
     MarkedIdeal,
+    grow,
     max_order,
     sum_marked,
 )
@@ -23,6 +25,7 @@ from conftest import (
     golden_config,
     mono,
     permissible_centers,
+    random_config,
     random_maximal_order_config,
 )
 
@@ -163,6 +166,50 @@ class TestBlowUpGlobal:
             ]
             assert max(orders, default=0) <= before
             done += 1
+
+
+class TestGrowthValidation:
+    """A blow-up checks only the charts it adds; the result must be the
+    configuration that full validation builds from the same parts."""
+
+    def test_grown_equals_fully_validated(self, monkeypatch):
+        grown = []
+
+        def checked(cfg, center):
+            new, rec = blow_up_global(cfg, center)
+            full = Configuration(new.registry, new.charts, new.dim_p, new.n_blowups)
+            assert full == new
+            assert full._keys == new._keys
+            grown.append(new)
+            return new, rec
+
+        monkeypatch.setattr(reduction, "blow_up_global", checked)
+        rng = random.Random(1)
+        for _ in range(20):
+            reduction.reduce(random_config(rng))
+        assert len(grown) > 20
+
+    def test_duplicate_key_rejected_as_in_full_validation(self):
+        parent = config(
+            ("x", "y"),
+            [
+                chart(2, [mono({X: 2, Y: 2})], 2),
+                Chart("U", (Y,), frozenset(), frozenset(), MarkedIdeal.of([mono({Y: 1})], 2), path=((1, X),)),
+            ],
+            2,
+        )
+        with pytest.raises(ValidationError, match=r"^duplicate chart 'U/x'$"):
+            blow_up_global(parent, {X, Y})
+        # the same charts, fully validated
+        kids = blow_up_chart(parent.charts[0], {X, Y}, 2, 1)
+        with pytest.raises(ValidationError, match=r"^duplicate chart 'U/x'$"):
+            Configuration(("x", "y", "exc1"), (*kids, parent.charts[1]), 2, 1)
+
+    def test_registered_name_rejected(self):
+        cfg = golden_config()
+        kids = blow_up_chart(cfg.charts[0], K, EXC, 1)
+        with pytest.raises(ValidationError, match="registry names must be unique"):
+            grow(cfg, "x", kids, kids, [("U", ())])
 
 
 class TestSumsCommuteWithTransforms:
