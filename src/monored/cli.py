@@ -15,15 +15,18 @@ import sys
 
 from . import arithmetic
 from .arithmetic import IntPoly
-from .core import Stratum, chart_name, chart_order, max_order, support
+from .core import chart_name, chart_order, max_order, support
 from .errors import ContractError, ValidationError
 from .reduction import reduce
 from .resolution import principalize, total_transform_generators, weak_resolve
 from .serialize import (
     canonical_json,
+    component_names,
     final_state_obj,
     load_config,
     load_config_file,
+    monomial_obj,
+    read_json_file,
     replay_trace,
     trace_to_obj,
 )
@@ -40,11 +43,6 @@ def _emit(out_path: str | None, obj) -> None:
         print(f"trace written to {out_path}")
     else:
         sys.stdout.write(text)
-
-
-def _strata_names(cfg, stratum: Stratum) -> str:
-    names = [cfg.registry[c] for c in sorted(stratum.vanishing)]
-    return "{" + ",".join(names) + "}"
 
 
 def cmd_order(args) -> int:
@@ -64,9 +62,10 @@ def cmd_support(args) -> int:
         print("support: empty")
         return 0
     for s in strata:
+        names = ",".join(component_names(cfg.registry, s.vanishing))
         print(
             f"chart {chart_name(cfg.registry, s.chart.label, s.chart.path)}: minimal stratum "
-            f"{_strata_names(cfg, s)}"
+            f"{{{names}}}"
         )
     return 0
 
@@ -78,7 +77,8 @@ def cmd_blowup(args) -> int:
         raise ValidationError("--center needs at least one component name")
     final, record = blow_up_global(cfg, center)
     print(HEADER)
-    print(f"blow-up at {{{','.join(sorted(args.center.split(',')))}}}: stage {record.stage}")
+    names = ",".join(sorted(component_names(cfg.registry, center)))
+    print(f"blow-up at {{{names}}}: stage {record.stage}")
     _emit(args.out, trace_to_obj(cfg, [record], final))
     return 0
 
@@ -97,7 +97,7 @@ def _principal_extra(trace) -> dict:
         "cosupport": [
             {
                 "chart": chart_name(trace.initial.registry, *key),
-                "vanishing": [trace.initial.registry[c] for c in sorted(vanishing)],
+                "vanishing": component_names(trace.initial.registry, vanishing),
             }
             for key, vanishing in trace.cosupport
         ]
@@ -116,7 +116,7 @@ def cmd_principalize(args) -> int:
         gens = total_transform_generators(ch)
         print(
             f"chart {chart_name(trace.final.registry, ch.label, ch.path)}: total transform "
-            f"{[{trace.final.registry[c]: e for c, e in g.exps} for g in gens]}"
+            f"{[monomial_obj(trace.final.registry, g) for g in gens]}"
         )
     _emit(args.out, trace_to_obj(trace.initial, trace.records, trace.final, _principal_extra(trace)))
     return 0
@@ -136,9 +136,7 @@ def cmd_resolve(args) -> int:
         "charts": [
             {
                 "chart": chart_name(trace.final.registry, *key),
-                "strict": [
-                    {trace.initial.registry[c]: e for c, e in g.exps} for g in gens
-                ],
+                "strict": [monomial_obj(trace.initial.registry, g) for g in gens],
             }
             for key, gens in trace.separated
         ],
@@ -150,11 +148,7 @@ def cmd_resolve(args) -> int:
 
 
 def cmd_replay(args) -> int:
-    try:
-        with open(args.trace, encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ValidationError(f"cannot read trace {args.trace}: {exc}") from None
+    obj = read_json_file(args.trace)
     if not isinstance(obj, dict) or "input" not in obj:
         raise ValidationError("trace file carries no input section")
     initial = load_config(obj["input"])
@@ -169,10 +163,15 @@ def cmd_replay(args) -> int:
 
 
 def cmd_check_lambda(args) -> int:
-    primes = [int(p) for p in args.primes.split(",") if p.strip()]
-    seed = args.seed
-    if seed is None:
-        seed = int(os.environ.get("MONORED_SEED", "0"))
+    try:
+        primes = [int(p) for p in args.primes.split(",") if p.strip()]
+        seed = args.seed
+        if seed is None:
+            seed = int(os.environ.get("MONORED_SEED", "0"))
+    except ValueError as exc:
+        raise ValidationError(f"--primes and MONORED_SEED take integers: {exc}") from None
+    if not primes:
+        raise ValidationError("--primes needs at least one prime")
     rng = random.Random(seed)
     print(HEADER)
     print(f"seed {seed}, primes {primes}")

@@ -233,8 +233,8 @@ class Configuration:
     charts: tuple[Chart, ...]
     dim_p: int
     n_blowups: int = 0
-    # the (label, path) keys of `charts`; built once, never changed
-    _keys: set | None = field(default=None, init=False, repr=False, compare=False)
+    # each chart of `charts` under its (label, path) key; built once, never changed
+    _keys: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.dim_p < 0:
@@ -243,7 +243,7 @@ class Configuration:
             raise ValidationError("registry names must be unique")
         if not self.charts:
             raise ValidationError("a configuration needs at least one chart")
-        keys: set = set()
+        keys: dict = {}
         _check_charts(self.registry, self.charts, set(), set(), keys)
         object.__setattr__(self, "_keys", keys)
 
@@ -258,6 +258,10 @@ class Configuration:
                 return ch.p_components
         return frozenset()
 
+    def chart(self, key) -> Chart:
+        """The chart keyed `key`, a (label, path) pair."""
+        return self._keys[key]
+
     def component_id(self, name: str) -> int:
         try:
             return self.registry.index(name)
@@ -265,13 +269,13 @@ class Configuration:
             raise ValidationError(f"unknown component name {name!r}") from None
 
 
-def _check_charts(registry, charts, marks: set, p_sets: set, keys: set) -> None:
+def _check_charts(registry, charts, marks: set, p_sets: set, keys: dict) -> None:
     """The per-chart checks of a configuration, for `charts` joining charts
     that carry the marks `marks`, cut P by `p_sets` and are keyed `keys`.
 
-    Each chart adds its mark, P-cutting set and (label, path) key to the
-    three sets; the checks fail on an unregistered component, a key already
-    taken, a second mark or a second P-cutting set.
+    Each chart adds its mark and P-cutting set to the two sets and itself to
+    `keys` under its (label, path) key; the checks fail on an unregistered
+    component, a key already taken, a second mark or a second P-cutting set.
     """
     n = len(registry)
     for ch in charts:
@@ -283,7 +287,7 @@ def _check_charts(registry, charts, marks: set, p_sets: set, keys: set) -> None:
         key = (ch.label, ch.path)
         if key in keys:
             raise ValidationError(f"duplicate chart {chart_name(registry, *key)!r}")
-        keys.add(key)
+        keys[key] = ch
     if len(marks) != 1:
         raise ValidationError("all charts must carry the same mark")
     if len(p_sets) > 1:
@@ -304,7 +308,9 @@ def grow(cfg: Configuration, name: str, charts, added, replaced) -> Configuratio
     registry = cfg.registry + (name,)
     meeting = next((ch for ch in cfg.charts if not ch.p_empty), None)
     p_sets = {meeting.p_components} if meeting is not None else set()
-    keys = cfg._keys - set(replaced)
+    keys = dict(cfg._keys)
+    for key in replaced:
+        del keys[key]
     _check_charts(registry, added, {cfg.mark}, p_sets, keys)
     new = object.__new__(Configuration)
     for attr, value in (

@@ -356,9 +356,6 @@ def reduce(
     if _depth > 64:
         raise InternalLogicError("order-reduction recursion exceeded the dimension bound")
     records: list[BlowUpRecord] = []
-    if cfg.dim_p == 0:
-        # P is a point off every generator component, so the support is empty.
-        return cfg, records
     previous_nu = None
     while True:
         if not support(cfg):

@@ -17,6 +17,7 @@ import json
 
 from .core import Chart, Configuration, MarkedIdeal, Monomial, chart_name, max_order
 from .errors import ValidationError
+from .transform import blow_up_global
 
 SUPERSCRIPTS = str.maketrans("0123456789", "⁰¹²³⁴⁵⁶⁷⁸⁹")
 TRACE_FORMAT = "monored-trace-2"
@@ -25,6 +26,16 @@ READABLE_TRACE_FORMATS = ("monored-trace-1", TRACE_FORMAT)
 
 def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+
+
+def monomial_obj(registry, g: Monomial) -> dict:
+    """A monomial as `{component name: exponent}`."""
+    return {registry[c]: e for c, e in g.exps}
+
+
+def component_names(registry, comps) -> list:
+    """The names of a component set, in id order."""
+    return [registry[c] for c in sorted(comps)]
 
 
 # --- configuration input --------------------------------------------------
@@ -121,15 +132,29 @@ def load_config(obj) -> Configuration:
     return Configuration(tuple(components), tuple(charts), dim_p)
 
 
-def load_config_file(path: str) -> Configuration:
+def read_json_file(path: str):
+    """The JSON document in a UTF-8 file; an unreadable file is a validation error."""
     try:
         with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except OSError as exc:
+            return json.load(fh)
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: invalid JSON: {exc}") from None
-    return load_config(obj)
+
+
+def load_config_file(path: str) -> Configuration:
+    return load_config(read_json_file(path))
+
+
+def _chart_fields(registry, chart: Chart) -> dict:
+    """The fields a chart shares with its input-schema form, less its name."""
+    return {
+        "e_components": component_names(registry, chart.e_components),
+        "n_vars": sorted(chart.n_vars),
+        "p_components": component_names(registry, chart.p_components),
+        "generators": [monomial_obj(registry, g) for g in chart.ideal.generators],
+    }
 
 
 def config_to_obj(cfg: Configuration) -> dict:
@@ -138,18 +163,7 @@ def config_to_obj(cfg: Configuration) -> dict:
         "components": list(cfg.registry),
         "dim_p": cfg.dim_p,
         "mark": cfg.mark,
-        "charts": [
-            {
-                "name": ch.label,
-                "e_components": [cfg.registry[c] for c in ch.e_components],
-                "n_vars": sorted(ch.n_vars),
-                "p_components": [cfg.registry[c] for c in sorted(ch.p_components)],
-                "generators": [
-                    {cfg.registry[c]: e for c, e in g.exps} for g in ch.ideal.generators
-                ],
-            }
-            for ch in cfg.charts
-        ],
+        "charts": [{"name": ch.label, **_chart_fields(cfg.registry, ch)} for ch in cfg.charts],
     }
 
 
@@ -160,35 +174,27 @@ def config_digest(cfg: Configuration) -> str:
 
 # --- rendering ------------------------------------------------------------
 
-def _display_component(cfg: Configuration, chart: Chart, exc_stage: dict[int, int], comp: int) -> str:
-    defining = dict((s, k) for s, k in chart.path)
-    seen = set()
-    while comp in exc_stage and comp not in seen:
-        seen.add(comp)
-        stage = exc_stage[comp]
-        if stage not in defining:
-            break
-        comp = defining[stage]
-    name = cfg.registry[comp]
-    if chart.path:
-        name = "".join(c + "̄" for c in name)
-    return name
-
-
-def render_monomial(cfg: Configuration, chart: Chart, exc_stage: dict[int, int], g: Monomial) -> str:
-    if g.is_unit():
-        return "1"
-    parts = []
-    for c, e in g.exps:
-        name = _display_component(cfg, chart, exc_stage, c)
-        parts.append(name if e == 1 else name + str(e).translate(SUPERSCRIPTS))
-    return "".join(parts)
-
-
 def render_ideal(cfg: Configuration, chart: Chart, exc_stage: dict[int, int]) -> str:
-    return ", ".join(
-        render_monomial(cfg, chart, exc_stage, g) for g in chart.ideal.generators
-    )
+    """The chart's generators in display names.
+
+    An exceptional component whose stage defined this chart shows as the
+    component that defined it; below the root every name is barred.
+    """
+    defining = dict(chart.path)
+    names: dict[int, str] = {}
+    for comp in chart.ideal.component_support:
+        shown = comp
+        seen = set()  # records that do not match the chart can map in a cycle
+        while exc_stage.get(shown) in defining and shown not in seen:
+            seen.add(shown)
+            shown = defining[exc_stage[shown]]
+        name = cfg.registry[shown]
+        names[comp] = "".join(c + "̄" for c in name) if chart.path else name
+    rendered = []
+    for g in chart.ideal.generators:
+        factors = [names[c] if e == 1 else names[c] + str(e).translate(SUPERSCRIPTS) for c, e in g.exps]
+        rendered.append("".join(factors) if factors else "1")
+    return ", ".join(rendered)
 
 
 # --- state and trace output -----------------------------------------------
@@ -197,13 +203,19 @@ def chart_to_obj(cfg: Configuration, chart: Chart, exc_stage: dict[int, int]) ->
     return {
         "name": chart_name(cfg.registry, chart.label, chart.path),
         "path": [[s, cfg.registry[k]] for s, k in chart.path],
-        "e_components": [cfg.registry[c] for c in chart.e_components],
-        "n_vars": sorted(chart.n_vars),
-        "p_components": [cfg.registry[c] for c in sorted(chart.p_components)],
+        **_chart_fields(cfg.registry, chart),
         "p_empty": chart.p_empty,
         "mark": chart.mark,
-        "generators": [{cfg.registry[c]: e for c, e in g.exps} for g in chart.ideal.generators],
-        "pullback_excess": {cfg.registry[c]: e for c, e in chart.pullback_excess.exps},
+        "pullback_excess": monomial_obj(cfg.registry, chart.pullback_excess),
+        "rendered": render_ideal(cfg, chart, exc_stage),
+    }
+
+
+def _child_obj(cfg: Configuration, chart: Chart, exc_stage: dict[int, int]) -> dict:
+    """A chart a blow-up added, as the blow-up's record lists it."""
+    return {
+        "chart": chart_name(cfg.registry, chart.label, chart.path),
+        "generators": [monomial_obj(cfg.registry, g) for g in chart.ideal.generators],
         "rendered": render_ideal(cfg, chart, exc_stage),
     }
 
@@ -223,8 +235,6 @@ def final_state_obj(cfg: Configuration, records) -> dict:
 
 def trace_to_obj(initial: Configuration, records, final: Configuration, extra=None) -> dict:
     """Serialize a permissible sequence, replaying it for per-step detail."""
-    from .transform import blow_up_global  # local import to avoid a cycle
-
     exc_stage = {rec.exceptional: rec.stage for rec in records}
     cfg = initial
     rec_objs = []
@@ -232,28 +242,17 @@ def trace_to_obj(initial: Configuration, records, final: Configuration, extra=No
         nxt, check = blow_up_global(cfg, rec.center)
         if check != rec:
             raise ValidationError("trace records do not replay deterministically")
-        by_key = {(ch.label, ch.path): ch for ch in nxt.charts}
         outcomes = [
             {
                 "chart": chart_name(cfg.registry, label, path),
-                "children": [
-                    {
-                        "chart": chart_name(nxt.registry, label, cpath),
-                        "generators": [
-                            {nxt.registry[c]: e for c, e in g.exps}
-                            for g in by_key[(label, cpath)].ideal.generators
-                        ],
-                        "rendered": render_ideal(nxt, by_key[(label, cpath)], exc_stage),
-                    }
-                    for cpath in children
-                ],
+                "children": [_child_obj(nxt, nxt.chart((label, p)), exc_stage) for p in children],
             }
             for (label, path), children in rec.outcomes
         ]
         rec_objs.append(
             {
                 "stage": rec.stage,
-                "center": [cfg.registry[c] for c in sorted(rec.center)],
+                "center": component_names(cfg.registry, rec.center),
                 "exceptional": nxt.registry[rec.exceptional],
                 "outcomes": outcomes,
             }
@@ -285,8 +284,6 @@ def replay_trace(initial: Configuration, trace_obj) -> tuple[Configuration, list
         "input_digest",
         "trace does not belong to this configuration",
     )
-    from .transform import blow_up_global
-
     raw_records = trace_obj.get("records", [])
     _expect(isinstance(raw_records, list), "records", "record list required")
     cfg = initial

@@ -68,9 +68,7 @@ def transform_generator(
     return substitute(g, center, chart_var, exceptional, -mark)
 
 
-def blow_up_chart(
-    chart: Chart, center, exceptional: int, stage: int, mark: int | None = None
-) -> list[Chart]:
+def blow_up_chart(chart: Chart, center, exceptional: int, stage: int) -> list[Chart]:
     """All child charts of one chart under a blow-up along `center`.
 
     One child per centre component k, ordered by component id.  A child
@@ -82,12 +80,10 @@ def blow_up_chart(
         raise ValidationError(
             f"centre not fully present in chart {chart.label!r}; leave the chart untouched"
         )
-    if mark is None:
-        mark = chart.mark
     children = []
     for k in sorted(center):
         gens = [
-            transform_generator(g, center, k, exceptional, mark)
+            transform_generator(g, center, k, exceptional, chart.mark)
             for g in chart.ideal.generators
         ]
         comps = tuple(sorted((set(chart.e_components) - {k}) | {exceptional}))
@@ -97,13 +93,13 @@ def blow_up_chart(
                 e_components=comps,
                 n_vars=chart.n_vars,
                 p_components=chart.p_components - {k},
-                ideal=MarkedIdeal.of(gens, mark),
+                ideal=MarkedIdeal.of(gens, chart.mark),
                 path=chart.path + ((stage, k),),
                 p_empty=chart.p_empty or (k in chart.p_components),
                 # the pullback of the multiplier, times the exceptional^mark
                 # this step divided out
                 pullback_excess=substitute(
-                    chart.pullback_excess, center, k, exceptional, mark
+                    chart.pullback_excess, center, k, exceptional, chart.mark
                 ),
             )
         )

@@ -128,6 +128,13 @@ class TestValidation:
     def test_missing_file(self, capsys):
         assert main(["order", "/nonexistent.json"]) == 1
 
+    @pytest.mark.parametrize("command", [["order"], ["replay", "--trace"]], ids=["order", "replay"])
+    def test_non_utf8_file(self, tmp_path, capsys, command):
+        path = tmp_path / "binary.json"
+        path.write_bytes(b"\xff\xfe\x00")
+        assert main(command + [str(path)]) == 1
+        assert capsys.readouterr().err.startswith("validation error: ")
+
     def test_round_trip_identity(self):
         cfg = load_config(GOLDEN)
         again = load_config(config_to_obj(cfg))
@@ -160,7 +167,7 @@ class TestBlowup:
     def test_golden_blowup(self, golden_file, tmp_path, capsys):
         out_path = str(tmp_path / "trace.json")
         assert main(["blowup", golden_file, "--center", "x,y,u,v", "--out", out_path]) == 0
-        trace = json.loads(open(out_path).read())
+        trace = json.loads(Path(out_path).read_text())
         assert trace["format"] == "monored-trace-2"
         (record,) = trace["records"]
         assert record["center"] == ["x", "y", "u", "v"]
@@ -174,6 +181,11 @@ class TestBlowup:
         ]
         assert v_child["rendered"] == "x̄²ȳ³, x̄²v̄³, ȳ⁴ū⁵v̄⁴"
 
+    @pytest.mark.parametrize("center", ["x,y,u,v", "v, u,,y ,x"])
+    def test_echoes_parsed_center(self, golden_file, capsys, center):
+        assert main(["blowup", golden_file, "--center", center]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == "blow-up at {u,v,x,y}: stage 1"
+
     def test_non_permissible_exit_code(self, golden_file, capsys):
         assert main(["blowup", golden_file, "--center", "x"]) == 2
         assert "not permissible" in capsys.readouterr().err
@@ -183,7 +195,7 @@ class TestReduceCommand:
     def test_reduce_trace_first_record(self, golden_file, tmp_path, capsys):
         out_path = str(tmp_path / "trace.json")
         assert main(["reduce", golden_file, "--out", out_path]) == 0
-        trace = json.loads(open(out_path).read())
+        trace = json.loads(Path(out_path).read_text())
         first = trace["records"][0]
         assert first["center"] == ["x", "y", "u", "v"]
         v_child = first["outcomes"][0]["children"][3]
@@ -199,19 +211,19 @@ class TestReduceCommand:
     def test_replay_detects_tampering(self, golden_file, tmp_path, capsys):
         out_path = str(tmp_path / "trace.json")
         main(["reduce", golden_file, "--out", out_path])
-        trace = json.loads(open(out_path).read())
+        trace = json.loads(Path(out_path).read_text())
         trace["final"]["summary"]["steps"] += 1
         tampered = str(tmp_path / "tampered.json")
-        open(tampered, "w").write(json.dumps(trace))
+        Path(tampered).write_text(json.dumps(trace))
         assert main(["replay", "--trace", tampered]) == 2
 
     def test_replay_rejects_non_list_records(self, golden_file, tmp_path, capsys):
         out_path = str(tmp_path / "trace.json")
         main(["reduce", golden_file, "--out", out_path])
-        trace = json.loads(open(out_path).read())
+        trace = json.loads(Path(out_path).read_text())
         trace["records"] = 5
         bad = str(tmp_path / "bad.json")
-        open(bad, "w").write(json.dumps(trace))
+        Path(bad).write_text(json.dumps(trace))
         assert main(["replay", "--trace", bad]) == 1
         assert "records" in capsys.readouterr().err
 
@@ -235,9 +247,31 @@ class TestPrincipalizeResolve:
     def test_principalize(self, lines_file, tmp_path, capsys):
         out_path = str(tmp_path / "trace.json")
         assert main(["principalize", lines_file, "--out", out_path]) == 0
-        trace = json.loads(open(out_path).read())
+        trace = json.loads(Path(out_path).read_text())
         assert trace["final"]["summary"]["principal"] is True
         assert trace["cosupport"] == [{"chart": "U", "vanishing": ["x", "y"]}]
+
+    def test_prune_drops_untouched_unit_chart_from_report_only(self, tmp_path, capsys):
+        obj = {
+            "components": ["a", "b", "w"],
+            "dim_p": 2,
+            "mark": 1,
+            "charts": [
+                {"name": "U", "e_components": ["a", "b"], "generators": [{"a": 2, "b": 1}, {"b": 3}]},
+                {"name": "Q", "e_components": ["w"], "generators": [{}]},
+            ],
+        }
+        path = tmp_path / "with_unit.json"
+        path.write_text(json.dumps(obj))
+        reports, traces = {}, {}
+        for flags in ([], ["--prune"]):
+            out_path = tmp_path / f"trace{len(flags)}.json"
+            assert main(["principalize", str(path), "--out", str(out_path)] + flags) == 0
+            reports[bool(flags)] = capsys.readouterr().out.splitlines()
+            traces[bool(flags)] = out_path.read_bytes()
+        assert "chart Q: total transform [{}]" in reports[False]
+        assert not any(line.startswith("chart Q:") for line in reports[True])
+        assert traces[True] == traces[False]
 
     def test_resolve(self, tmp_path, capsys):
         obj = {
@@ -258,7 +292,7 @@ class TestPrincipalizeResolve:
         path.write_text(json.dumps(obj))
         out_path = str(tmp_path / "trace.json")
         assert main(["resolve", str(path), "--out", out_path]) == 0
-        trace = json.loads(open(out_path).read())
+        trace = json.loads(Path(out_path).read_text())
         assert trace["separation"]["stage"] == 1
         charts = {c["chart"]: c["strict"] for c in trace["separation"]["charts"]}
         assert charts["U/x"] == [{"y": 1}]
@@ -282,7 +316,7 @@ class TestPrincipalizeResolve:
         path.write_text(json.dumps(obj))
         out_path = str(tmp_path / "trace.json")
         assert main(["resolve", str(path), "--out", out_path]) == 0
-        trace = json.loads(open(out_path).read())
+        trace = json.loads(Path(out_path).read_text())
         assert trace["separation"]["stage"] == 3
         charts = {c["chart"]: c["strict"] for c in trace["separation"]["charts"]}
         assert charts["U/c/exc1/d"] == [{"b": 1}]
@@ -304,3 +338,13 @@ class TestCheckLambda:
         monkeypatch.setenv("MONORED_SEED", "9")
         assert main(["check-lambda", "--primes", "2"]) == 0
         assert "seed 9" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("primes", ["a", "", "4"], ids=["not-integer", "empty", "not-prime"])
+    def test_bad_primes(self, capsys, primes):
+        assert main(["check-lambda", "--primes", primes, "--seed", "5"]) == 1
+        assert "validation error: " in capsys.readouterr().err
+
+    def test_bad_seed_env(self, monkeypatch, capsys):
+        monkeypatch.setenv("MONORED_SEED", "abc")
+        assert main(["check-lambda", "--primes", "2"]) == 1
+        assert "MONORED_SEED" in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -23,7 +24,7 @@ from monored.serialize import (
     replay_trace,
     trace_to_obj,
 )
-from monored.transform import transform_generator
+from monored.transform import BlowUpRecord, transform_generator
 
 from conftest import chart, config, golden_config, mono, random_config
 
@@ -154,6 +155,16 @@ class TestTraceReplay:
                 obj["final"]
             )
             done += 1
+
+
+    def test_rendering_stops_on_a_naming_cycle(self):
+        # component 0 defines the chart at stage 1 and is stage 1's own
+        # exceptional component: records that do not match the
+        # configuration, which the public final_state_obj still accepts
+        ch = replace(chart(2, [mono({0: 1, 1: 2})], 1), path=((1, 0),))
+        record = BlowUpRecord(1, frozenset({0}), 0, ())
+        obj = final_state_obj(config(("x", "y"), [ch], 2), [record])
+        assert obj["charts"][0]["rendered"] == "x\u0304y\u0304\u00b2"  # x̄ȳ²
 
 
 class TestPullbackLedger:
