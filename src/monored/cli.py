@@ -172,6 +172,9 @@ def cmd_check_lambda(args) -> int:
         raise ValidationError(f"--primes and MONORED_SEED take integers: {exc}") from None
     if not primes:
         raise ValidationError("--primes needs at least one prime")
+    for p in primes:
+        if not arithmetic.is_prime(p):
+            raise ValidationError(f"{p} is not prime")
     rng = random.Random(seed)
     print(HEADER)
     print(f"seed {seed}, primes {primes}")

@@ -19,6 +19,7 @@ distinguished point.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field, replace
 
 from .errors import (
@@ -454,23 +455,25 @@ def power_generators(gens, k: int) -> tuple[Monomial, ...]:
 
 
 def sum_marked(ideals) -> MarkedIdeal:
-    """Sum of marked ideals: each summand raised to the product of the other
-    marks, all generators collected, marked with the product of the marks.
+    """Sum of marked ideals, marked with the lcm L of the marks: each summand
+    (J, b) is raised to the power L/b and all generators are collected.
 
-    The support of the result is the intersection of the summands' supports.
+    (J^k, k*b) has the same support as (J, b), after every permissible
+    blow-up as well, so any common multiple of the marks gives an equivalent
+    sum; the lcm is the smallest.  The support of the result is the
+    intersection of the summands' supports.
     """
     ideals = list(ideals)
     if not ideals:
         raise ValidationError("sum_marked needs at least one summand")
     total = 1
     for ideal in ideals:
-        total *= ideal.mark
+        total = math.lcm(total, ideal.mark)
         if total > MAX_MARK:
-            raise MarkOverflowError("product marking exceeds the 64-bit checked range")
+            raise MarkOverflowError("lcm marking exceeds the 64-bit checked range")
     gens: list[Monomial] = []
     for ideal in ideals:
-        cofactor = total // ideal.mark
-        gens.extend(power_generators(ideal.generators, cofactor))
+        gens.extend(power_generators(ideal.generators, total // ideal.mark))
     return MarkedIdeal.of(gens, total)
 
 

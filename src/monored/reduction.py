@@ -19,7 +19,6 @@ and blowing up Y itself empties the chart's support in one step.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, replace
 
 from .core import (
@@ -89,46 +88,6 @@ def contact_split(chart: Chart) -> ContactSplit:
     return ContactSplit(frozenset(contact), parts, m)
 
 
-def _primitive_root(w: Monomial) -> tuple[Monomial, int]:
-    if w.is_unit():
-        return w, 1
-    g = 0
-    for _, e in w.exps:
-        g = math.gcd(g, e)
-    return Monomial(tuple((c, e // g) for c, e in w.exps)), g
-
-
-def _prune_summands(raw):
-    """Drop summands another summand dominates stably under transforms.
-
-    A marked monomial (w^t, t*mu) is interchangeable with (w, mu): orders
-    scale by t at every stratum and birational transforms commute with the
-    t-th power, so the equivalence survives every later blow-up.  Among
-    summands sharing a primitive root only the one with the largest
-    mark-per-power ratio constrains the intersection of supports, now or
-    after any permissible sequence; the others multiply the product marking
-    up without effect and are dropped (first wins on ties).
-    """
-    items = []
-    for residue, comark in raw:
-        root, power = _primitive_root(residue)
-        items.append((residue, comark, root, power))
-    kept = []
-    for i, (res_i, m_i, root_i, a_i) in enumerate(items):
-        implied = False
-        for j, (_, m_j, root_j, a_j) in enumerate(items):
-            if i == j or root_i != root_j:
-                continue
-            # compare thresholds m_i/a_i vs m_j/a_j without rationals
-            cross_i, cross_j = m_i * a_j, m_j * a_i
-            if cross_j > cross_i or (cross_j == cross_i and j < i):
-                implied = True
-                break
-        if not implied:
-            kept.append((res_i, m_i))
-    return kept
-
-
 def companion_ideal(chart: Chart, split: ContactSplit):
     """Locus cut by the contact variables and its companion marked ideal.
 
@@ -138,16 +97,13 @@ def companion_ideal(chart: Chart, split: ContactSplit):
     (the support then equals the locus and blowing it up reduces order).
     """
     locus = frozenset(chart.p_components | split.contact_vars)
-    raw = [
-        (residue, split.mark - contact.degree())
+    summands = [
+        MarkedIdeal.of([residue], split.mark - contact.degree())
         for contact, residue in split.parts
         if split.mark - contact.degree() > 0
     ]
-    if not raw:
+    if not summands:
         return locus, None
-    summands = [
-        MarkedIdeal.of([residue], comark) for residue, comark in _prune_summands(raw)
-    ]
     return locus, sum_marked(summands)
 
 

@@ -8,6 +8,7 @@ tests act as oracles for the code paths they check.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 from monored.core import (
@@ -16,6 +17,7 @@ from monored.core import (
     MarkedIdeal,
     Monomial,
     is_permissible,
+    power_generators,
 )
 
 X, Y, U, V = 0, 1, 2, 3
@@ -48,6 +50,19 @@ def golden_config() -> Configuration:
     """Four components x,y,u,v; generators x2y3, x2v6, y4u5; mark 5."""
     gens = [mono({X: 2, Y: 3}), mono({X: 2, V: 6}), mono({Y: 4, U: 5})]
     return config(("x", "y", "u", "v"), [chart(4, gens, 5)], 4)
+
+
+def product_sum_marked(ideals) -> MarkedIdeal:
+    """Sum of marked ideals marked with the product of the marks.
+
+    Each summand is raised to the product of the other marks.  An
+    equivalent marking to the lcm one of `sum_marked`, kept as its reference.
+    """
+    total = math.prod(i.mark for i in ideals)
+    gens = []
+    for i in ideals:
+        gens.extend(power_generators(i.generators, total // i.mark))
+    return MarkedIdeal.of(gens, total)
 
 
 # --- brute-force oracles ----------------------------------------------------

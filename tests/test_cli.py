@@ -1,8 +1,13 @@
 import json
+import os
+import resource
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import monored
 from monored.cli import main
 from monored.serialize import config_to_obj, load_config
 
@@ -162,6 +167,38 @@ HUGE_COFACTOR = {
     ],
 }
 
+# The companion of a companion here sums about 190 summands with marks in
+# the millions.  Their lcm leaves the 64-bit checked range, so `reduce` has
+# to stop with a contract violation before `power_generators` is asked for
+# a power it cannot enumerate.
+OVERFLOWING_COMPANION = {
+    "components": ["a", "b", "c"],
+    "dim_p": 3,
+    "mark": 9,
+    "charts": [
+        {
+            "name": "U",
+            "e_components": ["a", "b", "c"],
+            "generators": [
+                {"a": 1, "b": 6, "c": 6},
+                {"a": 8, "b": 4, "c": 4},
+                {"a": 10, "b": 2, "c": 5},
+            ],
+        }
+    ],
+}
+
+# Limits of the child in the overflow test: an unbounded power_generators
+# call fails under them instead of exhausting the machine.  The child needs
+# about 0.3 s of CPU.
+CHILD_ADDRESS_SPACE = 2**30
+CHILD_CPU_SECONDS = 5
+
+
+def _limit_child():
+    resource.setrlimit(resource.RLIMIT_AS, (CHILD_ADDRESS_SPACE, CHILD_ADDRESS_SPACE))
+    resource.setrlimit(resource.RLIMIT_CPU, (CHILD_CPU_SECONDS, CHILD_CPU_SECONDS))
+
 
 class TestBlowup:
     def test_golden_blowup(self, golden_file, tmp_path, capsys):
@@ -234,6 +271,24 @@ class TestReduceCommand:
         assert main(["reduce", str(path), "--out", out_path]) == 0
         assert "order reduction: 4 blow-ups" in capsys.readouterr().out
         assert main(["replay", "--trace", out_path]) == 0
+
+    def test_reduce_overflowing_companion_is_a_contract_violation(self, tmp_path):
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(OVERFLOWING_COMPANION))
+        src = str(Path(monored.__file__).resolve().parent.parent)
+        paths = [src, os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "monored.cli", "reduce", str(path)],
+            capture_output=True,
+            text=True,
+            env=env,
+            preexec_fn=_limit_child,
+            timeout=120,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("contract violation: ")
+        assert "Traceback" not in proc.stderr
 
     def test_replay_format_1(self, capsys):
         # written by the blowup command when traces were monored-trace-1
@@ -342,7 +397,9 @@ class TestCheckLambda:
     @pytest.mark.parametrize("primes", ["a", "", "4"], ids=["not-integer", "empty", "not-prime"])
     def test_bad_primes(self, capsys, primes):
         assert main(["check-lambda", "--primes", primes, "--seed", "5"]) == 1
-        assert "validation error: " in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "validation error: " in captured.err
 
     def test_bad_seed_env(self, monkeypatch, capsys):
         monkeypatch.setenv("MONORED_SEED", "abc")

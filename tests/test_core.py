@@ -310,6 +310,12 @@ class TestSumMarked:
         s = sum_marked([a, b])
         assert s.mark == 3
         assert s.generators == (mono({V: 6}), mono({U: 15}))
+        # lcm(4, 6) = 12, not the product 24: cofactors 3 and 2
+        a = MarkedIdeal.of([mono({V: 1})], 4)
+        b = MarkedIdeal.of([mono({U: 1})], 6)
+        s = sum_marked([a, b])
+        assert s.mark == 12
+        assert s.generators == (mono({U: 2}), mono({V: 3}))
 
     def test_single_summand_unchanged(self):
         a = MarkedIdeal.of([mono({0: 1}), mono({1: 2})], 4)
@@ -317,7 +323,7 @@ class TestSumMarked:
 
     def test_overflow(self):
         a = MarkedIdeal.of([mono({0: 1})], 2**40)
-        b = MarkedIdeal.of([mono({1: 1})], 2**40)
+        b = MarkedIdeal.of([mono({1: 1})], 3**26)
         with pytest.raises(MarkOverflowError):
             sum_marked([a, b])
 
