@@ -146,9 +146,9 @@ class TestValidation:
         assert cfg == again
 
 
-# One chart whose companion ideal raises a single generator to the power
-# 782 369 280: enumerating that many factors would exhaust memory, so the
-# power has to be taken directly.
+# One chart whose companions sum single-generator summands with many
+# different marks.  Marked with the lcm, no sum here needs a power above 60;
+# marked with the product, one needed the power 782 369 280.
 HUGE_COFACTOR = {
     "components": ["a", "b", "c"],
     "dim_p": 3,
