@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import weakref
 from dataclasses import dataclass, field, replace
 
 from .errors import (
@@ -69,12 +70,12 @@ class Monomial:
     def degree(self, comps=None) -> int:
         """Total degree, or degree over the given component set."""
         if comps is None:
-            return sum(e for _, e in self.exps)
-        return sum(e for c, e in self.exps if c in comps)
+            return sum([e for _, e in self.exps])
+        return sum([e for c, e in self.exps if c in comps])
 
     @property
     def components(self) -> frozenset[int]:
-        return frozenset(c for c, _ in self.exps)
+        return frozenset([c for c, _ in self.exps])
 
     def is_unit(self) -> bool:
         return not self.exps
@@ -195,9 +196,10 @@ class Chart:
         if not self.p_components <= present:
             raise ValidationError(f"chart {self.label!r}: p_components not present in the chart")
         for g in self.ideal.generators:
-            if not g.components <= present:
+            comps = g.components
+            if not comps <= present:
                 raise ValidationError(f"chart {self.label!r}: generator uses absent components")
-            if g.components & self.p_components:
+            if comps & self.p_components:
                 raise ValidationError(
                     f"chart {self.label!r}: generator uses a component cutting P"
                 )
@@ -222,63 +224,247 @@ class Stratum:
     vanishing: frozenset[int]
 
 
-@dataclass(frozen=True)
 class Configuration:
     """Global registry, chart list and centre dimension.
 
     `registry` order is the total order on the component index set; new
-    exceptional components are appended, hence strictly larger.
+    exceptional components are appended, hence strictly larger.  All charts
+    carry one mark, `mark`.
+
+    The charts are held as a tuple (`charts`), in a `_ChartIndex`, or both.
+    A blow-up (`grow`) moves the index on to the grown configuration and
+    updates it there for the charts it replaces and adds, so a step costs
+    what it touches.  A configuration without an index builds one when
+    asked, from its chart tuple.  One without a tuple either has been grown
+    from, and undoes its blow-up on the grown configuration's charts while
+    that is alive (`_grown`), or replays its centres from the configuration
+    its lineage started from.  Making the tuple lets the index go, as the
+    tuple rebuilds it.  Either way a configuration's answers never change.
     """
 
-    registry: tuple[str, ...]
-    charts: tuple[Chart, ...]
-    dim_p: int
-    n_blowups: int = 0
-    # each chart of `charts` under its (label, path) key; built once, never changed
-    _keys: dict | None = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = (
+        "registry", "dim_p", "n_blowups", "mark", "_p", "_meeting", "_ids",
+        "_index", "_charts", "_grown", "_origin", "_centres", "__weakref__",
+    )
 
-    def __post_init__(self) -> None:
-        if self.dim_p < 0:
+    def __init__(self, registry, charts, dim_p: int, n_blowups: int = 0) -> None:
+        registry, charts = tuple(registry), tuple(charts)
+        if dim_p < 0:
             raise ValidationError("dim_p must be non-negative")
-        if len(set(self.registry)) != len(self.registry):
+        ids = {name: i for i, name in enumerate(registry)}
+        if len(ids) != len(registry):
             raise ValidationError("registry names must be unique")
-        if not self.charts:
+        self._build(registry, ids, charts, dim_p, n_blowups)
+
+    def _build(self, registry, ids, charts: tuple, dim_p, n_blowups) -> None:
+        if not charts:
             raise ValidationError("a configuration needs at least one chart")
-        keys: dict = {}
-        _check_charts(self.registry, self.charts, set(), set(), keys)
-        object.__setattr__(self, "_keys", keys)
+        marks: set = set()
+        p_sets: set = set()
+        _check_charts(registry, charts, marks, p_sets)
+        self.registry, self.dim_p, self.n_blowups = registry, dim_p, n_blowups
+        self.mark = marks.pop()
+        self._p = next(iter(p_sets), frozenset())
+        self._meeting = sum(not ch.p_empty for ch in charts)
+        self._ids = ids
+        self._charts = charts
+        self._index = None  # built on first use
+        self._grown = self._origin = self._centres = None
+
+    def with_charts(self, charts, dim_p: int | None = None) -> "Configuration":
+        """The configuration over the same registry with other charts (and
+        `dim_p`); the charts are checked as in a new configuration."""
+        new = object.__new__(Configuration)
+        new._build(
+            self.registry, self._ids, tuple(charts),
+            self.dim_p if dim_p is None else dim_p, self.n_blowups,
+        )
+        return new
 
     @property
-    def mark(self) -> int:
-        return self.charts[0].mark
+    def charts(self) -> tuple[Chart, ...]:
+        if self._charts is None:
+            self._charts = tuple(self._ordered())
+            self._index = None
+        return self._charts
+
+    def _ordered(self):
+        """The charts in chart order, leaving what is held as it is."""
+        if self._charts is None and self._index is None:
+            self._restore()
+        if self._charts is not None:
+            return self._charts
+        return self._index.ordered(self._index.keys.values())
+
+    def settled(self) -> "Configuration":
+        """This configuration holding its charts as a tuple, its index let
+        go, as suits a result: the tuple costs a pointer per chart where the
+        index costs a few hundred bytes, and rebuilds the index if asked."""
+        self.charts
+        return self
 
     @property
     def p_components(self) -> frozenset[int]:
-        for ch in self.charts:
-            if not ch.p_empty:
-                return ch.p_components
-        return frozenset()
+        """The components cutting P in the charts meeting P."""
+        return self._p if self._meeting else frozenset()
+
+    @property
+    def _keys(self) -> dict:
+        """Each chart under its (label, path) key."""
+        return dict(self._own_index().keys)
 
     def chart(self, key) -> Chart:
         """The chart keyed `key`, a (label, path) pair."""
-        return self._keys[key]
+        return self._own_index().keys[key]
+
+    def charts_containing(self, center) -> list[Chart]:
+        """The charts in which every component of `center` is present, in
+        chart order; only the charts holding the rarest one are visited."""
+        return self._own_index().containing(frozenset(center))
+
+    def support_charts(self) -> list[Chart]:
+        """The charts with non-empty support, in chart order."""
+        return self._own_index().supported()
+
+    def carries_support(self, chart: Chart) -> bool:
+        """Whether `chart`, one of this configuration's charts, has
+        non-empty support."""
+        return id(chart) in self._own_index().supporting
+
+    def is_registered(self, name: str) -> bool:
+        i = self._ids.get(name)
+        return i is not None and i < len(self.registry) and self.registry[i] == name
 
     def component_id(self, name: str) -> int:
-        try:
-            return self.registry.index(name)
-        except ValueError:
-            raise ValidationError(f"unknown component name {name!r}") from None
+        if not self.is_registered(name):
+            raise ValidationError(f"unknown component name {name!r}")
+        return self._ids[name]
+
+    def _own_index(self) -> "_ChartIndex":
+        if self._index is None:
+            if self._charts is None:
+                self._restore()
+            if self._index is None:
+                self._index = _ChartIndex(self._charts, self.dim_p)
+        return self._index
+
+    def _restore(self) -> None:
+        """Recover the charts of a configuration that has been grown from
+        and holds neither tuple nor index."""
+        grown = self._grown and self._grown[0]()
+        if grown is not None:
+            # each replaced chart goes back in place of its children
+            outcomes = self._grown[1]
+            first = {id(kids[0]): ch for ch, kids in outcomes}
+            gone = {id(kid) for _, kids in outcomes for kid in kids}
+            charts = []
+            for ch in grown._ordered():
+                if id(ch) in first:
+                    charts.append(first[id(ch)])
+                if id(ch) not in gone:
+                    charts.append(ch)
+            self._charts = tuple(charts)
+        else:
+            # the grown configuration is gone: replay the lineage
+            from .transform import blow_up_global  # transform imports core
+
+            centres = []
+            node = self._centres
+            while node is not None:
+                node, center = node
+                centres.append(center)
+            cfg = self._origin
+            for center in reversed(centres):
+                cfg, _ = blow_up_global(cfg, center)
+            self._index = cfg._index
+        self._grown = None
+
+    def _fields(self):
+        return (self.registry, self.charts, self.dim_p, self.n_blowups)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Configuration):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return (
+            f"Configuration(registry={self.registry!r}, charts={self.charts!r}, "
+            f"dim_p={self.dim_p!r}, n_blowups={self.n_blowups!r})"
+        )
 
 
-def _check_charts(registry, charts, marks: set, p_sets: set, keys: dict) -> None:
+class _ChartIndex:
+    """The charts of one configuration, indexed for blow-ups.
+
+    `keys` maps each (label, path) key to its chart.  The other maps go by
+    `id(chart)`: `rank` is the position of the root chart a chart descends
+    from, so chart order is the order of (rank, path), since children
+    replace their parent in centre-component order and their paths extend
+    the parent's by (stage, component); `by_component` holds the charts
+    containing each component; `supporting` the charts with non-empty
+    support.
+    """
+
+    __slots__ = ("dim_p", "keys", "rank", "by_component", "supporting")
+
+    def __init__(self, charts, dim_p: int) -> None:
+        self.dim_p = dim_p
+        self.keys: dict = {}
+        self.rank: dict[int, int] = {}
+        self.by_component: dict[int, dict[int, Chart]] = {}
+        self.supporting: dict[int, Chart] = {}
+        for rank, ch in enumerate(charts):
+            self.add(ch, rank)
+
+    def add(self, ch: Chart, rank: int) -> None:
+        i = id(ch)
+        self.keys[(ch.label, ch.path)] = ch
+        self.rank[i] = rank
+        for c in ch.e_components:
+            self.by_component.setdefault(c, {})[i] = ch
+        if has_support(ch, self.dim_p):
+            self.supporting[i] = ch
+
+    def remove(self, ch: Chart) -> int:
+        """Drop `ch`; returns its rank."""
+        i = id(ch)
+        del self.keys[(ch.label, ch.path)]
+        for c in ch.e_components:
+            holders = self.by_component[c]
+            del holders[i]
+            if not holders:
+                del self.by_component[c]
+        self.supporting.pop(i, None)
+        return self.rank.pop(i)
+
+    def ordered(self, charts) -> list[Chart]:
+        rank = self.rank
+        return sorted(charts, key=lambda ch: (rank[id(ch)], ch.path))
+
+    def containing(self, center: frozenset[int]) -> list[Chart]:
+        holders = [self.by_component.get(c, {}) for c in center]
+        rarest = min(holders, key=len)
+        return self.ordered([ch for i, ch in rarest.items() if all(i in h for h in holders)])
+
+    def supported(self) -> list[Chart]:
+        return self.ordered(self.supporting.values())
+
+
+def _check_charts(registry, charts, marks: set, p_sets: set, taken=None, freed=()) -> None:
     """The per-chart checks of a configuration, for `charts` joining charts
-    that carry the marks `marks`, cut P by `p_sets` and are keyed `keys`.
+    that carry the marks `marks`, cut P by `p_sets` and are `taken`, a map
+    from (label, path) key to chart, less the charts whose ids are `freed`.
 
-    Each chart adds its mark and P-cutting set to the two sets and itself to
-    `keys` under its (label, path) key; the checks fail on an unregistered
-    component, a key already taken, a second mark or a second P-cutting set.
+    Each chart adds its mark and P-cutting set to the two sets; the checks
+    fail on an unregistered component, a key already taken, a second mark
+    or a second P-cutting set.
     """
     n = len(registry)
+    keys = set()
     for ch in charts:
         if ch.e_components and ch.e_components[-1] >= n:
             raise ValidationError(f"chart {ch.label!r} references an unregistered component")
@@ -286,48 +472,67 @@ def _check_charts(registry, charts, marks: set, p_sets: set, keys: dict) -> None
         if not ch.p_empty:
             p_sets.add(ch.p_components)
         key = (ch.label, ch.path)
-        if key in keys:
+        held = taken.get(key) if taken else None
+        if key in keys or (held is not None and id(held) not in freed):
             raise ValidationError(f"duplicate chart {chart_name(registry, *key)!r}")
-        keys[key] = ch
+        keys.add(key)
     if len(marks) != 1:
         raise ValidationError("all charts must carry the same mark")
     if len(p_sets) > 1:
         raise ValidationError("charts meeting P must agree on the components cutting P")
 
 
-def grow(cfg: Configuration, name: str, charts, added, replaced) -> Configuration:
-    """`cfg` after one blow-up: the registry gains `name`, the charts keyed
-    `replaced` give way to `added`, and `charts` is the new chart list.
+def grow(cfg: Configuration, name: str, center, outcomes) -> Configuration:
+    """`cfg` blown up along `center`: the registry gains `name`, and each
+    (chart, children) pair of `outcomes`, in chart order, puts its (one or
+    more) children in the chart's place.
 
     Checks only what the blow-up adds, by the checks of a full
-    configuration: `name` must be new, and the added charts must agree with
-    the mark, P-cutting set and keys of `cfg` (less the replaced keys).
-    Charts carried over were checked when `cfg` was built.
+    configuration: `name` must be new, and the children must agree with the
+    mark, P-cutting set and keys of `cfg` (less the replaced keys).  Charts
+    carried over were checked when `cfg` was built.  The chart index of
+    `cfg` moves to the result; nothing else is copied but the registry.
     """
-    if name in cfg.registry:
+    index = cfg._own_index()
+    if cfg.is_registered(name):
         raise ValidationError("registry names must be unique")
+    n = len(cfg.registry)
     registry = cfg.registry + (name,)
-    meeting = next((ch for ch in cfg.charts if not ch.p_empty), None)
-    p_sets = {meeting.p_components} if meeting is not None else set()
-    keys = dict(cfg._keys)
-    for key in replaced:
-        del keys[key]
-    _check_charts(registry, added, {cfg.mark}, p_sets, keys)
+    replaced = {id(ch) for ch, _ in outcomes}
+    added = [kid for _, kids in outcomes for kid in kids]
+    p_sets = {cfg._p} if cfg._meeting else set()
+    _check_charts(registry, added, {cfg.mark}, p_sets, index.keys, replaced)
+    ids = cfg._ids
+    held = ids.get(name)
+    if held is None:
+        ids[name] = n
+    elif held != n:
+        # a configuration grown elsewhere from a common ancestor holds
+        # `name` under another id: this lineage gets a map of its own
+        ids = {nm: i for i, nm in enumerate(registry)}
+    meeting = cfg._meeting
+    for ch, kids in outcomes:
+        rank = index.remove(ch)
+        meeting -= not ch.p_empty
+        for kid in kids:
+            index.add(kid, rank)
+            meeting += not kid.p_empty
     new = object.__new__(Configuration)
-    for attr, value in (
-        ("registry", registry),
-        ("charts", tuple(charts)),
-        ("dim_p", cfg.dim_p),
-        ("n_blowups", cfg.n_blowups + 1),
-        ("_keys", keys),
-    ):
-        object.__setattr__(new, attr, value)
+    new.registry, new.dim_p, new.mark = registry, cfg.dim_p, cfg.mark
+    new.n_blowups = cfg.n_blowups + 1
+    new._p, new._meeting, new._ids = cfg._p, meeting, ids
+    new._index, new._charts, new._grown = index, None, None
+    new._origin = cfg if cfg._origin is None else cfg._origin
+    new._centres = (cfg._centres, frozenset(center))
+    cfg._index = None
+    if cfg._charts is None:
+        cfg._grown = (weakref.ref(new), outcomes)
     return new
 
 
 def min_degree(gens, vanishing) -> int:
     """Order of a monomial generator list along a vanishing set."""
-    return min(g.degree(vanishing) for g in gens)
+    return min([g.degree(vanishing) for g in gens])
 
 
 def order_at(chart: Chart, stratum: Stratum) -> int:
@@ -390,6 +595,22 @@ def chart_support(chart: Chart, dim_p: int) -> tuple[frozenset[int], ...]:
     return memo[1]
 
 
+def has_support(chart: Chart, dim_p: int) -> bool:
+    """Whether `chart_support(chart, dim_p)` is non-empty, decided on the
+    largest strata alone: the order only grows with the vanishing set."""
+    memo = chart._support
+    if memo is not None and memo[0] == dim_p:
+        return bool(memo[1])
+    if chart.p_empty:
+        return False
+    extras = [c for c in chart.e_components if c not in chart.p_components]
+    gens = chart.ideal.generators
+    return any(
+        min_degree(gens, chart.p_components.union(combo)) >= chart.mark
+        for combo in itertools.combinations(extras, min(dim_p, len(extras)))
+    )
+
+
 def _scan_support(chart: Chart, dim_p: int) -> tuple[frozenset[int], ...]:
     m = chart.mark
     minimal: list[frozenset[int]] = []
@@ -404,7 +625,7 @@ def _scan_support(chart: Chart, dim_p: int) -> tuple[frozenset[int], ...]:
 def support(cfg: Configuration) -> list[Stratum]:
     """Minimal strata carrying the support; empty list means empty support."""
     out: list[Stratum] = []
-    for ch in cfg.charts:
+    for ch in cfg.support_charts():
         for vanishing in chart_support(ch, cfg.dim_p):
             out.append(Stratum(ch, vanishing))
     return out
@@ -426,9 +647,7 @@ def is_permissible(cfg: Configuration, center) -> bool:
     for c in center:
         if not 0 <= c < len(cfg.registry):
             raise ValidationError(f"centre references unregistered component id {c}")
-    for ch in cfg.charts:
-        if not center <= set(ch.e_components):
-            continue
+    for ch in cfg.charts_containing(center):
         if ch.p_empty:
             return False
         if not ch.p_components <= center:
@@ -479,5 +698,4 @@ def sum_marked(ideals) -> MarkedIdeal:
 
 def map_ideals(cfg: Configuration, ideal_of) -> Configuration:
     """The configuration with each chart's ideal replaced by `ideal_of(chart)`."""
-    charts = tuple(replace(ch, ideal=ideal_of(ch)) for ch in cfg.charts)
-    return Configuration(cfg.registry, charts, cfg.dim_p, cfg.n_blowups)
+    return cfg.with_charts(replace(ch, ideal=ideal_of(ch)) for ch in cfg.charts)

@@ -156,9 +156,7 @@ def monomial_derivative(ideal: MarkedIdeal, r: int) -> tuple[Monomial, ...]:
 def residual_order(cfg: Configuration) -> int:
     """Maximum order of the residual part over the support strata."""
     nu = 0
-    for ch in cfg.charts:
-        if ch.p_empty:
-            continue
+    for ch in cfg.support_charts():
         ngens = monomial_split(ch).nonmonomial_part.generators
         for vanishing in chart_strata(ch, cfg.dim_p):
             if min_degree(ch.ideal.generators, vanishing) >= ch.mark:
@@ -182,10 +180,8 @@ def _lex_first_active(cfg: Configuration):
     """
     best = None
     best_key = None
-    for index, ch in enumerate(cfg.charts):
+    for index, ch in enumerate(cfg.support_charts()):
         strata = chart_support(ch, cfg.dim_p)
-        if not strata:
-            continue
         key = (min(tuple(sorted(s)) for s in strata), index)
         if best_key is None or key < best_key:
             best, best_key = ch, key
@@ -228,7 +224,7 @@ def reduce_maximal_order(
         sub_chart = replace(
             target, p_components=locus, ideal=companion, p_empty=False
         )
-        sub = Configuration(cfg.registry, (sub_chart,), sub_dim, cfg.n_blowups)
+        sub = cfg.with_charts((sub_chart,), sub_dim)
         _, sub_records = reduce(sub, _depth=_depth + 1)
         if not sub_records:
             raise InternalLogicError(
@@ -239,26 +235,71 @@ def reduce_maximal_order(
     return cfg, records
 
 
-def _active_single_generators(cfg: Configuration) -> list[Chart]:
-    active = [
-        ch
-        for ch in cfg.charts
-        if not ch.p_empty and chart_support(ch, cfg.dim_p)
-    ]
-    for ch in active:
-        if len(ch.ideal.generators) != 1:
-            raise NotMonomialError(
-                f"chart {ch.label!r} carries {len(ch.ideal.generators)} generators; "
-                "the monomial stage needs locally principal input"
-            )
-    return active
+class _StageTable:
+    """The table of one monomial stage s, kept as counts.
 
+    Over the support-carrying charts, each of them principal, it maps every
+    s-subset of a generator's components whose exponent sum is at least
+    `floor` to [that sum, the number of charts giving it].  Charts agree on
+    the sum of a shared subset; `update` follows a blow-up by taking out the
+    charts it replaced and counting the support-carrying charts it added.
+    """
 
-def _agreeing_exponent(values: dict[int, int], comp: int, value: int) -> None:
-    if values.setdefault(comp, value) != value:
-        raise InternalLogicError(
-            f"component {comp} has inconsistent exponents across charts"
-        )
+    def __init__(self, s: int, floor: int, charts) -> None:
+        self.s = s
+        self.floor = floor
+        self.entries: dict[tuple[int, ...], list[int]] = {}
+        self.counted: dict = {}  # (label, path) key of a counted chart -> its subsets
+        self.count(charts)
+
+    def count(self, charts) -> None:
+        for ch in charts:
+            if len(ch.ideal.generators) != 1:
+                raise NotMonomialError(
+                    f"chart {ch.label!r} carries {len(ch.ideal.generators)} generators; "
+                    "the monomial stage needs locally principal input"
+                )
+        for ch in charts:
+            subsets = []
+            for combo in itertools.combinations(ch.ideal.generators[0].exps, self.s):
+                subset, exps = zip(*combo)
+                total = sum(exps)
+                if total < self.floor:
+                    continue
+                entry = self.entries.get(subset)
+                if entry is None:
+                    self.entries[subset] = [total, 1]
+                elif entry[0] != total:
+                    raise InternalLogicError(
+                        f"component {subset[0] if self.s == 1 else subset} has "
+                        "inconsistent exponents across charts"
+                    )
+                else:
+                    entry[1] += 1
+                subsets.append(subset)
+            self.counted[(ch.label, ch.path)] = subsets
+
+    def update(self, cfg: Configuration, rec: BlowUpRecord) -> None:
+        added = []
+        for (label, path), children in rec.outcomes:
+            for subset in self.counted.pop((label, path), ()):
+                entry = self.entries[subset]
+                entry[1] -= 1
+                if not entry[1]:
+                    del self.entries[subset]
+            for child in children:
+                kid = cfg.chart((label, child))
+                if cfg.carries_support(kid):
+                    added.append(kid)
+        self.count(added)
+
+    def best(self, mark: int):
+        """The subset of largest sum at least `mark` (least subset on
+        ties), or None."""
+        top = max((v for v, _ in self.entries.values() if v >= mark), default=None)
+        if top is None:
+            return None
+        return min(subset for subset, (v, _) in self.entries.items() if v == top)
 
 
 def reduce_monomial(cfg: Configuration) -> tuple[Configuration, list[BlowUpRecord]]:
@@ -270,36 +311,19 @@ def reduce_monomial(cfg: Configuration) -> tuple[Configuration, list[BlowUpRecor
     Stage s then clears every s-subset of P-meeting components whose
     exponent sum reaches the mark, largest sum first and lexicographically
     smallest subset on ties.  After stage dim_p the support is empty.
+
+    Each stage's table counts the support-carrying charts, so a step
+    re-tabulates only the charts its blow-up adds.  Stage 1 tabulates every
+    component (checking agreement on all of them); later stages only the
+    subsets reaching the mark.
     """
     records: list[BlowUpRecord] = []
     m = cfg.mark
-    while True:
-        values: dict[int, int] = {}
-        for ch in _active_single_generators(cfg):
-            g = ch.ideal.generators[0]
-            for c, e in g.exps:
-                _agreeing_exponent(values, c, e)
-        candidates = {c: e for c, e in values.items() if e >= m}
-        if not candidates:
-            break
-        best = max(candidates.values())
-        j = min(c for c, e in candidates.items() if e == best)
-        cfg = _apply(cfg, cfg.p_components | {j}, records)
-    for s in range(2, cfg.dim_p + 1):
-        while True:
-            sums: dict[tuple[int, ...], int] = {}
-            for ch in _active_single_generators(cfg):
-                g = ch.ideal.generators[0]
-                comps = sorted(g.components)
-                for combo in itertools.combinations(comps, s):
-                    total = sum(g.exponent(c) for c in combo)
-                    if total >= m:
-                        _agreeing_exponent(sums, combo, total)
-            if not sums:
-                break
-            best = max(sums.values())
-            subset = min(c for c, v in sums.items() if v == best)
+    for s in (1, *range(2, cfg.dim_p + 1)):
+        table = _StageTable(s, 0 if s == 1 else m, cfg.support_charts())
+        while (subset := table.best(m)) is not None:
             cfg = _apply(cfg, cfg.p_components | set(subset), records)
+            table.update(cfg, records[-1])
     if support(cfg):
         raise InternalLogicError("monomial stage terminated with support left")
     return cfg, records
@@ -340,5 +364,5 @@ def reduce(
         previous_nu = nu
     if support(cfg):
         raise InternalLogicError("order reduction failed to empty the support")
-    return cfg, records
+    return cfg.settled(), records
 

@@ -10,6 +10,7 @@ oracle in `arithmetic`.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 from .core import (
@@ -50,9 +51,13 @@ def substitute(g: Monomial, center, chart_var: int, exceptional: int, shift: int
     plus `shift`: -mark for the birational transform, +mark for the pullback
     multiplier, 0 for the literal pullback.  Everything else is untouched.
     """
-    out = {c: e for c, e in g.exps if c != chart_var}
-    out[exceptional] = g.degree(center) + shift
-    return Monomial.of(out)
+    e = g.degree(center) + shift
+    if e < 0:
+        raise ValidationError(f"exponent {e} for component {exceptional} is negative")
+    exps = [(c, x) for c, x in g.exps if c != chart_var and c != exceptional]
+    if e:
+        bisect.insort(exps, (exceptional, e))
+    return Monomial(tuple(exps))
 
 
 def transform_generator(
@@ -106,9 +111,9 @@ def blow_up_chart(chart: Chart, center, exceptional: int, stage: int) -> list[Ch
     return children
 
 
-def _fresh_name(registry, stage: int) -> str:
+def _fresh_name(cfg: Configuration, stage: int) -> str:
     name = f"exc{stage}"
-    while name in registry:
+    while cfg.is_registered(name):
         name += "'"
     return name
 
@@ -118,7 +123,8 @@ def blow_up_global(cfg: Configuration, center) -> tuple[Configuration, BlowUpRec
 
     Appends one exceptional component to the registry, replaces every chart
     containing the centre by its children (in centre-component order), and
-    keeps every other chart as it is.
+    keeps every other chart as it is.  Only the charts containing the
+    centre are visited.
     """
     center = frozenset(center)
     if not is_permissible(cfg, center):
@@ -129,18 +135,14 @@ def blow_up_global(cfg: Configuration, center) -> tuple[Configuration, BlowUpRec
         )
     stage = cfg.n_blowups + 1
     exceptional = len(cfg.registry)
-    charts: list[Chart] = []
-    added: list[Chart] = []
-    outcomes = []
-    for ch in cfg.charts:
-        if center <= set(ch.e_components):
-            kids = blow_up_chart(ch, center, exceptional, stage)
-            charts.extend(kids)
-            added.extend(kids)
-            outcomes.append(((ch.label, ch.path), tuple(k.path for k in kids)))
-        else:
-            charts.append(ch)
-    record = BlowUpRecord(stage, center, exceptional, tuple(outcomes))
-    replaced = [key for key, _ in outcomes]
-    new_cfg = grow(cfg, _fresh_name(cfg.registry, stage), charts, added, replaced)
-    return new_cfg, record
+    outcomes = [
+        (ch, blow_up_chart(ch, center, exceptional, stage))
+        for ch in cfg.charts_containing(center)
+    ]
+    record = BlowUpRecord(
+        stage,
+        center,
+        exceptional,
+        tuple(((ch.label, ch.path), tuple(k.path for k in kids)) for ch, kids in outcomes),
+    )
+    return grow(cfg, _fresh_name(cfg, stage), center, outcomes), record

@@ -1,0 +1,210 @@
+"""The chart index, the registry name map and the counted monomial-stage table.
+
+A blow-up updates these for the charts it touches instead of rescanning the
+configuration; the tests here check each against what a from-scratch
+computation gives, also when a configuration is grown from twice.
+"""
+
+from __future__ import annotations
+
+import itertools
+import random
+
+import pytest
+
+from conftest import (
+    brute_support_set,
+    chart,
+    config,
+    golden_config,
+    mono,
+    permissible_centers,
+    random_config,
+    random_principal_config,
+)
+from monored import reduction
+from monored.core import Configuration, chart_support, grow, has_support, is_permissible
+from monored.errors import InternalLogicError, ValidationError
+from monored.transform import blow_up_chart, blow_up_global
+
+X, Y, U, V = 0, 1, 2, 3
+K = frozenset({X, Y, U, V})
+
+
+def brute_table(cfg: Configuration, s: int, floor: int) -> dict:
+    """The stage-s table of `cfg` from every chart, as [sum, chart count]."""
+    entries: dict = {}
+    for ch in cfg.charts:
+        if ch.p_empty or not brute_support_set(ch, cfg.dim_p):
+            continue
+        for combo in itertools.combinations(ch.ideal.generators[0].exps, s):
+            total = sum(e for _, e in combo)
+            if total >= floor:
+                subset = tuple(c for c, _ in combo)
+                entries.setdefault(subset, [total, 0])[1] += 1
+    return entries
+
+
+def test_has_support_agrees_with_the_full_scan():
+    """The largest strata decide emptiness, for every `dim_p` up to the
+    chart's components, P-cutting and P-empty charts included."""
+    rng = random.Random(3)
+    seen = {True: 0, False: 0}
+    for _ in range(150):
+        cfg = random_config(rng)
+        grown = [cfg.charts[0]]
+        for center in permissible_centers(cfg)[:1]:
+            grown = blow_up_global(cfg, center)[0].charts
+        for ch in grown:
+            for dim_p in range(len(ch.e_components) + 1):
+                expected = bool(brute_support_set(ch, dim_p))
+                assert has_support(ch, dim_p) == expected
+                assert bool(chart_support(ch, dim_p)) == expected
+                seen[expected] += 1
+    assert min(seen.values()) > 50
+
+
+class TestCountedStageTable:
+    @pytest.fixture
+    def checked_steps(self, monkeypatch):
+        """Compare the table with a rebuild after every monomial-stage step."""
+        steps = []
+        update = reduction._StageTable.update
+
+        def checked(table, cfg, rec):
+            update(table, cfg, rec)
+            assert table.entries == brute_table(cfg, table.s, table.floor)
+            rebuilt = reduction._StageTable(table.s, table.floor, cfg.support_charts())
+            assert table.counted == rebuilt.counted
+            steps.append(table.s)
+
+        monkeypatch.setattr(reduction._StageTable, "update", checked)
+        return steps
+
+    def test_random_principal_draws(self, checked_steps):
+        rng = random.Random(7)
+        for _ in range(50):
+            reduction.reduce_monomial(random_principal_config(rng))
+        assert len(checked_steps) > 50
+        assert max(checked_steps) >= 2
+
+    def test_worked_example_monomial_stage(self, checked_steps):
+        reduction.reduce(golden_config())
+        assert checked_steps
+
+    def test_inconsistent_exponents_across_charts(self):
+        # two support-carrying principal charts disagreeing on x's exponent
+        cfg = config(
+            ("x", "y"),
+            [
+                chart(2, [mono({X: 3, Y: 1})], 2, label="U"),
+                chart(2, [mono({X: 4, Y: 1})], 2, label="V"),
+            ],
+            2,
+        )
+        message = "^component 0 has inconsistent exponents across charts$"
+        with pytest.raises(InternalLogicError, match=message):
+            reduction.reduce_monomial(cfg)
+
+
+def test_children_take_their_parents_place():
+    """Chart order is kept by the index, not rebuilt: the children of the
+    first root stay ahead of a later root whose path is shorter."""
+    first = chart(2, [mono({X: 2, Y: 2})], 2, label="U")
+    later = chart(2, [mono({Y: 1})], 2, label="Q", e=(Y,))
+    cfg = config(("x", "y"), [first, later], 2)
+    grown, rec = blow_up_global(cfg, {X, Y})
+    assert [key for key, _ in rec.outcomes] == [("U", ())]
+    assert [(ch.label, ch.path) for ch in grown.charts] == [
+        ("U", ((1, X),)),
+        ("U", ((1, Y),)),
+        ("Q", ()),
+    ]
+    assert grown.support_charts() == [ch for ch in grown.charts if brute_support_set(ch, 2)]
+
+
+def answers(cfg: Configuration, centres) -> tuple:
+    return (
+        cfg._keys,
+        {name: cfg.component_id(name) for name in cfg.registry},
+        [is_permissible(cfg, c) for c in centres],
+    )
+
+
+def assert_fully_validated(cfg: Configuration) -> None:
+    full = Configuration(cfg.registry, cfg.charts, cfg.dim_p, cfg.n_blowups)
+    assert full == cfg
+    assert full._keys == cfg._keys
+
+
+class TestBranchingGrowth:
+    """Blowing one configuration up along two centres: the second growth
+    must not see the first, and the parent must keep its answers."""
+
+    @pytest.mark.parametrize("how", ["tuple", "undo", "replay"])
+    def test_two_centres_from_one_parent(self, how):
+        """The parent rebuilds its charts from its tuple, by undoing its
+        blow-up on the live grown configuration, or, with that gone, by
+        replaying its centres from the lineage's first configuration."""
+        parent, _ = blow_up_global(golden_config(), K)
+        if how == "tuple":
+            parent.charts
+        twin, _ = blow_up_global(golden_config(), K)
+        centres = permissible_centers(twin)
+        assert len(centres) == 3
+        before = answers(parent, centres)
+        # a chart before the last one gives way, so order is put to the test
+        first, rec1 = blow_up_global(parent, centres[1])
+        assert [key for key, _ in rec1.outcomes] == [("U", ((1, U),))]
+        expected_first = Configuration(first.registry, first.charts, 4, 2)
+        if how == "replay":
+            del first
+        second, rec2 = blow_up_global(parent, centres[-1])
+        assert rec1.outcomes != rec2.outcomes
+        assert_fully_validated(second)
+        assert answers(parent, centres) == before
+        assert parent.charts == twin.charts
+        with pytest.raises(ValidationError, match="unknown component name"):
+            parent.component_id("exc2")
+        if how != "replay":
+            # the first branch is untouched by the second
+            assert_fully_validated(first)
+            assert first == expected_first
+            assert first.component_id("exc2") == second.component_id("exc2") == 5
+
+    def test_names_held_under_other_ids_fork_the_map(self):
+        parent = golden_config()
+        kids = blow_up_chart(parent.charts[0], K, 4, 1)
+        with_w = grow(parent, "w", K, [(parent.charts[0], kids)])
+        with_z = grow(parent, "z", K, [(parent.charts[0], kids)])
+        # "w" names component 4 in one branch; the other adds it as 5
+        with_zw = grow(with_z, "w", {0}, [])
+        assert with_w.component_id("w") == 4
+        assert with_zw.component_id("w") == 5
+        assert with_zw.component_id("z") == 4
+        with pytest.raises(ValidationError, match="unknown component name 'z'"):
+            with_w.component_id("z")
+
+
+class TestFreshNames:
+    @staticmethod
+    def blown_up(names):
+        cfg = config(names, [chart(len(names), [mono({0: 2, 1: 3})], 5)], 2)
+        grown, rec = blow_up_global(cfg, {0, 1})
+        return grown, rec
+
+    def test_taken_name_gets_a_prime(self):
+        grown, rec = self.blown_up(("x", "exc1"))
+        assert grown.registry[rec.exceptional] == "exc1'"
+        assert grown.component_id("exc1'") == 2
+        assert grown.component_id("exc1") == 1
+
+    def test_two_taken_names_get_two_primes(self):
+        grown, rec = self.blown_up(("x", "exc1", "exc1'"))
+        assert grown.registry[rec.exceptional] == "exc1''"
+        assert grown.component_id("exc1''") == 3
+
+    def test_unknown_name(self):
+        grown, _ = self.blown_up(("x", "exc1"))
+        with pytest.raises(ValidationError, match="unknown component name 'exc2'"):
+            grown.component_id("exc2")

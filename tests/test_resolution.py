@@ -173,9 +173,15 @@ class TestPullbackLedger:
         accumulated excess equal the literal polynomial pullback."""
         tr = golden_trace
         registry = tr.final.registry
-        names = tuple(registry)
         centers = {rec.stage: rec for rec in tr.records}
         sampled = [ch for ch in tr.final.charts if ch.path][:10]
+        # the polynomials live over the components the sampled paths use;
+        # equality there is equality over the whole registry
+        used = set(tr.initial.charts[0].ideal.component_support)
+        for ch in sampled:
+            for stage, _ in ch.path:
+                used |= centers[stage].center | {centers[stage].exceptional}
+        names = tuple(registry[c] for c in sorted(used))
         for ch in sampled:
             for g0 in tr.initial.charts[0].ideal.generators:
                 # exponent chain, one birational transform per path step
