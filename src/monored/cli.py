@@ -151,10 +151,12 @@ def cmd_replay(args) -> int:
     obj = read_json_file(args.trace)
     if not isinstance(obj, dict) or "input" not in obj:
         raise ValidationError("trace file carries no input section")
+    if not isinstance(obj.get("final"), dict):
+        raise ValidationError("trace file carries no final section")
     initial = load_config(obj["input"])
     final, records = replay_trace(initial, obj)
     replayed = canonical_json(final_state_obj(final, records))
-    recorded = canonical_json(obj.get("final"))
+    recorded = canonical_json(obj["final"])
     print(HEADER)
     if replayed == recorded:
         print("replay: final state identical")

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import weakref
 from dataclasses import dataclass, field, replace
 
 from .errors import (
@@ -231,32 +230,34 @@ class Configuration:
     exceptional components are appended, hence strictly larger.  All charts
     carry one mark, `mark`.
 
-    The charts are held as a tuple (`charts`), in a `_ChartIndex`, or both.
-    A blow-up (`grow`) moves the index on to the grown configuration and
-    updates it there for the charts it replaces and adds, so a step costs
-    what it touches.  A configuration without an index builds one when
-    asked, from its chart tuple.  One without a tuple either has been grown
-    from, and undoes its blow-up on the grown configuration's charts while
-    that is alive (`_grown`), or replays its centres from the configuration
-    its lineage started from.  Making the tuple lets the index go, as the
-    tuple rebuilds it.  Either way a configuration's answers never change.
+    The charts are held as a tuple (`charts`), in a `_ChartIndex`, or both;
+    the index also maps each registry name to its id.  A blow-up (`grow`)
+    moves the index on to the grown configuration and updates it there for
+    the charts it replaces and adds and the name it registers, so a step
+    costs what it touches.  A configuration without an index builds one
+    from its chart tuple when asked.
+
+    One rule brings back the charts of a configuration that holds neither:
+    it was grown from without a tuple, and kept a link to the configuration
+    it grew into and the (chart, children) pairs of that blow-up
+    (`_grown`).  It follows such links to the first configuration holding
+    a tuple or an index and undoes the blow-ups from there back to itself.
+    The links are strong, so a kept grown-from configuration keeps alive
+    every later configuration it would undo from, until it makes its tuple.
+    Making the tuple lets the index and the link go, as the tuple rebuilds
+    the index.  Either way a configuration's answers never change.
     """
 
     __slots__ = (
-        "registry", "dim_p", "n_blowups", "mark", "_p", "_meeting", "_ids",
-        "_index", "_charts", "_grown", "_origin", "_centres", "__weakref__",
+        "registry", "dim_p", "n_blowups", "mark", "_p", "_meeting", "_index", "_charts", "_grown",
     )
 
     def __init__(self, registry, charts, dim_p: int, n_blowups: int = 0) -> None:
         registry, charts = tuple(registry), tuple(charts)
         if dim_p < 0:
             raise ValidationError("dim_p must be non-negative")
-        ids = {name: i for i, name in enumerate(registry)}
-        if len(ids) != len(registry):
+        if len(set(registry)) != len(registry):
             raise ValidationError("registry names must be unique")
-        self._build(registry, ids, charts, dim_p, n_blowups)
-
-    def _build(self, registry, ids, charts: tuple, dim_p, n_blowups) -> None:
         if not charts:
             raise ValidationError("a configuration needs at least one chart")
         marks: set = set()
@@ -266,35 +267,40 @@ class Configuration:
         self.mark = marks.pop()
         self._p = next(iter(p_sets), frozenset())
         self._meeting = sum(not ch.p_empty for ch in charts)
-        self._ids = ids
         self._charts = charts
-        self._index = None  # built on first use
-        self._grown = self._origin = self._centres = None
-
-    def with_charts(self, charts, dim_p: int | None = None) -> "Configuration":
-        """The configuration over the same registry with other charts (and
-        `dim_p`); the charts are checked as in a new configuration."""
-        new = object.__new__(Configuration)
-        new._build(
-            self.registry, self._ids, tuple(charts),
-            self.dim_p if dim_p is None else dim_p, self.n_blowups,
-        )
-        return new
+        self._index = self._grown = None  # the index is built on first use
 
     @property
     def charts(self) -> tuple[Chart, ...]:
         if self._charts is None:
             self._charts = tuple(self._ordered())
-            self._index = None
+            self._index = self._grown = None
         return self._charts
 
-    def _ordered(self):
-        """The charts in chart order, leaving what is held as it is."""
-        if self._charts is None and self._index is None:
-            self._restore()
-        if self._charts is not None:
-            return self._charts
-        return self._index.ordered(self._index.keys.values())
+    def _ordered(self) -> list[Chart]:
+        """The charts of a configuration holding no tuple, in chart order:
+        from the first configuration down its links holding a tuple or an
+        index, with the blow-ups in between undone, last first.  Each
+        replaced chart goes back in place of its children."""
+        steps = []
+        cfg = self
+        while cfg._charts is None and cfg._index is None:
+            cfg, outcomes = cfg._grown
+            steps.append(outcomes)
+        charts = cfg._charts
+        if charts is None:
+            charts = cfg._index.ordered(cfg._index.keys.values())
+        for outcomes in reversed(steps):
+            first = {id(kids[0]): ch for ch, kids in outcomes}
+            gone = {id(kid) for _, kids in outcomes for kid in kids}
+            undone = []
+            for ch in charts:
+                if id(ch) in first:
+                    undone.append(first[id(ch)])
+                if id(ch) not in gone:
+                    undone.append(ch)
+            charts = undone
+        return charts
 
     def settled(self) -> "Configuration":
         """This configuration holding its charts as a tuple, its index let
@@ -332,52 +338,18 @@ class Configuration:
         return id(chart) in self._own_index().supporting
 
     def is_registered(self, name: str) -> bool:
-        i = self._ids.get(name)
-        return i is not None and i < len(self.registry) and self.registry[i] == name
+        return name in self._own_index().ids
 
     def component_id(self, name: str) -> int:
-        if not self.is_registered(name):
+        i = self._own_index().ids.get(name)
+        if i is None:
             raise ValidationError(f"unknown component name {name!r}")
-        return self._ids[name]
+        return i
 
     def _own_index(self) -> "_ChartIndex":
         if self._index is None:
-            if self._charts is None:
-                self._restore()
-            if self._index is None:
-                self._index = _ChartIndex(self._charts, self.dim_p)
+            self._index = _ChartIndex(self.charts, self.registry, self.dim_p)
         return self._index
-
-    def _restore(self) -> None:
-        """Recover the charts of a configuration that has been grown from
-        and holds neither tuple nor index."""
-        grown = self._grown and self._grown[0]()
-        if grown is not None:
-            # each replaced chart goes back in place of its children
-            outcomes = self._grown[1]
-            first = {id(kids[0]): ch for ch, kids in outcomes}
-            gone = {id(kid) for _, kids in outcomes for kid in kids}
-            charts = []
-            for ch in grown._ordered():
-                if id(ch) in first:
-                    charts.append(first[id(ch)])
-                if id(ch) not in gone:
-                    charts.append(ch)
-            self._charts = tuple(charts)
-        else:
-            # the grown configuration is gone: replay the lineage
-            from .transform import blow_up_global  # transform imports core
-
-            centres = []
-            node = self._centres
-            while node is not None:
-                node, center = node
-                centres.append(center)
-            cfg = self._origin
-            for center in reversed(centres):
-                cfg, _ = blow_up_global(cfg, center)
-            self._index = cfg._index
-        self._grown = None
 
     def _fields(self):
         return (self.registry, self.charts, self.dim_p, self.n_blowups)
@@ -398,21 +370,22 @@ class Configuration:
 
 
 class _ChartIndex:
-    """The charts of one configuration, indexed for blow-ups.
+    """The charts and names of one configuration, indexed for blow-ups.
 
-    `keys` maps each (label, path) key to its chart.  The other maps go by
-    `id(chart)`: `rank` is the position of the root chart a chart descends
-    from, so chart order is the order of (rank, path), since children
-    replace their parent in centre-component order and their paths extend
-    the parent's by (stage, component); `by_component` holds the charts
-    containing each component; `supporting` the charts with non-empty
-    support.
+    `ids` maps each registry name to its id, and `keys` each (label, path)
+    key to its chart.  The other maps go by `id(chart)`: `rank` is the
+    position of the root chart a chart descends from, so chart order is the
+    order of (rank, path), since children replace their parent in
+    centre-component order and their paths extend the parent's by (stage,
+    component); `by_component` holds the charts containing each component;
+    `supporting` the charts with non-empty support.
     """
 
-    __slots__ = ("dim_p", "keys", "rank", "by_component", "supporting")
+    __slots__ = ("dim_p", "ids", "keys", "rank", "by_component", "supporting")
 
-    def __init__(self, charts, dim_p: int) -> None:
+    def __init__(self, charts, registry, dim_p: int) -> None:
         self.dim_p = dim_p
+        self.ids = {name: i for i, name in enumerate(registry)}
         self.keys: dict = {}
         self.rank: dict[int, int] = {}
         self.by_component: dict[int, dict[int, Chart]] = {}
@@ -491,25 +464,19 @@ def grow(cfg: Configuration, name: str, center, outcomes) -> Configuration:
     configuration: `name` must be new, and the children must agree with the
     mark, P-cutting set and keys of `cfg` (less the replaced keys).  Charts
     carried over were checked when `cfg` was built.  The chart index of
-    `cfg` moves to the result; nothing else is copied but the registry.
+    `cfg`, name map included, moves to the result; nothing else is copied
+    but the registry.  A `cfg` without a chart tuple keeps a link to the
+    result to undo the blow-up from.
     """
     index = cfg._own_index()
-    if cfg.is_registered(name):
+    if name in index.ids:
         raise ValidationError("registry names must be unique")
-    n = len(cfg.registry)
     registry = cfg.registry + (name,)
     replaced = {id(ch) for ch, _ in outcomes}
     added = [kid for _, kids in outcomes for kid in kids]
     p_sets = {cfg._p} if cfg._meeting else set()
     _check_charts(registry, added, {cfg.mark}, p_sets, index.keys, replaced)
-    ids = cfg._ids
-    held = ids.get(name)
-    if held is None:
-        ids[name] = n
-    elif held != n:
-        # a configuration grown elsewhere from a common ancestor holds
-        # `name` under another id: this lineage gets a map of its own
-        ids = {nm: i for i, nm in enumerate(registry)}
+    index.ids[name] = len(cfg.registry)
     meeting = cfg._meeting
     for ch, kids in outcomes:
         rank = index.remove(ch)
@@ -520,13 +487,11 @@ def grow(cfg: Configuration, name: str, center, outcomes) -> Configuration:
     new = object.__new__(Configuration)
     new.registry, new.dim_p, new.mark = registry, cfg.dim_p, cfg.mark
     new.n_blowups = cfg.n_blowups + 1
-    new._p, new._meeting, new._ids = cfg._p, meeting, ids
+    new._p, new._meeting = cfg._p, meeting
     new._index, new._charts, new._grown = index, None, None
-    new._origin = cfg if cfg._origin is None else cfg._origin
-    new._centres = (cfg._centres, frozenset(center))
     cfg._index = None
     if cfg._charts is None:
-        cfg._grown = (weakref.ref(new), outcomes)
+        cfg._grown = (new, outcomes)
     return new
 
 
@@ -698,4 +663,5 @@ def sum_marked(ideals) -> MarkedIdeal:
 
 def map_ideals(cfg: Configuration, ideal_of) -> Configuration:
     """The configuration with each chart's ideal replaced by `ideal_of(chart)`."""
-    return cfg.with_charts(replace(ch, ideal=ideal_of(ch)) for ch in cfg.charts)
+    charts = [replace(ch, ideal=ideal_of(ch)) for ch in cfg.charts]
+    return Configuration(cfg.registry, charts, cfg.dim_p, cfg.n_blowups)

@@ -224,7 +224,7 @@ def reduce_maximal_order(
         sub_chart = replace(
             target, p_components=locus, ideal=companion, p_empty=False
         )
-        sub = cfg.with_charts((sub_chart,), sub_dim)
+        sub = Configuration(cfg.registry, (sub_chart,), sub_dim, cfg.n_blowups)
         _, sub_records = reduce(sub, _depth=_depth + 1)
         if not sub_records:
             raise InternalLogicError(
@@ -354,7 +354,9 @@ def reduce(
         elif nu > 0:
             sub = map_ideals(cfg, lambda ch: balanced_companion(ch, nu))
         else:
-            final, recs = reduce_monomial(cfg)
+            # this frame holds `cfg` through the whole monomial stage: as a
+            # tuple it keeps no link to the configurations grown from it
+            final, recs = reduce_monomial(cfg.settled())
             records.extend(recs)
             cfg = final
             break

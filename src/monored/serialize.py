@@ -85,7 +85,7 @@ def load_config(obj) -> Configuration:
             out = []
             _expect(isinstance(names, list), field, "name list required")
             for n in names:
-                _expect(n in ids, field, f"unknown component {n!r}")
+                _expect(isinstance(n, str) and n in ids, field, f"unknown component {n!r}")
                 out.append(ids[n])
             return out
 
@@ -292,7 +292,13 @@ def replay_trace(initial: Configuration, trace_obj) -> tuple[Configuration, list
         where = f"records[{i}]"
         _expect(isinstance(rec, dict), where, "record must be an object")
         center_names = rec.get("center")
-        _expect(isinstance(center_names, list) and center_names, where, "center required")
+        _expect(
+            isinstance(center_names, list)
+            and center_names
+            and all(isinstance(n, str) for n in center_names),
+            where,
+            "center required as a non-empty list of component names",
+        )
         center = frozenset(cfg.component_id(n) for n in center_names)
         cfg, record = blow_up_global(cfg, center)
         _expect(

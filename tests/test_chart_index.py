@@ -7,8 +7,10 @@ computation gives, also when a configuration is grown from twice.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -22,9 +24,10 @@ from conftest import (
     random_config,
     random_principal_config,
 )
-from monored import reduction
+from monored import reduction, transform
 from monored.core import Configuration, chart_support, grow, has_support, is_permissible
 from monored.errors import InternalLogicError, ValidationError
+from monored.resolution import principalize
 from monored.transform import blow_up_chart, blow_up_global
 
 X, Y, U, V = 0, 1, 2, 3
@@ -143,9 +146,9 @@ class TestBranchingGrowth:
 
     @pytest.mark.parametrize("how", ["tuple", "undo", "replay"])
     def test_two_centres_from_one_parent(self, how):
-        """The parent rebuilds its charts from its tuple, by undoing its
-        blow-up on the live grown configuration, or, with that gone, by
-        replaying its centres from the lineage's first configuration."""
+        """The parent rebuilds its charts from its tuple, or by undoing its
+        blow-up on the configuration it grew into, which it keeps alive:
+        `undo` keeps the first branch, `replay` drops it."""
         parent, _ = blow_up_global(golden_config(), K)
         if how == "tuple":
             parent.charts
@@ -173,6 +176,8 @@ class TestBranchingGrowth:
             assert first.component_id("exc2") == second.component_id("exc2") == 5
 
     def test_names_held_under_other_ids_fork_the_map(self):
+        """Each chart index maps the names of its own registry, so two
+        branches may register one name under different ids."""
         parent = golden_config()
         kids = blow_up_chart(parent.charts[0], K, 4, 1)
         with_w = grow(parent, "w", K, [(parent.charts[0], kids)])
@@ -208,3 +213,43 @@ class TestFreshNames:
         grown, _ = self.blown_up(("x", "exc1"))
         with pytest.raises(ValidationError, match="unknown component name 'exc2'"):
             grown.component_id("exc2")
+
+
+def test_long_undo_chain():
+    """A configuration kept after the first of 1554 blow-ups gives the
+    answers of a fresh one-step blow-up, its undo walk longer than the
+    recursion limit."""
+    initial = config(("x", "y"), [chart(2, [mono({X: 100}), mono({Y: 3})], 1)], 2)
+    records = principalize(initial).records
+    assert len(records) == 1554 > sys.getrecursionlimit()
+    kept, _ = blow_up_global(initial, records[0].center)
+    cfg = kept
+    for rec in records[1:]:
+        cfg, _ = blow_up_global(cfg, rec.center)
+    fresh, _ = blow_up_global(initial, records[0].center)
+    assert kept.charts == fresh.charts
+
+    def ids(c):
+        return {n: c.component_id(n) for n in cfg.registry if c.is_registered(n)}
+
+    assert ids(kept) == ids(fresh) == {"x": 0, "y": 1, "exc1": 2}
+    with pytest.raises(ValidationError, match="unknown component name 'exc2'"):
+        kept.component_id("exc2")
+
+
+def test_runs_keep_no_undo_links(monkeypatch):
+    """`principalize` holds no configuration it has grown from without a
+    chart tuple, so no undo link keeps the later configurations alive."""
+    grows = []
+    grow_ = transform.grow
+
+    def counted(cfg, *args):
+        grows.append(None)
+        if len(grows) % 10 == 0:  # a sample: scanning every object is slow
+            live = [o for o in gc.get_objects() if isinstance(o, Configuration)]
+            assert not [o for o in live if o._grown is not None]
+        return grow_(cfg, *args)
+
+    monkeypatch.setattr(transform, "grow", counted)
+    principalize(config(("x", "y"), [chart(2, [mono({X: 20}), mono({Y: 3})], 1)], 2))
+    assert len(grows) > 100

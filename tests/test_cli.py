@@ -120,15 +120,19 @@ class TestValidation:
             ({"mark": True}, "mark"),
             ({"dim_p": True}, "dim_p"),
             ({"charts": [dict(GOLDEN["charts"][0], generators=[{"x": True}])]}, "exponent"),
+            ({"charts": [dict(GOLDEN["charts"][0], e_components=[["x"]])]}, "e_components"),
+            ({"charts": [dict(GOLDEN["charts"][0], p_components=[{"x": 1}])]}, "p_components"),
         ],
-        ids=["mark-zero", "mark-true", "dim_p-true", "exponent-true"],
+        ids=["mark-zero", "mark-true", "dim_p-true", "exponent-true", "e-list", "p-object"],
     )
     def test_bad_mark(self, tmp_path, capsys, changes, field):
         obj = dict(GOLDEN, **changes)
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(obj))
         assert main(["order", str(path)]) == 1
-        assert field in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: ")
+        assert field in err
 
     def test_missing_file(self, capsys):
         assert main(["order", "/nonexistent.json"]) == 1
@@ -254,15 +258,28 @@ class TestReduceCommand:
         Path(tampered).write_text(json.dumps(trace))
         assert main(["replay", "--trace", tampered]) == 2
 
-    def test_replay_rejects_non_list_records(self, golden_file, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "tamper, field",
+        [
+            (lambda trace: trace.update(records=5), "records"),
+            (lambda trace: trace["records"][0].update(center=[["x"]]), "records[0]"),
+            (lambda trace: trace.pop("final"), "final"),
+        ],
+        ids=["non-list-records", "list-in-center", "no-final"],
+    )
+    def test_replay_rejects_non_list_records(self, golden_file, tmp_path, capsys, tamper, field):
         out_path = str(tmp_path / "trace.json")
         main(["reduce", golden_file, "--out", out_path])
+        capsys.readouterr()
         trace = json.loads(Path(out_path).read_text())
-        trace["records"] = 5
+        tamper(trace)
         bad = str(tmp_path / "bad.json")
         Path(bad).write_text(json.dumps(trace))
         assert main(["replay", "--trace", bad]) == 1
-        assert "records" in capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("validation error: ")
+        assert field in err
 
     def test_reduce_single_generator_companion_power(self, tmp_path, capsys):
         path = tmp_path / "huge.json"
