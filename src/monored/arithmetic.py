@@ -176,9 +176,6 @@ class IntPoly:
     def divisible_by_int(self, n: int) -> bool:
         return all(c % n == 0 for _, c in self.terms)
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e, _ in self.terms), default=0)
-
     def degree_over(self, names) -> int:
         idx = [i for i, v in enumerate(self.variables) if v in names]
         return min((sum(e[i] for i in idx) for e, _ in self.terms), default=0)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .errors import (
     InvalidStratumError,
@@ -136,24 +136,24 @@ def minimalize(gens) -> tuple[Monomial, ...]:
 
 @dataclass(frozen=True)
 class MarkedIdeal:
-    """A minimal monomial generator list together with a positive mark."""
+    """A monomial ideal with a positive mark; `generators` holds the
+    minimal generating set (`minimalize`) of the monomials given."""
 
     generators: tuple[Monomial, ...]
     mark: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "generators", minimalize(self.generators))
         if not self.generators:
             raise ValidationError("a marked ideal needs at least one generator")
         if self.mark < 1:
             raise ValidationError("the mark must be a positive integer")
         if self.mark > MAX_MARK:
             raise MarkOverflowError(f"mark {self.mark} exceeds the 64-bit checked range")
-        if self.generators != minimalize(self.generators):
-            raise ValidationError("generator list is not minimal; use MarkedIdeal.of")
 
     @staticmethod
     def of(gens, mark: int) -> "MarkedIdeal":
-        return MarkedIdeal(minimalize(gens), mark)
+        return MarkedIdeal(gens, mark)
 
     def is_unit(self) -> bool:
         return len(self.generators) == 1 and self.generators[0].is_unit()
@@ -175,6 +175,9 @@ class Chart:
     no strata of P but still transform under later global centres.
     `pullback_excess` is the monomial multiplier turning the chart's
     (birational-transform) generators into literal pullback generators.
+    A chart keeps nothing derived from its fields: whether it carries
+    support is recorded once, by the chart index of the configuration
+    holding it.
     """
 
     label: str
@@ -185,8 +188,6 @@ class Chart:
     path: tuple[tuple[int, int], ...] = ()
     p_empty: bool = False
     pullback_excess: Monomial = UNIT
-    # (dim_p, chart_support(self, dim_p)) once asked for; see chart_support
-    _support: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if list(self.e_components) != sorted(set(self.e_components)):
@@ -455,8 +456,8 @@ def _check_charts(registry, charts, marks: set, p_sets: set, taken=None, freed=(
         raise ValidationError("charts meeting P must agree on the components cutting P")
 
 
-def grow(cfg: Configuration, name: str, center, outcomes) -> Configuration:
-    """`cfg` blown up along `center`: the registry gains `name`, and each
+def grow(cfg: Configuration, name: str, outcomes) -> Configuration:
+    """`cfg` after one blow-up: the registry gains `name`, and each
     (chart, children) pair of `outcomes`, in chart order, puts its (one or
     more) children in the chart's place.
 
@@ -525,7 +526,7 @@ def distinguished_order(chart: Chart) -> int:
 def chart_order(chart: Chart, dim_p: int) -> int:
     """Maximal order of the chart's ideal over its points of P (0 off P)."""
     gens = chart.ideal.generators
-    return max((min_degree(gens, s) for s in chart_strata(chart, dim_p)), default=0)
+    return max((min_degree(gens, s) for s in largest_strata(chart, dim_p)), default=0)
 
 
 def max_order(cfg: Configuration) -> int:
@@ -547,36 +548,27 @@ def chart_strata(chart: Chart, dim_p: int):
             yield chart.p_components | frozenset(combo)
 
 
+def largest_strata(chart: Chart, dim_p: int):
+    """The points of P in this chart that no other point of P contains:
+    `p_components` and min(`dim_p`, the other components) further ones.
+
+    Every point of P lies in one of them, and an order only grows with the
+    vanishing set, so a maximum of orders over P is a maximum over these.
+    """
+    if chart.p_empty:
+        return
+    extras = [c for c in chart.e_components if c not in chart.p_components]
+    for combo in itertools.combinations(extras, min(dim_p, len(extras))):
+        yield chart.p_components.union(combo)
+
+
 def chart_support(chart: Chart, dim_p: int) -> tuple[frozenset[int], ...]:
     """Inclusion-minimal strata of this chart with order >= mark.
 
-    Charts are frozen, so the answer is kept on the chart for its `dim_p`
-    and a chart carried over by a blow-up is not scanned again.
+    Scans every stratum; which charts have any is kept by the chart index
+    of a configuration (`Configuration.support_charts`), so callers need
+    ask only about those.
     """
-    memo = chart._support
-    if memo is None or memo[0] != dim_p:
-        memo = (dim_p, _scan_support(chart, dim_p))
-        object.__setattr__(chart, "_support", memo)
-    return memo[1]
-
-
-def has_support(chart: Chart, dim_p: int) -> bool:
-    """Whether `chart_support(chart, dim_p)` is non-empty, decided on the
-    largest strata alone: the order only grows with the vanishing set."""
-    memo = chart._support
-    if memo is not None and memo[0] == dim_p:
-        return bool(memo[1])
-    if chart.p_empty:
-        return False
-    extras = [c for c in chart.e_components if c not in chart.p_components]
-    gens = chart.ideal.generators
-    return any(
-        min_degree(gens, chart.p_components.union(combo)) >= chart.mark
-        for combo in itertools.combinations(extras, min(dim_p, len(extras)))
-    )
-
-
-def _scan_support(chart: Chart, dim_p: int) -> tuple[frozenset[int], ...]:
     m = chart.mark
     minimal: list[frozenset[int]] = []
     for vanishing in chart_strata(chart, dim_p):
@@ -585,6 +577,13 @@ def _scan_support(chart: Chart, dim_p: int) -> tuple[frozenset[int], ...]:
         if min_degree(chart.ideal.generators, vanishing) >= m:
             minimal.append(vanishing)
     return tuple(minimal)
+
+
+def has_support(chart: Chart, dim_p: int) -> bool:
+    """Whether `chart_support(chart, dim_p)` is non-empty, decided on the
+    largest strata alone."""
+    gens = chart.ideal.generators
+    return any(min_degree(gens, s) >= chart.mark for s in largest_strata(chart, dim_p))
 
 
 def support(cfg: Configuration) -> list[Stratum]:

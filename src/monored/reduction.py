@@ -26,13 +26,12 @@ from .core import (
     Configuration,
     MarkedIdeal,
     Monomial,
-    chart_strata,
     chart_support,
+    largest_strata,
     min_degree,
     distinguished_order,
     map_ideals,
     sum_marked,
-    support,
 )
 from .errors import (
     ContractError,
@@ -154,11 +153,13 @@ def monomial_derivative(ideal: MarkedIdeal, r: int) -> tuple[Monomial, ...]:
 
 
 def residual_order(cfg: Configuration) -> int:
-    """Maximum order of the residual part over the support strata."""
+    """Maximum order of the residual part over the support strata.  The
+    largest strata suffice: each support stratum lies in one, which is in
+    the support too, and orders only grow with the vanishing set."""
     nu = 0
     for ch in cfg.support_charts():
         ngens = monomial_split(ch).nonmonomial_part.generators
-        for vanishing in chart_strata(ch, cfg.dim_p):
+        for vanishing in largest_strata(ch, cfg.dim_p):
             if min_degree(ch.ideal.generators, vanishing) >= ch.mark:
                 nu = max(nu, min_degree(ngens, vanishing))
     return nu
@@ -200,7 +201,7 @@ def reduce_maximal_order(
     lineages into new support-carrying charts that later passes pick up.
     """
     records: list[BlowUpRecord] = []
-    if not support(cfg):
+    if not cfg.support_charts():
         return cfg, records
     if cfg.dim_p < 1:
         raise InternalLogicError("non-empty support over a zero-dimensional P")
@@ -324,7 +325,7 @@ def reduce_monomial(cfg: Configuration) -> tuple[Configuration, list[BlowUpRecor
         while (subset := table.best(m)) is not None:
             cfg = _apply(cfg, cfg.p_components | set(subset), records)
             table.update(cfg, records[-1])
-    if support(cfg):
+    if cfg.support_charts():
         raise InternalLogicError("monomial stage terminated with support left")
     return cfg, records
 
@@ -338,7 +339,7 @@ def reduce(
     records: list[BlowUpRecord] = []
     previous_nu = None
     while True:
-        if not support(cfg):
+        if not cfg.support_charts():
             break
         nu = residual_order(cfg)
         if previous_nu is not None and nu >= previous_nu:
@@ -364,7 +365,7 @@ def reduce(
         for rec in recs:
             cfg = _apply(cfg, rec.center, records)
         previous_nu = nu
-    if support(cfg):
+    if cfg.support_charts():
         raise InternalLogicError("order reduction failed to empty the support")
     return cfg.settled(), records
 

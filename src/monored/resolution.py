@@ -21,12 +21,11 @@ from .core import (
     Configuration,
     MarkedIdeal,
     Monomial,
-    chart_support,
     map_ideals,
     minimalize,
+    support,
 )
 from .errors import ValidationError
-from .serialize import config_digest
 from .transform import BlowUpRecord, ChartKey, substitute
 from .reduction import reduce
 
@@ -35,7 +34,6 @@ from .reduction import reduce
 class ResolutionTrace:
     """A permissible sequence with its endpoints and reporting data."""
 
-    input_digest: str
     initial: Configuration
     records: tuple[BlowUpRecord, ...]
     final: Configuration
@@ -45,11 +43,7 @@ class ResolutionTrace:
 
 
 def _cosupport(cfg: Configuration):
-    return tuple(
-        ((ch.label, ch.path), vanishing)
-        for ch in cfg.charts
-        for vanishing in chart_support(ch, cfg.dim_p)
-    )
+    return tuple(((s.chart.label, s.chart.path), s.vanishing) for s in support(cfg))
 
 
 def total_transform_generators(chart: Chart) -> tuple[Monomial, ...]:
@@ -68,7 +62,6 @@ def principalize(cfg: Configuration) -> ResolutionTrace:
     else:
         final, records = reduce(initial)
     return ResolutionTrace(
-        input_digest=config_digest(initial),
         initial=initial,
         records=tuple(records),
         final=final,

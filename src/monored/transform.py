@@ -145,4 +145,4 @@ def blow_up_global(cfg: Configuration, center) -> tuple[Configuration, BlowUpRec
         exceptional,
         tuple(((ch.label, ch.path), tuple(k.path for k in kids)) for ch, kids in outcomes),
     )
-    return grow(cfg, _fresh_name(cfg, stage), center, outcomes), record
+    return grow(cfg, _fresh_name(cfg, stage), outcomes), record

@@ -180,10 +180,10 @@ class TestBranchingGrowth:
         branches may register one name under different ids."""
         parent = golden_config()
         kids = blow_up_chart(parent.charts[0], K, 4, 1)
-        with_w = grow(parent, "w", K, [(parent.charts[0], kids)])
-        with_z = grow(parent, "z", K, [(parent.charts[0], kids)])
+        with_w = grow(parent, "w", [(parent.charts[0], kids)])
+        with_z = grow(parent, "z", [(parent.charts[0], kids)])
         # "w" names component 4 in one branch; the other adds it as 5
-        with_zw = grow(with_z, "w", {0}, [])
+        with_zw = grow(with_z, "w", [])
         assert with_w.component_id("w") == 4
         assert with_zw.component_id("w") == 5
         assert with_zw.component_id("z") == 4

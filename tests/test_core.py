@@ -1,11 +1,9 @@
-import collections
 import itertools
 import random
 from dataclasses import replace
 
 import pytest
 
-from monored import core
 from monored.core import (
     Chart,
     Configuration,
@@ -27,7 +25,6 @@ from monored.errors import (
     MarkOverflowError,
     ValidationError,
 )
-from monored.resolution import principalize
 
 from conftest import (
     U,
@@ -210,47 +207,12 @@ class TestSupport:
             }
             assert closed == brute_support_set(ch, cfg.dim_p)
 
-
-class TestSupportMemo:
-    @staticmethod
-    def count_scans(monkeypatch):
-        """Count runs of the uncached support scan per (chart object, dim_p)."""
-        runs = collections.Counter()
-        charts = []  # keep every scanned chart alive, so ids stay unique
-        scan = core._scan_support
-
-        def counted(ch, dim_p):
-            charts.append(ch)
-            runs[id(ch), dim_p] += 1
-            return scan(ch, dim_p)
-
-        monkeypatch.setattr(core, "_scan_support", counted)
-        return runs
-
-    def test_principalize_scans_each_chart_once(self, monkeypatch):
-        runs = self.count_scans(monkeypatch)
-        tower = config(("x", "y"), [chart(2, [mono({X: 25}), mono({Y: 3})], 1)], 2)
-        trace = principalize(tower)
-        assert len(trace.records) > 100
-        assert runs and max(runs.values()) == 1
-
-    def test_second_dim_p_recomputes(self, monkeypatch):
-        runs = self.count_scans(monkeypatch)
+    def test_support_per_dim_p(self):
         ch = golden_config().charts[0]
-        assert chart_support(ch, 4) == chart_support(ch, 4) == (frozenset({X, Y, U, V}),)
+        assert chart_support(ch, 4) == (frozenset({X, Y, U, V}),)
         assert chart_support(ch, 3) == ()
-        assert runs == {(id(ch), 4): 1, (id(ch), 3): 1}
-        assert chart_support(ch, 3) == ()
-        assert runs[id(ch), 3] == 1
 
-    def test_replace_starts_empty(self):
-        ch = golden_config().charts[0]
-        chart_support(ch, 4)
-        assert ch._support is not None
-        assert replace(ch)._support is None
-        assert replace(ch, label="V")._support is None
-
-    def test_memo_takes_no_part_in_equality(self):
+    def test_asking_leaves_the_chart_equal(self):
         ch = golden_config().charts[0]
         fresh = replace(ch)
         chart_support(ch, 4)

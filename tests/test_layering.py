@@ -1,7 +1,11 @@
-"""Module layering: `core` sits at the bottom of the package.
+"""Module layering: `core` sits at the bottom of the package, and the
+engine (`transform`, `reduction`, `resolution`) below the input/output
+modules.
 
 `transform`, `reduction` and the rest import `core`; an import the other
-way, even one deferred into a function body, would make a cycle.
+way, even one deferred into a function body, would make a cycle.  The
+engine computes and leaves reading, writing and digesting to `serialize`
+and `cli`, which import it.
 """
 
 from __future__ import annotations
@@ -9,9 +13,12 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
+import pytest
+
 import monored
 
-CORE = Path(monored.__file__).resolve().parent / "core.py"
+PACKAGE = Path(monored.__file__).resolve().parent
+CORE = PACKAGE / "core.py"
 
 
 def monored_imports(tree: ast.AST) -> set[str]:
@@ -22,7 +29,9 @@ def monored_imports(tree: ast.AST) -> set[str]:
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom):
-            if not node.level:
+            if not node.level and node.module == "monored":
+                names = [f"monored.{alias.name}" for alias in node.names]
+            elif not node.level:
                 names = [node.module]
             elif node.module:
                 names = [f"monored.{node.module}"]
@@ -44,9 +53,17 @@ def test_deferred_imports_are_seen():
         "def f():\n    from .transform import blow_up_global\n"
         "def g():\n    import monored.reduction\n"
         "def h():\n    from . import serialize\n"
+        "def k():\n    from monored import cli\n"
     )
     assert monored_imports(tree) == {
         "monored.transform",
         "monored.reduction",
         "monored.serialize",
+        "monored.cli",
     }
+
+
+@pytest.mark.parametrize("module", ["transform", "reduction", "resolution"])
+def test_engine_imports_neither_serialize_nor_cli(module):
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    assert not monored_imports(tree) & {"monored.serialize", "monored.cli"}

@@ -156,6 +156,20 @@ class TestTraceReplay:
             )
             done += 1
 
+    def test_writer_rejects_altered_outcomes(self):
+        trace = principalize(lines_config())
+        (rec,) = trace.records
+        ((key, children),) = rec.outcomes
+        altered = replace(rec, outcomes=((key, children[::-1]),))
+        with pytest.raises(ValidationError, match="^trace records do not replay deterministically$"):
+            trace_to_obj(trace.initial, [altered], trace.final)
+
+    def test_writer_rejects_a_final_the_records_do_not_produce(self):
+        from monored.reduction import reduce
+
+        final, records = reduce(golden_config())
+        with pytest.raises(ValidationError, match="^records do not reproduce the final configuration$"):
+            trace_to_obj(golden_config(), records[:-1], final)
 
     def test_rendering_stops_on_a_naming_cycle(self):
         # component 0 defines the chart at stage 1 and is stage 1's own

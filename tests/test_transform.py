@@ -209,7 +209,7 @@ class TestGrowthValidation:
         cfg = golden_config()
         kids = blow_up_chart(cfg.charts[0], K, EXC, 1)
         with pytest.raises(ValidationError, match="registry names must be unique"):
-            grow(cfg, "x", K, [(cfg.charts[0], kids)])
+            grow(cfg, "x", [(cfg.charts[0], kids)])
 
 
 class TestSumsCommuteWithTransforms:
