@@ -34,7 +34,8 @@ DEFAULT_MAX_EXPONENT = 8
 DEFAULT_MAX_COEFF = 9
 
 
-def _grlex_key(exps):
+def _grlex_key(term):
+    exps = term[0]
     return (sum(exps), exps)
 
 
@@ -61,12 +62,14 @@ class IntPoly:
                 raise ValidationError("negative exponent in polynomial term")
             if c:
                 norm[exps] = norm.get(exps, 0) + int(c)
-        terms = tuple(
-            (e, c)
-            for e, c in sorted(norm.items(), key=lambda t: _grlex_key(t[0]), reverse=True)
-            if c
-        )
-        return IntPoly(variables, terms)
+        return IntPoly._normalized(variables, norm)
+
+    @staticmethod
+    def _normalized(variables: tuple[str, ...], coeffs: dict) -> "IntPoly":
+        """From exponent tuples already of the right length and non-negative:
+        terms sorted, zero ones dropped.  `of` checks outside input."""
+        terms = sorted(((e, c) for e, c in coeffs.items() if c), key=_grlex_key, reverse=True)
+        return IntPoly(variables, tuple(terms))
 
     @staticmethod
     def zero(variables) -> "IntPoly":
@@ -107,7 +110,7 @@ class IntPoly:
         out = {e: c for e, c in self.terms}
         for e, c in other.terms:
             out[e] = out.get(e, 0) + c
-        return IntPoly.of(self.variables, out)
+        return IntPoly._normalized(self.variables, out)
 
     def __neg__(self) -> "IntPoly":
         return IntPoly(self.variables, tuple((e, -c) for e, c in self.terms))
@@ -122,19 +125,20 @@ class IntPoly:
             for e2, c2 in other.terms:
                 e = tuple(a + b for a, b in zip(e1, e2))
                 out[e] = out.get(e, 0) + c1 * c2
-        return IntPoly.of(self.variables, out)
+        return IntPoly._normalized(self.variables, out)
 
     def __pow__(self, k: int) -> "IntPoly":
         if k < 0:
             raise ValidationError("negative polynomial power")
-        result = IntPoly.constant(self.variables, 1)
+        result = None
         base = self
         while k:
             if k & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             k >>= 1
-        return result
+            if k:  # the last bit needs no further square
+                base = base * base
+        return IntPoly.constant(self.variables, 1) if result is None else result
 
     def scale(self, c: int) -> "IntPoly":
         return IntPoly.of(self.variables, {e: co * c for e, co in self.terms})
@@ -205,7 +209,8 @@ def psi(p: int, f: IntPoly) -> IntPoly:
     """The p-th Adams operation: substitute x -> x^p in every variable."""
     if not is_prime(p):
         raise ValidationError(f"{p} is not prime")
-    return IntPoly.of(f.variables, {tuple(e * p for e in exps): c for exps, c in f.terms})
+    # exps -> p * exps is injective, so the terms stay distinct
+    return IntPoly._normalized(f.variables, {tuple(e * p for e in exps): c for exps, c in f.terms})
 
 
 def frobenius_lift_check(p: int, f: IntPoly) -> bool:

@@ -20,6 +20,7 @@ from .errors import ContractError, ValidationError
 from .reduction import reduce
 from .resolution import principalize, total_transform_generators, weak_resolve
 from .serialize import (
+    StepRenderer,
     canonical_json,
     component_names,
     final_state_obj,
@@ -28,7 +29,7 @@ from .serialize import (
     monomial_obj,
     read_json_file,
     replay_trace,
-    trace_to_obj,
+    trace_document,
 )
 from .transform import blow_up_global
 
@@ -76,19 +77,22 @@ def cmd_blowup(args) -> int:
     if not center:
         raise ValidationError("--center needs at least one component name")
     final, record = blow_up_global(cfg, center)
+    steps = StepRenderer()
+    steps(final, record)
     print(HEADER)
     names = ",".join(sorted(component_names(cfg.registry, center)))
     print(f"blow-up at {{{names}}}: stage {record.stage}")
-    _emit(args.out, trace_to_obj(cfg, [record], final))
+    _emit(args.out, trace_document(cfg, steps, final, [record]))
     return 0
 
 
 def cmd_reduce(args) -> int:
     cfg = load_config_file(args.config)
-    final, records = reduce(cfg)
+    steps = StepRenderer()
+    final, records = reduce(cfg, on_step=steps)
     print(HEADER)
     print(f"order reduction: {len(records)} blow-ups, final max_order {max_order(final)}")
-    _emit(args.out, trace_to_obj(cfg, records, final))
+    _emit(args.out, trace_document(cfg, steps, final, records))
     return 0
 
 
@@ -106,7 +110,8 @@ def _principal_extra(trace) -> dict:
 
 def cmd_principalize(args) -> int:
     cfg = load_config_file(args.config)
-    trace = principalize(cfg)
+    steps = StepRenderer()
+    trace = principalize(cfg, on_step=steps)
     print(HEADER)
     charts = trace.final.charts
     if args.prune:
@@ -118,13 +123,14 @@ def cmd_principalize(args) -> int:
             f"chart {chart_name(trace.final.registry, ch.label, ch.path)}: total transform "
             f"{[monomial_obj(trace.final.registry, g) for g in gens]}"
         )
-    _emit(args.out, trace_to_obj(trace.initial, trace.records, trace.final, _principal_extra(trace)))
+    _emit(args.out, trace_document(trace.initial, steps, trace.final, trace.records, _principal_extra(trace)))
     return 0
 
 
 def cmd_resolve(args) -> int:
     cfg = load_config_file(args.config)
-    trace = weak_resolve(cfg)
+    steps = StepRenderer()
+    trace = weak_resolve(cfg, on_step=steps)
     print(HEADER)
     if trace.separation_stage is None:
         print("no separation stage found")
@@ -143,7 +149,7 @@ def cmd_resolve(args) -> int:
     }
     for entry in extra["separation"]["charts"]:
         print(f"chart {entry['chart']}: strict transform {entry['strict']}")
-    _emit(args.out, trace_to_obj(trace.initial, trace.records, trace.final, extra))
+    _emit(args.out, trace_document(trace.initial, steps, trace.final, trace.records, extra))
     return 0
 
 

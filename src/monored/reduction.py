@@ -165,9 +165,11 @@ def residual_order(cfg: Configuration) -> int:
     return nu
 
 
-def _apply(cfg: Configuration, center, records: list[BlowUpRecord]) -> Configuration:
+def _apply(cfg: Configuration, center, records: list[BlowUpRecord], on_step=None) -> Configuration:
     cfg, rec = blow_up_global(cfg, center)
     records.append(rec)
+    if on_step is not None:
+        on_step(cfg, rec)
     return cfg
 
 
@@ -303,7 +305,9 @@ class _StageTable:
         return min(subset for subset, (v, _) in self.entries.items() if v == top)
 
 
-def reduce_monomial(cfg: Configuration) -> tuple[Configuration, list[BlowUpRecord]]:
+def reduce_monomial(
+    cfg: Configuration, *, on_step=None
+) -> tuple[Configuration, list[BlowUpRecord]]:
     """Staged order reduction for locally principal ideals.
 
     Stage 1 repeatedly blows up the P-locus extended by the single component
@@ -317,13 +321,16 @@ def reduce_monomial(cfg: Configuration) -> tuple[Configuration, list[BlowUpRecor
     re-tabulates only the charts its blow-up adds.  Stage 1 tabulates every
     component (checking agreement on all of them); later stages only the
     subsets reaching the mark.
+
+    `on_step(grown, record)`, if given, is called after each blow-up with
+    the configuration it grew and its record.
     """
     records: list[BlowUpRecord] = []
     m = cfg.mark
     for s in (1, *range(2, cfg.dim_p + 1)):
         table = _StageTable(s, 0 if s == 1 else m, cfg.support_charts())
         while (subset := table.best(m)) is not None:
-            cfg = _apply(cfg, cfg.p_components | set(subset), records)
+            cfg = _apply(cfg, cfg.p_components | set(subset), records, on_step)
             table.update(cfg, records[-1])
     if cfg.support_charts():
         raise InternalLogicError("monomial stage terminated with support left")
@@ -331,9 +338,16 @@ def reduce_monomial(cfg: Configuration) -> tuple[Configuration, list[BlowUpRecor
 
 
 def reduce(
-    cfg: Configuration, *, _depth: int = 0
+    cfg: Configuration, *, on_step=None, _depth: int = 0
 ) -> tuple[Configuration, list[BlowUpRecord]]:
-    """Full order reduction; the returned sequence empties the support."""
+    """Full order reduction; the returned sequence empties the support.
+
+    `on_step(grown, record)`, if given, is called after each blow-up of the
+    returned sequence, in order, with the configuration that blow-up grew
+    and its record (the very object returned).  It sees top-level blow-ups
+    only: those made on companion and residual sub-configurations to find
+    the centres never reach it.
+    """
     if _depth > 64:
         raise InternalLogicError("order-reduction recursion exceeded the dimension bound")
     records: list[BlowUpRecord] = []
@@ -357,13 +371,13 @@ def reduce(
         else:
             # this frame holds `cfg` through the whole monomial stage: as a
             # tuple it keeps no link to the configurations grown from it
-            final, recs = reduce_monomial(cfg.settled())
+            final, recs = reduce_monomial(cfg.settled(), on_step=on_step)
             records.extend(recs)
             cfg = final
             break
         _, recs = reduce_maximal_order(sub, _depth=_depth + 1)
         for rec in recs:
-            cfg = _apply(cfg, rec.center, records)
+            cfg = _apply(cfg, rec.center, records, on_step)
         previous_nu = nu
     if cfg.support_charts():
         raise InternalLogicError("order reduction failed to empty the support")

@@ -53,14 +53,18 @@ def total_transform_generators(chart: Chart) -> tuple[Monomial, ...]:
     )
 
 
-def principalize(cfg: Configuration) -> ResolutionTrace:
-    """Blow up until the pullback ideal is everywhere generated by one monomial."""
+def principalize(cfg: Configuration, on_step=None) -> ResolutionTrace:
+    """Blow up until the pullback ideal is everywhere generated by one monomial.
+
+    `on_step(grown, record)`, if given, is called after each blow-up of the
+    returned sequence, as `reduce` calls it: top-level blow-ups only.
+    """
     initial = map_ideals(cfg, lambda ch: MarkedIdeal.of(ch.ideal.generators, 1))
     cosupport = _cosupport(initial)
     if all(len(ch.ideal.generators) == 1 for ch in initial.charts):
         final, records = initial, []
     else:
-        final, records = reduce(initial)
+        final, records = reduce(initial, on_step=on_step)
     return ResolutionTrace(
         initial=initial,
         records=tuple(records),
@@ -92,13 +96,14 @@ def _is_coordinate_subscheme(gens) -> bool:
     )
 
 
-def weak_resolve(cfg: Configuration) -> ResolutionTrace:
+def weak_resolve(cfg: Configuration, on_step=None) -> ResolutionTrace:
     """Resolve an embedded subscheme of codimension at least two.
 
     Runs principalization and follows the strict transform of the subscheme
     chart by chart; the first stage where it becomes a subset of chart
     coordinates is the separation stage, and those charts carry the smooth
-    model together with its blow-up history.
+    model together with its blow-up history.  `on_step` sees the
+    principalization's top-level blow-ups, as in `principalize`.
     """
     comps: set[int] = set()
     for ch in cfg.charts:
@@ -108,7 +113,7 @@ def weak_resolve(cfg: Configuration) -> ResolutionTrace:
             "the subscheme must have codimension at least 2 "
             "(its generators involve fewer than 2 components)"
         )
-    trace = principalize(cfg)
+    trace = principalize(cfg, on_step)
     original_count = len(trace.initial.registry)
     strict: dict[ChartKey, tuple[Monomial, ...]] = {
         (ch.label, ch.path): ch.ideal.generators for ch in trace.initial.charts

@@ -8,6 +8,13 @@ final-state section; loading the input plus the trace replays to a
 byte-identical final state.  Replay reads only each step's centre and
 exceptional name, so `monored-trace-1` traces, which also list every chart
 a step leaves untouched, replay the same way.
+
+Each step is rendered by one `StepRenderer` and the document assembled by
+`trace_document`.  The CLI passes the renderer to the engine as its step
+observer, so each step is rendered as the engine makes it and nothing is
+blown up twice; `trace_to_obj` renders a finished sequence by replaying
+it, checking that the records replay and reproduce the final
+configuration.  `replay_trace` (`monored replay`) re-runs a written trace.
 """
 
 from __future__ import annotations
@@ -233,43 +240,72 @@ def final_state_obj(cfg: Configuration, records) -> dict:
     }
 
 
-def trace_to_obj(initial: Configuration, records, final: Configuration, extra=None) -> dict:
-    """Serialize a permissible sequence, replaying it for per-step detail."""
-    exc_stage = {rec.exceptional: rec.stage for rec in records}
-    cfg = initial
-    rec_objs = []
-    for rec in records:
-        nxt, check = blow_up_global(cfg, rec.center)
-        if check != rec:
-            raise ValidationError("trace records do not replay deterministically")
+class StepRenderer:
+    """Renders the steps of a permissible sequence as trace records.
+
+    Called as `on_step(grown, record)` after each blow-up, in order: it
+    appends the step's record object (centre, exceptional name, and each
+    replaced chart with its children) to `objs`.  The exceptional stages
+    are collected as the steps arrive; a chart only names components made
+    at or before its own stage.
+    """
+
+    def __init__(self) -> None:
+        self.exc_stage: dict[int, int] = {}
+        self.objs: list[dict] = []
+
+    def __call__(self, grown: Configuration, rec) -> None:
+        self.exc_stage[rec.exceptional] = rec.stage
+        registry = grown.registry
         outcomes = [
             {
-                "chart": chart_name(cfg.registry, label, path),
-                "children": [_child_obj(nxt, nxt.chart((label, p)), exc_stage) for p in children],
+                "chart": chart_name(registry, label, path),
+                "children": [
+                    _child_obj(grown, grown.chart((label, p)), self.exc_stage) for p in children
+                ],
             }
             for (label, path), children in rec.outcomes
         ]
-        rec_objs.append(
+        self.objs.append(
             {
                 "stage": rec.stage,
-                "center": component_names(cfg.registry, rec.center),
-                "exceptional": nxt.registry[rec.exceptional],
+                "center": component_names(registry, rec.center),
+                "exceptional": registry[rec.exceptional],
                 "outcomes": outcomes,
             }
         )
-        cfg = nxt
-    if cfg != final:
-        raise ValidationError("records do not reproduce the final configuration")
+
+
+def trace_document(
+    initial: Configuration, steps: StepRenderer, final: Configuration, records, extra=None
+) -> dict:
+    """The trace of `records` from `initial` to `final`, whose steps
+    `steps` rendered."""
     obj = {
         "format": TRACE_FORMAT,
         "input_digest": config_digest(initial),
         "input": config_to_obj(initial),
-        "records": rec_objs,
+        "records": steps.objs,
         "final": final_state_obj(final, records),
     }
     if extra:
         obj.update(extra)
     return obj
+
+
+def trace_to_obj(initial: Configuration, records, final: Configuration, extra=None) -> dict:
+    """Serialize a permissible sequence, replaying it to check the records
+    and render each step."""
+    steps = StepRenderer()
+    cfg = initial
+    for rec in records:
+        cfg, check = blow_up_global(cfg, rec.center)
+        if check != rec:
+            raise ValidationError("trace records do not replay deterministically")
+        steps(cfg, rec)
+    if cfg != final:
+        raise ValidationError("records do not reproduce the final configuration")
+    return trace_document(initial, steps, final, records, extra)
 
 
 def replay_trace(initial: Configuration, trace_obj) -> tuple[Configuration, list]:

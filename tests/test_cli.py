@@ -8,8 +8,14 @@ from pathlib import Path
 import pytest
 
 import monored
+import monored.cli
+import monored.reduction
+import monored.serialize
+import monored.transform
 from monored.cli import main
-from monored.serialize import config_to_obj, load_config
+from monored.reduction import reduce
+from monored.resolution import principalize, weak_resolve
+from monored.serialize import config_to_obj, load_config, trace_to_obj
 
 DATA = Path(__file__).parent / "data"
 
@@ -422,3 +428,56 @@ class TestCheckLambda:
         monkeypatch.setenv("MONORED_SEED", "abc")
         assert main(["check-lambda", "--primes", "2"]) == 1
         assert "MONORED_SEED" in capsys.readouterr().err
+
+
+# (x^5, y^3) with mark 1: principalized and resolved in a few dozen blow-ups
+TOWER = dict(
+    LINES, charts=[dict(LINES["charts"][0], generators=[{"x": 5}, {"y": 3}])]
+)
+
+LIBRARY_RUNS = {
+    "principalize": principalize,
+    "resolve": weak_resolve,
+    "reduce": reduce,
+    "blowup": lambda cfg: monored.transform.blow_up_global(cfg, frozenset(range(4))),
+}
+
+
+class TestTracesFromTheRun:
+    """Trace-writing commands render each step as the engine makes it:
+    nothing is replayed to write the trace."""
+
+    @pytest.mark.parametrize(
+        "command, doc, flags",
+        [
+            ("principalize", TOWER, []),
+            ("resolve", TOWER, []),
+            ("reduce", GOLDEN, []),
+            ("blowup", GOLDEN, ["--center", "x,y,u,v"]),
+        ],
+    )
+    def test_no_second_blowup_pass(self, command, doc, flags, tmp_path, monkeypatch, capsys):
+        blow_up = monored.transform.blow_up_global
+        calls, written = [], []
+
+        def counted(cfg, center):
+            calls.append(center)
+            return blow_up(cfg, center)
+
+        def replaying_writer(*args, **kwargs):
+            written.append(args)
+            return trace_to_obj(*args, **kwargs)
+
+        for module in (monored.transform, monored.reduction, monored.serialize, monored.cli):
+            monkeypatch.setattr(module, "blow_up_global", counted)
+        for module in (monored.serialize, monored.cli):
+            monkeypatch.setattr(module, "trace_to_obj", replaying_writer, raising=False)
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(doc))
+        out_path = tmp_path / "trace.json"
+        assert main([command, str(path), *flags, "--out", str(out_path)]) == 0
+        assert json.loads(out_path.read_text())["records"]
+        assert written == []
+        cli_calls, calls[:] = len(calls), []
+        LIBRARY_RUNS[command](load_config(doc))
+        assert cli_calls == len(calls) > 0
