@@ -51,7 +51,7 @@ def cmd_order(args) -> int:
     print(HEADER)
     print(f"max_order: {max_order(cfg)}")
     for ch in cfg.charts:
-        print(f"chart {chart_name(cfg.registry, ch.label, ch.path)}: order {chart_order(ch, cfg.dim_p)}")
+        print(f"chart {chart_name(cfg.registry, ch.label, ch.path)}: order {chart_order(ch)}")
     return 0
 
 

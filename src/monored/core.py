@@ -10,10 +10,11 @@ components and carry a positive integer mark.
 
 Points are strata: subsets of the present components, read as "these
 coordinates vanish".  A stratum lies on P exactly when it contains
-`p_components` and vanishes in at most `dim_p` further components (`dim_p`
-is the relative dimension of P over the integers).  Within a chart every
-such stratum is non-empty, and the full stratum is the chart's
-distinguished point.
+`p_components`.  The divisor meets P with simple normal crossings, so a
+chart meeting P has at most `dim_p` (the relative dimension of P over the
+integers) components not cutting P; configurations reject any other chart.
+Within a chart every stratum is non-empty, and the full stratum, the
+chart's distinguished point, is its largest point of P.
 """
 
 from __future__ import annotations
@@ -263,7 +264,7 @@ class Configuration:
             raise ValidationError("a configuration needs at least one chart")
         marks: set = set()
         p_sets: set = set()
-        _check_charts(registry, charts, marks, p_sets)
+        _check_charts(registry, charts, dim_p, marks, p_sets)
         self.registry, self.dim_p, self.n_blowups = registry, dim_p, n_blowups
         self.mark = marks.pop()
         self._p = next(iter(p_sets), frozenset())
@@ -349,7 +350,7 @@ class Configuration:
 
     def _own_index(self) -> "_ChartIndex":
         if self._index is None:
-            self._index = _ChartIndex(self.charts, self.registry, self.dim_p)
+            self._index = _ChartIndex(self.charts, self.registry)
         return self._index
 
     def _fields(self):
@@ -382,10 +383,9 @@ class _ChartIndex:
     `supporting` the charts with non-empty support.
     """
 
-    __slots__ = ("dim_p", "ids", "keys", "rank", "by_component", "supporting")
+    __slots__ = ("ids", "keys", "rank", "by_component", "supporting")
 
-    def __init__(self, charts, registry, dim_p: int) -> None:
-        self.dim_p = dim_p
+    def __init__(self, charts, registry) -> None:
         self.ids = {name: i for i, name in enumerate(registry)}
         self.keys: dict = {}
         self.rank: dict[int, int] = {}
@@ -400,7 +400,7 @@ class _ChartIndex:
         self.rank[i] = rank
         for c in ch.e_components:
             self.by_component.setdefault(c, {})[i] = ch
-        if has_support(ch, self.dim_p):
+        if has_support(ch):
             self.supporting[i] = ch
 
     def remove(self, ch: Chart) -> int:
@@ -428,14 +428,19 @@ class _ChartIndex:
         return self.ordered(self.supporting.values())
 
 
-def _check_charts(registry, charts, marks: set, p_sets: set, taken=None, freed=()) -> None:
-    """The per-chart checks of a configuration, for `charts` joining charts
-    that carry the marks `marks`, cut P by `p_sets` and are `taken`, a map
-    from (label, path) key to chart, less the charts whose ids are `freed`.
+def _check_charts(
+    registry, charts, dim_p: int, marks: set, p_sets: set, taken=None, freed=()
+) -> None:
+    """The per-chart checks of a configuration of centre dimension `dim_p`,
+    for `charts` joining charts that carry the marks `marks`, cut P by
+    `p_sets` and are `taken`, a map from (label, path) key to chart, less
+    the charts whose ids are `freed`.
 
     Each chart adds its mark and P-cutting set to the two sets; the checks
-    fail on an unregistered component, a key already taken, a second mark
-    or a second P-cutting set.
+    fail on an unregistered component, a chart meeting P with more than
+    `dim_p` components not cutting P (its distinguished point would be no
+    point of P), a key already taken, a second mark or a second P-cutting
+    set.
     """
     n = len(registry)
     keys = set()
@@ -444,6 +449,12 @@ def _check_charts(registry, charts, marks: set, p_sets: set, taken=None, freed=(
             raise ValidationError(f"chart {ch.label!r} references an unregistered component")
         marks.add(ch.mark)
         if not ch.p_empty:
+            off_p = len(ch.e_components) - len(ch.p_components)
+            if off_p > dim_p:
+                raise ValidationError(
+                    f"chart {chart_name(registry, ch.label, ch.path)!r} meets P with "
+                    f"{off_p} components not cutting P, more than dim_p {dim_p}"
+                )
             p_sets.add(ch.p_components)
         key = (ch.label, ch.path)
         held = taken.get(key) if taken else None
@@ -463,11 +474,11 @@ def grow(cfg: Configuration, name: str, outcomes) -> Configuration:
 
     Checks only what the blow-up adds, by the checks of a full
     configuration: `name` must be new, and the children must agree with the
-    mark, P-cutting set and keys of `cfg` (less the replaced keys).  Charts
-    carried over were checked when `cfg` was built.  The chart index of
-    `cfg`, name map included, moves to the result; nothing else is copied
-    but the registry.  A `cfg` without a chart tuple keeps a link to the
-    result to undo the blow-up from.
+    `dim_p`, mark, P-cutting set and keys of `cfg` (less the replaced
+    keys).  Charts carried over were checked when `cfg` was built.  The
+    chart index of `cfg`, name map included, moves to the result; nothing
+    else is copied but the registry.  A `cfg` without a chart tuple keeps a
+    link to the result to undo the blow-up from.
     """
     index = cfg._own_index()
     if name in index.ids:
@@ -476,7 +487,7 @@ def grow(cfg: Configuration, name: str, outcomes) -> Configuration:
     replaced = {id(ch) for ch, _ in outcomes}
     added = [kid for _, kids in outcomes for kid in kids]
     p_sets = {cfg._p} if cfg._meeting else set()
-    _check_charts(registry, added, {cfg.mark}, p_sets, index.keys, replaced)
+    _check_charts(registry, added, cfg.dim_p, {cfg.mark}, p_sets, index.keys, replaced)
     index.ids[name] = len(cfg.registry)
     meeting = cfg._meeting
     for ch, kids in outcomes:
@@ -519,50 +530,34 @@ def order_at(chart: Chart, stratum: Stratum) -> int:
 
 
 def distinguished_order(chart: Chart) -> int:
-    """Order at the distinguished point (all present components vanish)."""
-    return min_degree(chart.ideal.generators, set(chart.e_components))
+    """Order at the distinguished point (all present components vanish):
+    generators use present components only, so their least total degree."""
+    return min([g.degree() for g in chart.ideal.generators])
 
 
-def chart_order(chart: Chart, dim_p: int) -> int:
-    """Maximal order of the chart's ideal over its points of P (0 off P)."""
-    gens = chart.ideal.generators
-    return max((min_degree(gens, s) for s in largest_strata(chart, dim_p)), default=0)
+def chart_order(chart: Chart) -> int:
+    """Maximal order of the chart's ideal over its points of P (0 off P):
+    the order at its distinguished point, the largest of them."""
+    return 0 if chart.p_empty else distinguished_order(chart)
 
 
 def max_order(cfg: Configuration) -> int:
     """Maximal order over P."""
-    return max((chart_order(ch, cfg.dim_p) for ch in cfg.charts), default=0)
+    return max((chart_order(ch) for ch in cfg.charts), default=0)
 
 
-def chart_strata(chart: Chart, dim_p: int):
-    """All vanishing sets that are points of P in this chart.
-
-    Strata contain `p_components` and at most `dim_p` further components;
-    larger vanishing sets fall off P (its relative dimension is exhausted).
-    """
+def chart_strata(chart: Chart):
+    """All vanishing sets that are points of P in this chart: every set of
+    present components containing `p_components`."""
     if chart.p_empty:
         return
     extras = [c for c in chart.e_components if c not in chart.p_components]
-    for size in range(0, min(dim_p, len(extras)) + 1):
+    for size in range(0, len(extras) + 1):
         for combo in itertools.combinations(extras, size):
             yield chart.p_components | frozenset(combo)
 
 
-def largest_strata(chart: Chart, dim_p: int):
-    """The points of P in this chart that no other point of P contains:
-    `p_components` and min(`dim_p`, the other components) further ones.
-
-    Every point of P lies in one of them, and an order only grows with the
-    vanishing set, so a maximum of orders over P is a maximum over these.
-    """
-    if chart.p_empty:
-        return
-    extras = [c for c in chart.e_components if c not in chart.p_components]
-    for combo in itertools.combinations(extras, min(dim_p, len(extras))):
-        yield chart.p_components.union(combo)
-
-
-def chart_support(chart: Chart, dim_p: int) -> tuple[frozenset[int], ...]:
+def chart_support(chart: Chart) -> tuple[frozenset[int], ...]:
     """Inclusion-minimal strata of this chart with order >= mark.
 
     Scans every stratum; which charts have any is kept by the chart index
@@ -571,7 +566,7 @@ def chart_support(chart: Chart, dim_p: int) -> tuple[frozenset[int], ...]:
     """
     m = chart.mark
     minimal: list[frozenset[int]] = []
-    for vanishing in chart_strata(chart, dim_p):
+    for vanishing in chart_strata(chart):
         if any(s <= vanishing for s in minimal):
             continue
         if min_degree(chart.ideal.generators, vanishing) >= m:
@@ -579,18 +574,18 @@ def chart_support(chart: Chart, dim_p: int) -> tuple[frozenset[int], ...]:
     return tuple(minimal)
 
 
-def has_support(chart: Chart, dim_p: int) -> bool:
-    """Whether `chart_support(chart, dim_p)` is non-empty, decided on the
-    largest strata alone."""
-    gens = chart.ideal.generators
-    return any(min_degree(gens, s) >= chart.mark for s in largest_strata(chart, dim_p))
+def has_support(chart: Chart) -> bool:
+    """Whether `chart_support(chart)` is non-empty: whether the order at
+    the distinguished point reaches the mark.  Every stratum of the chart
+    lies in that point, and orders only grow with the vanishing set."""
+    return chart_order(chart) >= chart.mark
 
 
 def support(cfg: Configuration) -> list[Stratum]:
     """Minimal strata carrying the support; empty list means empty support."""
     out: list[Stratum] = []
     for ch in cfg.support_charts():
-        for vanishing in chart_support(ch, cfg.dim_p):
+        for vanishing in chart_support(ch):
             out.append(Stratum(ch, vanishing))
     return out
 

@@ -27,8 +27,6 @@ from .core import (
     MarkedIdeal,
     Monomial,
     chart_support,
-    largest_strata,
-    min_degree,
     distinguished_order,
     map_ideals,
     sum_marked,
@@ -153,16 +151,18 @@ def monomial_derivative(ideal: MarkedIdeal, r: int) -> tuple[Monomial, ...]:
 
 
 def residual_order(cfg: Configuration) -> int:
-    """Maximum order of the residual part over the support strata.  The
-    largest strata suffice: each support stratum lies in one, which is in
-    the support too, and orders only grow with the vanishing set."""
-    nu = 0
-    for ch in cfg.support_charts():
-        ngens = monomial_split(ch).nonmonomial_part.generators
-        for vanishing in largest_strata(ch, cfg.dim_p):
-            if min_degree(ch.ideal.generators, vanishing) >= ch.mark:
-                nu = max(nu, min_degree(ngens, vanishing))
-    return nu
+    """Maximum order of the residual part over the support strata: the
+    maximum, over the support-carrying charts, of its order at the
+    distinguished point.  Every stratum of a chart lies in that point,
+    which carries support when any stratum does, and orders only grow with
+    the vanishing set."""
+    return max(
+        (
+            min([g.degree() for g in monomial_split(ch).nonmonomial_part.generators])
+            for ch in cfg.support_charts()
+        ),
+        default=0,
+    )
 
 
 def _apply(cfg: Configuration, center, records: list[BlowUpRecord], on_step=None) -> Configuration:
@@ -184,7 +184,7 @@ def _lex_first_active(cfg: Configuration):
     best = None
     best_key = None
     for index, ch in enumerate(cfg.support_charts()):
-        strata = chart_support(ch, cfg.dim_p)
+        strata = chart_support(ch)
         key = (min(tuple(sorted(s)) for s in strata), index)
         if best_key is None or key < best_key:
             best, best_key = ch, key
@@ -205,8 +205,6 @@ def reduce_maximal_order(
     records: list[BlowUpRecord] = []
     if not cfg.support_charts():
         return cfg, records
-    if cfg.dim_p < 1:
-        raise InternalLogicError("non-empty support over a zero-dimensional P")
     passes = 0
     while True:
         target = _lex_first_active(cfg)

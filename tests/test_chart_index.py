@@ -49,8 +49,9 @@ def brute_table(cfg: Configuration, s: int, floor: int) -> dict:
 
 
 def test_has_support_agrees_with_the_full_scan():
-    """The largest strata decide emptiness, for every `dim_p` up to the
-    chart's components, P-cutting and P-empty charts included."""
+    """The distinguished point decides emptiness, for every `dim_p` a
+    configuration accepts the chart with, up to the chart's components,
+    P-cutting and P-empty charts included."""
     rng = random.Random(3)
     seen = {True: 0, False: 0}
     for _ in range(150):
@@ -59,10 +60,11 @@ def test_has_support_agrees_with_the_full_scan():
         for center in permissible_centers(cfg)[:1]:
             grown = blow_up_global(cfg, center)[0].charts
         for ch in grown:
-            for dim_p in range(len(ch.e_components) + 1):
+            off_p = 0 if ch.p_empty else len(ch.e_components) - len(ch.p_components)
+            for dim_p in range(off_p, len(ch.e_components) + 1):
                 expected = bool(brute_support_set(ch, dim_p))
-                assert has_support(ch, dim_p) == expected
-                assert bool(chart_support(ch, dim_p)) == expected
+                assert has_support(ch) == expected
+                assert bool(chart_support(ch)) == expected
                 seen[expected] += 1
     assert min(seen.values()) > 50
 
@@ -194,7 +196,7 @@ class TestBranchingGrowth:
 class TestFreshNames:
     @staticmethod
     def blown_up(names):
-        cfg = config(names, [chart(len(names), [mono({0: 2, 1: 3})], 5)], 2)
+        cfg = config(names, [chart(len(names), [mono({0: 2, 1: 3})], 5)], len(names))
         grown, rec = blow_up_global(cfg, {0, 1})
         return grown, rec
 

@@ -82,12 +82,11 @@ class TestOrderSupport:
         assert main(["order", str(path)]) == 0
         assert "max_order: 0" in capsys.readouterr().out
 
-    def test_order_only_over_points_of_p(self, tmp_path, capsys):
-        # dim_p 2 of 4 components: the all-components stratum (order 9 at
-        # a2b4c3) is no point of P; the largest order over two components is 5
+    @staticmethod
+    def four_free_components(tmp_path, dim_p):
         obj = {
             "components": ["a", "b", "c", "d"],
-            "dim_p": 2,
+            "dim_p": dim_p,
             "mark": 3,
             "charts": [
                 {
@@ -99,11 +98,26 @@ class TestOrderSupport:
                 }
             ],
         }
-        path = tmp_path / "low_dim_p.json"
+        path = tmp_path / f"dim_p_{dim_p}.json"
         path.write_text(json.dumps(obj))
-        assert main(["order", str(path)]) == 0
+        return str(path)
+
+    @pytest.mark.parametrize("command", ["order", "reduce"])
+    @pytest.mark.parametrize("dim_p", [2, 3])
+    def test_more_components_off_p_than_dim_p(self, tmp_path, capsys, command, dim_p):
+        # four components none of which cuts P: the chart's distinguished
+        # point would be no point of a P of dimension below 4
+        path = self.four_free_components(tmp_path, dim_p)
+        assert main([command, path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("validation error: ")
+        assert f"4 components not cutting P, more than dim_p {dim_p}" in captured.err
+
+    def test_dim_p_covering_the_free_components(self, tmp_path, capsys):
+        assert main(["order", self.four_free_components(tmp_path, 4)]) == 0
         out = capsys.readouterr().out.splitlines()
-        assert out[1:] == ["max_order: 5", "chart U: order 5"]
+        assert out[1:] == ["max_order: 9", "chart U: order 9"]
 
     def test_support(self, golden_file, capsys):
         assert main(["support", golden_file]) == 0

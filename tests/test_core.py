@@ -12,6 +12,7 @@ from monored.core import (
     Stratum,
     UNIT,
     chart_support,
+    grow,
     is_permissible,
     max_order,
     minimalize,
@@ -112,6 +113,29 @@ class TestChartValidation:
             Configuration(("x", "y"), (a, b), 2)
 
 
+class TestDimPCoversTheComponentsOffP:
+    """A chart meeting P has at most `dim_p` components not cutting P."""
+
+    GENS = [mono({0: 2, 1: 4, 2: 3}), mono({0: 3, 2: 5, 3: 3})]
+
+    def test_components_cutting_p_do_not_count(self):
+        cfg = config("abcde", [chart(5, self.GENS, 3, p=(4,))], 4)
+        assert max_order(cfg) == 9
+
+    def test_p_empty_chart_at_dim_p_zero(self):
+        ch = replace(chart(4, self.GENS, 3), p_empty=True)
+        cfg = config("abcd", [ch], 0)
+        assert max_order(cfg) == 0
+        assert support(cfg) == []
+
+    def test_blow_up_children_are_checked(self):
+        cfg = golden_config()
+        (ch,) = cfg.charts
+        kid = replace(ch, e_components=(X, Y, U, V, 4), path=((1, X),))
+        with pytest.raises(ValidationError, match="'U/x' meets P with 5 components"):
+            grow(cfg, "w", [(ch, [kid])])
+
+
 class TestOrderAt:
     def test_worked_example_full_stratum(self):
         cfg = golden_config()
@@ -188,18 +212,21 @@ class TestSupport:
         assert support(cfg) == []
 
     def test_zero_dimensional_p_is_empty(self):
-        # P is a point lying on no generator component: order 0 there, below
-        # the mark, while x = 0 (order 2) is no point of P
-        cfg = config(("x",), [chart(1, [mono({0: 2})], 1)], 0)
+        # every component cuts the point P, so no generator uses one: the
+        # ideal is the unit ideal, of order 0 below the mark
+        cfg = config(("x", "y"), [chart(2, [mono({})], 1, p=(X, Y))], 0)
         assert support(cfg) == []
         assert max_order(cfg) == 0
+        # x = 0 (order 2) would be no point of a point P it does not cut
+        with pytest.raises(ValidationError, match="more than dim_p 0"):
+            config(("x",), [chart(1, [mono({0: 2})], 1)], 0)
 
     def test_upward_closure_matches_exhaustive(self):
         rng = random.Random(23)
         for _ in range(40):
             cfg = random_config(rng)
             ch = cfg.charts[0]
-            minimal = chart_support(ch, cfg.dim_p)
+            minimal = chart_support(ch)
             closed = {
                 s
                 for s in brute_strata(ch, cfg.dim_p)
@@ -208,14 +235,18 @@ class TestSupport:
             assert closed == brute_support_set(ch, cfg.dim_p)
 
     def test_support_per_dim_p(self):
-        ch = golden_config().charts[0]
-        assert chart_support(ch, 4) == (frozenset({X, Y, U, V}),)
-        assert chart_support(ch, 3) == ()
+        # the full stratum is a point of P at dim_p 4; at dim_p 3 it would
+        # not be, and the chart is rejected
+        cfg = golden_config()
+        (ch,) = cfg.charts
+        assert chart_support(ch) == (frozenset({X, Y, U, V}),)
+        with pytest.raises(ValidationError, match="4 components not cutting P, more than dim_p 3"):
+            config(cfg.registry, [ch], 3)
 
     def test_asking_leaves_the_chart_equal(self):
         ch = golden_config().charts[0]
         fresh = replace(ch)
-        chart_support(ch, 4)
+        chart_support(ch)
         assert ch == fresh and hash(ch) == hash(fresh)
         assert repr(ch) == repr(fresh)
 

@@ -412,7 +412,8 @@ class TestReduce:
         assert support(final) == []
 
     def test_zero_dimensional_base_case(self):
-        cfg = config(("x",), [chart(1, [mono({0: 3})], 1)], 0)
+        # every component cuts the point P: only the unit ideal is left
+        cfg = config(("x", "y"), [chart(2, [mono({})], 3, p=(X, Y))], 0)
         final, records = reduce(cfg)
         assert records == []
         assert support(final) == []
