@@ -8,13 +8,9 @@ write a replayable JSON trace.  Exit codes: 0 success, 1 validation error,
 from __future__ import annotations
 
 import argparse
-import json
 import os
-import random
 import sys
 
-from . import arithmetic
-from .arithmetic import IntPoly
 from .core import chart_name, chart_order, max_order, support
 from .errors import ContractError, ValidationError
 from .reduction import reduce
@@ -30,6 +26,7 @@ from .serialize import (
     read_json_file,
     replay_trace,
     trace_document,
+    write_trace,
 )
 from .transform import blow_up_global
 
@@ -37,13 +34,23 @@ HEADER = "monored report 1"
 
 
 def _emit(out_path: str | None, obj) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        print(f"trace written to {out_path}")
-    else:
-        sys.stdout.write(text)
+    """Write a trace document to `out_path`, or to stdout without one.
+
+    A failed write removes the regular file it wrote to, so no partial
+    trace is left behind; a symlink or device (`/dev/stdout`) stays.
+    """
+    if not out_path:
+        write_trace(obj, sys.stdout.write)
+        return
+    fh = open(out_path, "w", encoding="utf-8")
+    try:
+        with fh:
+            write_trace(obj, fh.write)
+    except BaseException:
+        if os.path.isfile(out_path) and not os.path.islink(out_path):
+            os.remove(out_path)
+        raise
+    print(f"trace written to {out_path}")
 
 
 def cmd_order(args) -> int:
@@ -171,6 +178,12 @@ def cmd_replay(args) -> int:
 
 
 def cmd_check_lambda(args) -> int:
+    # the arithmetic kernel is loaded only for the command that runs it
+    import random
+
+    from . import arithmetic
+    from .arithmetic import IntPoly
+
     try:
         primes = [int(p) for p in args.primes.split(",") if p.strip()]
         seed = args.seed

@@ -15,12 +15,28 @@ observer, so each step is rendered as the engine makes it and nothing is
 blown up twice; `trace_to_obj` renders a finished sequence by replaying
 it, checking that the records replay and reproduce the final
 configuration.  `replay_trace` (`monored replay`) re-runs a written trace.
+
+Below the root, a chart shows each exceptional component as the component
+that defined the chart at that component's stage, followed back while that
+component is itself exceptional.  `_display_step` keeps this as a display
+map per chart (exceptional id -> id shown, identity entries left out),
+computed in one step from the parent's: the defining component k leaves the
+map and the new exceptional component maps to what k showed as.  The
+renderer keeps each live chart's name and map, so rendering a child costs
+its own ideal, not its depth; `final_state_obj` folds the same step along
+each final chart's path.  A stage no record covers (a chart of a grown
+input) contributes nothing.
+
+`write_trace` writes a document as `json.dumps(obj, indent=2,
+sort_keys=True, ensure_ascii=False)` plus a newline would, byte for byte,
+in bounded chunks.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from json.encoder import encode_basestring
 
 from .core import Chart, Configuration, MarkedIdeal, Monomial, chart_name, max_order
 from .errors import ValidationError
@@ -33,6 +49,77 @@ READABLE_TRACE_FORMATS = ("monored-trace-1", TRACE_FORMAT)
 
 def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+
+
+WRITE_CHUNK = 1 << 16  # characters per write of `write_trace`
+_FLUSH_PARTS = 4096  # pieces buffered between writes
+
+
+def write_trace(obj, write, chunk: int = WRITE_CHUNK) -> None:
+    """Write `obj` as `json.dumps(obj, indent=2, sort_keys=True,
+    ensure_ascii=False)` followed by a newline, through `write`, at most
+    `chunk` characters per call; the whole text is never held at once.
+
+    Values are str, int, bool, None, lists, tuples and dicts with str keys;
+    anything else raises `TypeError`.  Strings go through the C encoder
+    `json.encoder.encode_basestring`.
+    """
+    parts: list[str] = []
+    append = parts.append
+
+    def flush() -> None:
+        text = "".join(parts)
+        parts.clear()
+        for i in range(0, len(text), chunk):
+            write(text[i : i + chunk])
+
+    def value(o, ind: str) -> None:
+        # `ind` is the newline and indentation that close `o`
+        if isinstance(o, str):
+            append(encode_basestring(o))
+        elif o is None:
+            append("null")
+        elif o is True:
+            append("true")
+        elif o is False:
+            append("false")
+        elif isinstance(o, int):
+            append(int.__repr__(o))
+        elif isinstance(o, (list, tuple)):
+            if not o:
+                append("[]")
+                return
+            inner = ind + "  "
+            sep = "[" + inner
+            for item in o:
+                append(sep)
+                sep = "," + inner
+                value(item, inner)
+                if len(parts) >= _FLUSH_PARTS:
+                    flush()
+            append(ind + "]")
+        elif isinstance(o, dict):
+            if not o:
+                append("{}")
+                return
+            inner = ind + "  "
+            sep = "{" + inner
+            for key in sorted(o):
+                if not isinstance(key, str):
+                    raise TypeError(f"keys must be str, not {type(key).__name__}")
+                append(sep)
+                sep = "," + inner
+                append(encode_basestring(key) + ": ")
+                value(o[key], inner)
+                if len(parts) >= _FLUSH_PARTS:
+                    flush()
+            append(ind + "}")
+        else:
+            raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+    value(obj, "\n")
+    append("\n")
+    flush()
 
 
 def monomial_obj(registry, g: Monomial) -> dict:
@@ -181,22 +268,20 @@ def config_digest(cfg: Configuration) -> str:
 
 # --- rendering ------------------------------------------------------------
 
-def render_ideal(cfg: Configuration, chart: Chart, exc_stage: dict[int, int]) -> str:
-    """The chart's generators in display names.
+def _display_step(display: dict[int, int], k: int, exceptional: int) -> None:
+    """Make a chart's display map, in place, that of its child of `k` at
+    the stage of `exceptional`: k leaves the chart, and the exceptional
+    component shows as what k showed as."""
+    display[exceptional] = display.pop(k, k)
 
-    An exceptional component whose stage defined this chart shows as the
-    component that defined it; below the root every name is barred.
-    """
-    defining = dict(chart.path)
+
+def render_ideal(registry, chart: Chart, display: dict[int, int]) -> str:
+    """The chart's generators in display names; below the root every name
+    is barred."""
     names: dict[int, str] = {}
     for comp in chart.ideal.component_support:
-        shown = comp
-        seen = set()  # records that do not match the chart can map in a cycle
-        while exc_stage.get(shown) in defining and shown not in seen:
-            seen.add(shown)
-            shown = defining[exc_stage[shown]]
-        name = cfg.registry[shown]
-        names[comp] = "".join(c + "̄" for c in name) if chart.path else name
+        name = registry[display.get(comp, comp)]
+        names[comp] = "".join(c + "\u0304" for c in name) if chart.path else name
     rendered = []
     for g in chart.ideal.generators:
         factors = [names[c] if e == 1 else names[c] + str(e).translate(SUPERSCRIPTS) for c, e in g.exps]
@@ -206,7 +291,7 @@ def render_ideal(cfg: Configuration, chart: Chart, exc_stage: dict[int, int]) ->
 
 # --- state and trace output -----------------------------------------------
 
-def chart_to_obj(cfg: Configuration, chart: Chart, exc_stage: dict[int, int]) -> dict:
+def chart_to_obj(cfg: Configuration, chart: Chart, display: dict[int, int]) -> dict:
     return {
         "name": chart_name(cfg.registry, chart.label, chart.path),
         "path": [[s, cfg.registry[k]] for s, k in chart.path],
@@ -214,24 +299,22 @@ def chart_to_obj(cfg: Configuration, chart: Chart, exc_stage: dict[int, int]) ->
         "p_empty": chart.p_empty,
         "mark": chart.mark,
         "pullback_excess": monomial_obj(cfg.registry, chart.pullback_excess),
-        "rendered": render_ideal(cfg, chart, exc_stage),
-    }
-
-
-def _child_obj(cfg: Configuration, chart: Chart, exc_stage: dict[int, int]) -> dict:
-    """A chart a blow-up added, as the blow-up's record lists it."""
-    return {
-        "chart": chart_name(cfg.registry, chart.label, chart.path),
-        "generators": [monomial_obj(cfg.registry, g) for g in chart.ideal.generators],
-        "rendered": render_ideal(cfg, chart, exc_stage),
+        "rendered": render_ideal(cfg.registry, chart, display),
     }
 
 
 def final_state_obj(cfg: Configuration, records) -> dict:
-    exc_stage = {rec.exceptional: rec.stage for rec in records}
+    exceptional_of = {rec.stage: rec.exceptional for rec in records}
+    charts = []
+    for ch in cfg.charts:
+        display: dict[int, int] = {}
+        for stage, k in ch.path:
+            if stage in exceptional_of:
+                _display_step(display, k, exceptional_of[stage])
+        charts.append(chart_to_obj(cfg, ch, display))
     return {
         "components": list(cfg.registry),
-        "charts": [chart_to_obj(cfg, ch, exc_stage) for ch in cfg.charts],
+        "charts": charts,
         "summary": {
             "steps": len(records),
             "final_max_order": max_order(cfg),
@@ -245,27 +328,41 @@ class StepRenderer:
 
     Called as `on_step(grown, record)` after each blow-up, in order: it
     appends the step's record object (centre, exceptional name, and each
-    replaced chart with its children) to `objs`.  The exceptional stages
-    are collected as the steps arrive; a chart only names components made
-    at or before its own stage.
+    replaced chart with its children) to `objs`.  It keeps the name and
+    display map of every live chart a step added, and makes a child's from
+    its parent's; a chart it never saw added (a root chart, or a chart of
+    a grown input) starts from its full name and the identity map.
     """
 
     def __init__(self) -> None:
-        self.exc_stage: dict[int, int] = {}
         self.objs: list[dict] = []
+        self._charts: dict[tuple, tuple[str, dict[int, int]]] = {}
 
     def __call__(self, grown: Configuration, rec) -> None:
-        self.exc_stage[rec.exceptional] = rec.stage
         registry = grown.registry
-        outcomes = [
-            {
-                "chart": chart_name(registry, label, path),
-                "children": [
-                    _child_obj(grown, grown.chart((label, p)), self.exc_stage) for p in children
-                ],
-            }
-            for (label, path), children in rec.outcomes
-        ]
+        live = self._charts
+        outcomes = []
+        for key, children in rec.outcomes:
+            label, path = key
+            entry = live.pop(key, None)
+            name, display = entry or (chart_name(registry, label, path), {})
+            kids = []
+            for child_path in children:
+                k = child_path[-1][1]
+                child_key = (label, child_path)
+                child = grown.chart(child_key)
+                child_name = name + "/" + registry[k]
+                child_display = dict(display)
+                _display_step(child_display, k, rec.exceptional)
+                live[child_key] = (child_name, child_display)
+                kids.append(
+                    {
+                        "chart": child_name,
+                        "generators": [monomial_obj(registry, g) for g in child.ideal.generators],
+                        "rendered": render_ideal(registry, child, child_display),
+                    }
+                )
+            outcomes.append({"chart": name, "children": kids})
         self.objs.append(
             {
                 "stage": rec.stage,

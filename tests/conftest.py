@@ -65,6 +65,36 @@ def product_sum_marked(ideals) -> MarkedIdeal:
     return MarkedIdeal.of(gens, total)
 
 
+SUPERSCRIPTS = str.maketrans("0123456789", "⁰¹²³⁴⁵⁶⁷⁸⁹")
+
+
+def chain_render_ideal(registry, chart: Chart, exc_stage: dict[int, int]) -> str:
+    """The chart's generators in display names, by walking the defining chain.
+
+    `exc_stage` maps each exceptional component to the stage that made it.
+    An exceptional component whose stage defined this chart shows as the
+    component that defined it, followed back while that one is exceptional
+    too; below the root every name is barred.  This is how the trace writer
+    rendered ideals before it kept a display map per chart, kept as the
+    reference for that map.
+    """
+    defining = dict(chart.path)
+    names: dict[int, str] = {}
+    for comp in chart.ideal.component_support:
+        shown = comp
+        seen = set()  # records that do not match the chart can map in a cycle
+        while exc_stage.get(shown) in defining and shown not in seen:
+            seen.add(shown)
+            shown = defining[exc_stage[shown]]
+        name = registry[shown]
+        names[comp] = "".join(c + "\u0304" for c in name) if chart.path else name
+    rendered = []
+    for g in chart.ideal.generators:
+        factors = [names[c] if e == 1 else names[c] + str(e).translate(SUPERSCRIPTS) for c, e in g.exps]
+        rendered.append("".join(factors) if factors else "1")
+    return ", ".join(rendered)
+
+
 # --- brute-force oracles ----------------------------------------------------
 
 def brute_degree(g: Monomial, vanishing) -> int:

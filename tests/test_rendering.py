@@ -1,0 +1,72 @@
+"""Chart names and rendered ideals against the chain-walk reference.
+
+The trace writer keeps each live chart's name and display map and derives
+a child's from its parent's in one step.  Every child a record lists and
+every final chart must render as `conftest.chain_render_ideal`, which walks
+the chart's defining chain from scratch, renders it, and every name must be
+`core.chart_name` of the chart's path.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from conftest import chain_render_ideal
+from monored.core import chart_name
+from monored.reduction import reduce
+from monored.serialize import final_state_obj, trace_to_obj
+from monored.transform import blow_up_global
+from test_digests import RUNS
+from test_lcm_marking import COMPANION_DRAWS, draw
+
+
+def check_against_chain_walk(initial, records, final) -> None:
+    """The document of `trace_to_obj(initial, records, final)` renders
+    each chart as the chain walk does, over the records' stages only."""
+    doc = trace_to_obj(initial, records, final)
+    exc_stage: dict[int, int] = {}
+    cfg = initial
+    for rec, rec_obj in zip(records, doc["records"], strict=True):
+        cfg, _ = blow_up_global(cfg, rec.center)
+        exc_stage[rec.exceptional] = rec.stage
+        for ((label, path), children), outcome in zip(rec.outcomes, rec_obj["outcomes"], strict=True):
+            assert outcome["chart"] == chart_name(cfg.registry, label, path)
+            for child_path, child_obj in zip(children, outcome["children"], strict=True):
+                child = cfg.chart((label, child_path))
+                assert child_obj["chart"] == chart_name(cfg.registry, label, child_path)
+                assert child_obj["rendered"] == chain_render_ideal(cfg.registry, child, exc_stage)
+    final_obj = final_state_obj(final, records)
+    assert doc["final"] == final_obj
+    for ch, ch_obj in zip(final.charts, final_obj["charts"], strict=True):
+        assert ch_obj["rendered"] == chain_render_ideal(final.registry, ch, exc_stage)
+
+
+@pytest.mark.parametrize("name", list(RUNS))
+def test_digest_runs(name):
+    check_against_chain_walk(*RUNS[name]())
+
+
+@pytest.mark.parametrize("seed,index", list(COMPANION_DRAWS))
+def test_lcm_marking_draws(seed, index):
+    cfg = draw(seed, index)
+    final, records = reduce(cfg)
+    check_against_chain_walk(cfg, records, final)
+
+
+# runs whose first steps make a grown input for a trace of the rest
+GROWN = {
+    "reduce worked": RUNS["reduce worked"],
+    "principalize tower25": RUNS["principalize tower25"],
+}
+
+
+@pytest.mark.parametrize("name", list(GROWN))
+@pytest.mark.parametrize("share", [0.25, 0.5, 0.75])
+def test_trace_from_a_grown_input(name, share):
+    initial, records, final = GROWN[name]()
+    split = int(len(records) * share)
+    grown = initial
+    for rec in records[:split]:
+        grown, _ = blow_up_global(grown, rec.center)
+    assert any(ch.path for ch in grown.charts)
+    check_against_chain_walk(grown, records[split:], final)
