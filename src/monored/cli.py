@@ -8,6 +8,7 @@ write a replayable JSON trace.  Exit codes: 0 success, 1 validation error,
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 
@@ -26,30 +27,46 @@ from .serialize import (
     read_json_file,
     replay_trace,
     trace_document,
-    write_trace,
 )
 from .transform import blow_up_global
 
 HEADER = "monored report 1"
 
 
+def _write_trace(obj, fh) -> None:
+    # json.dump streams the text in pieces; json.dumps would hold it whole
+    json.dump(obj, fh, indent=2, sort_keys=True, ensure_ascii=False)
+    fh.write("\n")
+
+
 def _emit(out_path: str | None, obj) -> None:
     """Write a trace document to `out_path`, or to stdout without one.
 
-    A failed write removes the regular file it wrote to, so no partial
-    trace is left behind; a symlink or device (`/dev/stdout`) stays.
+    A regular file (new, or reached through a symlink) is written as a
+    temporary file beside it and renamed onto it once complete, so a failed
+    write leaves no partial trace and keeps the file that was there.  Any
+    other target, such as `/dev/stdout` or a pipe, is written in place.
     """
     if not out_path:
-        write_trace(obj, sys.stdout.write)
+        _write_trace(obj, sys.stdout)
         return
-    fh = open(out_path, "w", encoding="utf-8")
-    try:
-        with fh:
-            write_trace(obj, fh.write)
-    except BaseException:
-        if os.path.isfile(out_path) and not os.path.islink(out_path):
-            os.remove(out_path)
-        raise
+    if os.path.exists(out_path) and not os.path.isfile(out_path):
+        with open(out_path, "w", encoding="utf-8") as fh:
+            _write_trace(obj, fh)
+    else:
+        target = os.path.realpath(out_path)
+        head, tail = os.path.split(target)
+        tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            if os.path.exists(target):
+                os.chmod(tmp, os.stat(target).st_mode & 0o7777)
+            with open(fd, "w", encoding="utf-8") as fh:
+                _write_trace(obj, fh)
+            os.replace(tmp, target)
+        except BaseException:
+            os.remove(tmp)
+            raise
     print(f"trace written to {out_path}")
 
 

@@ -26,17 +26,12 @@ renderer keeps each live chart's name and map, so rendering a child costs
 its own ideal, not its depth; `final_state_obj` folds the same step along
 each final chart's path.  A stage no record covers (a chart of a grown
 input) contributes nothing.
-
-`write_trace` writes a document as `json.dumps(obj, indent=2,
-sort_keys=True, ensure_ascii=False)` plus a newline would, byte for byte,
-in bounded chunks.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from json.encoder import encode_basestring
 
 from .core import Chart, Configuration, MarkedIdeal, Monomial, chart_name, max_order
 from .errors import ValidationError
@@ -49,77 +44,6 @@ READABLE_TRACE_FORMATS = ("monored-trace-1", TRACE_FORMAT)
 
 def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
-
-
-WRITE_CHUNK = 1 << 16  # characters per write of `write_trace`
-_FLUSH_PARTS = 4096  # pieces buffered between writes
-
-
-def write_trace(obj, write, chunk: int = WRITE_CHUNK) -> None:
-    """Write `obj` as `json.dumps(obj, indent=2, sort_keys=True,
-    ensure_ascii=False)` followed by a newline, through `write`, at most
-    `chunk` characters per call; the whole text is never held at once.
-
-    Values are str, int, bool, None, lists, tuples and dicts with str keys;
-    anything else raises `TypeError`.  Strings go through the C encoder
-    `json.encoder.encode_basestring`.
-    """
-    parts: list[str] = []
-    append = parts.append
-
-    def flush() -> None:
-        text = "".join(parts)
-        parts.clear()
-        for i in range(0, len(text), chunk):
-            write(text[i : i + chunk])
-
-    def value(o, ind: str) -> None:
-        # `ind` is the newline and indentation that close `o`
-        if isinstance(o, str):
-            append(encode_basestring(o))
-        elif o is None:
-            append("null")
-        elif o is True:
-            append("true")
-        elif o is False:
-            append("false")
-        elif isinstance(o, int):
-            append(int.__repr__(o))
-        elif isinstance(o, (list, tuple)):
-            if not o:
-                append("[]")
-                return
-            inner = ind + "  "
-            sep = "[" + inner
-            for item in o:
-                append(sep)
-                sep = "," + inner
-                value(item, inner)
-                if len(parts) >= _FLUSH_PARTS:
-                    flush()
-            append(ind + "]")
-        elif isinstance(o, dict):
-            if not o:
-                append("{}")
-                return
-            inner = ind + "  "
-            sep = "{" + inner
-            for key in sorted(o):
-                if not isinstance(key, str):
-                    raise TypeError(f"keys must be str, not {type(key).__name__}")
-                append(sep)
-                sep = "," + inner
-                append(encode_basestring(key) + ": ")
-                value(o[key], inner)
-                if len(parts) >= _FLUSH_PARTS:
-                    flush()
-            append(ind + "}")
-        else:
-            raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
-
-    value(obj, "\n")
-    append("\n")
-    flush()
 
 
 def monomial_obj(registry, g: Monomial) -> dict:

@@ -1,10 +1,10 @@
-"""The streaming trace writer and the bytes the CLI writes.
+"""The bytes the CLI writes, and how `cli._emit` writes them.
 
-`serialize.write_trace` must write exactly what `json.dumps(obj, indent=2,
-sort_keys=True, ensure_ascii=False) + "\\n"` returns, in writes of bounded
-size.  The pinned SHA-256 digests below are of the files and the standard
-output the CLI wrote with `json.dumps` itself, so the writer is held to the
-old bytes, indentation included, and not only to the canonical document.
+The pinned SHA-256 digests below are of the files and the standard output
+the CLI wrote with `json.dumps(obj, indent=2, sort_keys=True,
+ensure_ascii=False) + "\\n"`, so `_emit`, which streams the same text, is
+held to the old bytes, indentation included, and not only to the canonical
+document.
 """
 
 from __future__ import annotations
@@ -13,7 +13,9 @@ import hashlib
 import json
 import os
 import subprocess
+import stat
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -21,10 +23,7 @@ import pytest
 import monored
 from monored.cli import _emit, main
 from monored.resolution import principalize
-from monored.serialize import StepRenderer, WRITE_CHUNK, load_config, trace_document, write_trace
-
-hypothesis = pytest.importorskip("hypothesis")
-st = hypothesis.strategies
+from monored.serialize import StepRenderer, load_config, trace_document
 
 WORKED = {
     "components": ["x", "y", "u", "v"],
@@ -62,12 +61,6 @@ def tower(e: int) -> dict:
 
 def dumps(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
-
-
-def written(obj, chunk=WRITE_CHUNK) -> list[str]:
-    writes: list[str] = []
-    write_trace(obj, writes.append, chunk)
-    return writes
 
 
 # --- the CLI's bytes ----------------------------------------------------------
@@ -109,60 +102,32 @@ def test_stdout_bytes_are_pinned(command, tmp_path, capsys):
     assert (len(data), hashlib.sha256(data).hexdigest()) == STDOUT[command]
 
 
-# --- the writer against json.dumps --------------------------------------------
+# --- streaming and failures ---------------------------------------------------
 
-# characters the encoder escapes or passes through: quotes, backslashes,
-# control characters, line and paragraph separators, the combining macron
-# and superscripts of rendered ideals
-SPECIAL = '"\\/\x00\x08\t\n\x0c\r\x1f\x7f\u2028\u2029\u0304²³¹⁰⁴⁹xé\U0001f600'
-TEXT = st.text(st.one_of(st.sampled_from(SPECIAL), st.characters()), max_size=12)
-SCALARS = st.one_of(
-    st.none(),
-    st.booleans(),
-    st.integers(),
-    st.integers(min_value=-(10**40), max_value=10**40),
-    TEXT,
-)
-TREES = st.recursive(
-    SCALARS,
-    lambda inner: st.one_of(
-        st.lists(inner, max_size=4),
-        st.lists(inner, max_size=3).map(tuple),
-        st.dictionaries(TEXT, inner, max_size=4),
-    ),
-    max_leaves=25,
-)
+class Recorder:
+    def __init__(self) -> None:
+        self.writes: list[str] = []
+
+    def write(self, text: str) -> int:
+        self.writes.append(text)
+        return len(text)
 
 
-@hypothesis.settings(max_examples=200, database=None, derandomize=True, deadline=None)
-@hypothesis.given(obj=TREES, chunk=st.integers(1, 9))
-def test_writer_is_json_dumps(obj, chunk):
-    expected = dumps(obj)
-    assert "".join(written(obj)) == expected
-    writes = written(obj, chunk)
-    assert "".join(writes) == expected
-    assert max(map(len, writes)) <= chunk
-
-
-def test_empty_and_nested_containers():
-    for obj in ([], {}, [[]], {"a": {}}, [[], {}, [[[]]]], {"b": [{}], "a": []}, ((),)):
-        assert "".join(written(obj)) == dumps(obj)
-
-
-def test_the_tower_trace_streams_in_bounded_writes():
+def test_the_tower_trace_is_written_in_pieces(monkeypatch):
     steps = StepRenderer()
     trace = principalize(load_config(tower(100)), on_step=steps)
     doc = trace_document(trace.initial, steps, trace.final, trace.records)
-    writes = written(doc)
-    assert max(map(len, writes)) <= WRITE_CHUNK
-    assert len(writes) > 50  # about 5 MB of text
-    assert "".join(writes) == dumps(doc)
+    out = Recorder()
+    monkeypatch.setattr(sys, "stdout", out)
+    _emit(None, doc)
+    text = "".join(out.writes)
+    assert text == dumps(doc)
+    # about 5 MB of text, never handed over as one string
+    assert max(map(len, out.writes)) < len(text) // 1000
 
 
-@pytest.mark.parametrize("obj", [{"a": {1, 2}}, [1.5], {"a": [b"x"]}, {1: "int key"}, object()])
-def test_unsupported_values_raise_type_error(obj):
-    with pytest.raises(TypeError):
-        written(obj)
+# enough items that part of the document is written before the failure
+UNWRITABLE = {"records": list(range(50_000)), "z": object()}
 
 
 @pytest.mark.parametrize("existing", [False, True])
@@ -170,12 +135,46 @@ def test_a_failed_emit_leaves_no_partial_file(existing, tmp_path, capsys):
     out = tmp_path / "trace.json"
     if existing:
         out.write_text("an older trace", encoding="utf-8")
-    # enough items that part of the document is written before the failure
-    doc = {"records": list(range(50_000)), "z": object()}
     with pytest.raises(TypeError):
-        _emit(str(out), doc)
-    assert not out.exists()
+        _emit(str(out), UNWRITABLE)
+    assert [p.name for p in tmp_path.iterdir()] == (["trace.json"] if existing else [])
+    if existing:
+        assert out.read_text(encoding="utf-8") == "an older trace"
     assert capsys.readouterr().out == ""
+
+
+def test_emit_through_a_symlink_replaces_its_target(tmp_path, capsys):
+    target = tmp_path / "target.json"
+    target.write_text("an older trace", encoding="utf-8")
+    target.chmod(0o640)
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+    with pytest.raises(TypeError):
+        _emit(str(link), UNWRITABLE)
+    assert target.read_text(encoding="utf-8") == "an older trace"
+    doc = {"records": [1, 2], "rendered": "x̄²"}
+    _emit(str(link), doc)
+    assert link.is_symlink() and link.resolve() == target
+    assert target.read_text(encoding="utf-8") == dumps(doc)
+    assert target.stat().st_mode & 0o777 == 0o640
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "target.json"]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_emit_to_a_pipe_writes_in_place(tmp_path, capsys):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    received: list[str] = []
+    reader = threading.Thread(
+        target=lambda: received.append(fifo.read_text(encoding="utf-8")), daemon=True
+    )
+    reader.start()
+    doc = {"records": [1, 2], "rendered": "x̄²"}
+    _emit(str(fifo), doc)
+    reader.join(timeout=10)
+    assert received == [dumps(doc)]
+    assert stat.S_ISFIFO(fifo.lstat().st_mode)
+    assert [p.name for p in tmp_path.iterdir()] == ["pipe"]
 
 
 # --- imports ------------------------------------------------------------------
