@@ -45,28 +45,32 @@ def _emit(out_path: str | None, obj) -> None:
     A regular file (new, or reached through a symlink) is written as a
     temporary file beside it and renamed onto it once complete, so a failed
     write leaves no partial trace and keeps the file that was there.  Any
-    other target, such as `/dev/stdout` or a pipe, is written in place.
+    other target, such as `/dev/stdout` or a pipe, is written in place.  A
+    target that cannot be written is a validation error.
     """
     if not out_path:
         _write_trace(obj, sys.stdout)
         return
-    if os.path.exists(out_path) and not os.path.isfile(out_path):
-        with open(out_path, "w", encoding="utf-8") as fh:
-            _write_trace(obj, fh)
-    else:
-        target = os.path.realpath(out_path)
-        head, tail = os.path.split(target)
-        tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
-        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-        try:
-            if os.path.exists(target):
-                os.chmod(tmp, os.stat(target).st_mode & 0o7777)
-            with open(fd, "w", encoding="utf-8") as fh:
+    try:
+        if os.path.exists(out_path) and not os.path.isfile(out_path):
+            with open(out_path, "w", encoding="utf-8") as fh:
                 _write_trace(obj, fh)
-            os.replace(tmp, target)
-        except BaseException:
-            os.remove(tmp)
-            raise
+        else:
+            target = os.path.realpath(out_path)
+            head, tail = os.path.split(target)
+            tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            try:
+                if os.path.exists(target):
+                    os.chmod(tmp, os.stat(target).st_mode & 0o7777)
+                with open(fd, "w", encoding="utf-8") as fh:
+                    _write_trace(obj, fh)
+                os.replace(tmp, target)
+            except BaseException:
+                os.remove(tmp)
+                raise
+    except OSError as exc:
+        raise ValidationError(f"cannot write {out_path}: {exc.strerror or exc}") from None
     print(f"trace written to {out_path}")
 
 

@@ -616,42 +616,21 @@ def is_permissible(cfg: Configuration, center) -> bool:
     return True
 
 
-def power_generators(gens, k: int) -> tuple[Monomial, ...]:
-    """Minimal generators of the k-th power of a monomial ideal."""
-    if k == 0:
-        return (UNIT,)
-    gens = minimalize(gens)
-    if len(gens) == 1:
-        return (gens[0].power(k),)
-    out = []
-    for combo in itertools.combinations_with_replacement(gens, k):
-        prod = UNIT
-        for g in combo:
-            prod = prod.times(g)
-        out.append(prod)
-    return minimalize(out)
-
-
 def sum_marked(ideals) -> MarkedIdeal:
-    """Sum of marked ideals, marked with the lcm L of the marks: each summand
-    (J, b) is raised to the power L/b and all generators are collected.
+    """Sum of marked ideals (J_i, b_i): (sum of J_i^[L/b_i], L), with L the
+    lcm of the marks and J^[k] = (g^k : g in J), each generator raised to
+    the power k rather than the whole ideal.
 
-    (J^k, k*b) has the same support as (J, b), after every permissible
-    blow-up as well, so any common multiple of the marks gives an equivalent
-    sum; the lcm is the smallest.  The support of the result is the
-    intersection of the summands' supports.
+    Orders are minima of linear forms, so ord(J^[k]) = k*ord(J) on every
+    stratum; blow-ups transform exponents linearly, so (J^[k], k*b) keeps the
+    support of (J, b) after every permissible sequence.  The support of the
+    result is therefore the intersection of the summands' supports.
     """
     ideals = list(ideals)
     if not ideals:
         raise ValidationError("sum_marked needs at least one summand")
-    total = 1
-    for ideal in ideals:
-        total = math.lcm(total, ideal.mark)
-        if total > MAX_MARK:
-            raise MarkOverflowError("lcm marking exceeds the 64-bit checked range")
-    gens: list[Monomial] = []
-    for ideal in ideals:
-        gens.extend(power_generators(ideal.generators, total // ideal.mark))
+    total = math.lcm(*(ideal.mark for ideal in ideals))
+    gens = [g.power(total // ideal.mark) for ideal in ideals for g in ideal.generators]
     return MarkedIdeal.of(gens, total)
 
 

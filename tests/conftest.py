@@ -17,7 +17,7 @@ from monored.core import (
     MarkedIdeal,
     Monomial,
     is_permissible,
-    power_generators,
+    minimalize,
 )
 
 X, Y, U, V = 0, 1, 2, 3
@@ -52,11 +52,24 @@ def golden_config() -> Configuration:
     return config(("x", "y", "u", "v"), [chart(4, gens, 5)], 4)
 
 
+def power_generators(gens, k: int) -> tuple[Monomial, ...]:
+    """Minimal generators of the k-th power J^k of a monomial ideal J."""
+    out = []
+    for combo in itertools.combinations_with_replacement(gens, k):
+        prod = Monomial()
+        for g in combo:
+            prod = prod.times(g)
+        out.append(prod)
+    return minimalize(out)
+
+
 def product_sum_marked(ideals) -> MarkedIdeal:
     """Sum of marked ideals marked with the product of the marks.
 
-    Each summand is raised to the product of the other marks.  An
-    equivalent marking to the lcm one of `sum_marked`, kept as its reference.
+    Each summand J, marked b, is raised as a whole ideal to the power
+    (product / b), mixed products included.  An equivalent marking to the
+    lcm one of `sum_marked`, which raises each generator instead, kept as
+    its reference.
     """
     total = math.prod(i.mark for i in ideals)
     gens = []

@@ -164,6 +164,16 @@ class TestValidation:
         assert main(command + [str(path)]) == 1
         assert capsys.readouterr().err.startswith("validation error: ")
 
+    @pytest.mark.parametrize("target", ["missing/trace.json", "directory"], ids=["no-parent", "directory"])
+    def test_unwritable_out(self, golden_file, tmp_path, capsys, target):
+        out_dir = tmp_path / "out"
+        (out_dir / "directory").mkdir(parents=True)
+        assert main(["reduce", golden_file, "--out", str(out_dir / target)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: cannot write ")
+        assert "Traceback" not in err
+        assert [p.relative_to(out_dir) for p in out_dir.rglob("*")] == [Path("directory")]
+
     def test_round_trip_identity(self):
         cfg = load_config(GOLDEN)
         again = load_config(config_to_obj(cfg))
@@ -191,10 +201,10 @@ HUGE_COFACTOR = {
     ],
 }
 
-# The companion of a companion here sums about 190 summands with marks in
-# the millions.  Their lcm leaves the 64-bit checked range, so `reduce` has
-# to stop with a contract violation before `power_generators` is asked for
-# a power it cannot enumerate.
+# Draw (5, 229) at exponents and marks <=10.  When sums raised whole ideals
+# to powers, the mixed products gave its nested companions about 190
+# summands with marks in the millions, whose lcm left the 64-bit checked
+# range.  With each generator raised on its own, no sum mark exceeds 48.
 OVERFLOWING_COMPANION = {
     "components": ["a", "b", "c"],
     "dim_p": 3,
@@ -212,9 +222,10 @@ OVERFLOWING_COMPANION = {
     ],
 }
 
-# Limits of the child in the overflow test: an unbounded power_generators
-# call fails under them instead of exhausting the machine.  The child needs
-# about 0.3 s of CPU.
+# Limits of the children that reduce and replay OVERFLOWING_COMPANION: a
+# reduction whose companions grew without bound again fails under them
+# instead of exhausting the machine.  Writing the trace takes about 2.3 s of
+# CPU and 45 MB, replaying it about 1.5 s and 70 MB.
 CHILD_ADDRESS_SPACE = 2**30
 CHILD_CPU_SECONDS = 5
 
@@ -309,23 +320,30 @@ class TestReduceCommand:
         assert "order reduction: 4 blow-ups" in capsys.readouterr().out
         assert main(["replay", "--trace", out_path]) == 0
 
-    def test_reduce_overflowing_companion_is_a_contract_violation(self, tmp_path):
+    def test_reduce_formerly_overflowing_companion_finishes(self, tmp_path):
         path = tmp_path / "overflow.json"
         path.write_text(json.dumps(OVERFLOWING_COMPANION))
+        out_path = str(tmp_path / "trace.json")
         src = str(Path(monored.__file__).resolve().parent.parent)
         paths = [src, os.environ.get("PYTHONPATH")]
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
-        proc = subprocess.run(
-            [sys.executable, "-m", "monored.cli", "reduce", str(path)],
-            capture_output=True,
-            text=True,
-            env=env,
-            preexec_fn=_limit_child,
-            timeout=120,
-        )
-        assert proc.returncode == 2
-        assert proc.stderr.startswith("contract violation: ")
-        assert "Traceback" not in proc.stderr
+
+        def run(*argv):
+            return subprocess.run(
+                [sys.executable, "-m", "monored.cli", *argv],
+                capture_output=True,
+                text=True,
+                env=env,
+                preexec_fn=_limit_child,
+                timeout=120,
+            )
+
+        proc = run("reduce", str(path), "--out", out_path)
+        assert proc.returncode == 0, proc.stderr
+        assert "order reduction: 1655 blow-ups" in proc.stdout
+        proc = run("replay", "--trace", out_path)
+        assert proc.returncode == 0, proc.stderr
+        assert "replay: final state identical" in proc.stdout
 
     def test_replay_format_1(self, capsys):
         # written by the blowup command when traces were monored-trace-1

@@ -15,9 +15,7 @@ from monored.core import (
     grow,
     is_permissible,
     max_order,
-    minimalize,
     order_at,
-    power_generators,
     sum_marked,
     support,
 )
@@ -343,8 +341,3 @@ class TestSumMarked:
                         brute_order(i.generators, s) >= i.mark for i in ideals
                     )
                     assert in_sum == in_all
-
-    def test_power_generators(self):
-        gens = (mono({0: 1}), mono({1: 1}))
-        squares = power_generators(gens, 2)
-        assert squares == minimalize([mono({0: 2}), mono({0: 1, 1: 1}), mono({1: 2})])

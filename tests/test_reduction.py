@@ -173,12 +173,8 @@ class TestBalancedCompanion:
         ch = chart(4, [mono({X: 2, Y: 3}), mono({X: 2, V: 6})], 5)
         comp = balanced_companion(ch, 3)
         assert comp.mark == 6
-        assert set(comp.generators) == {
-            mono({X: 6}),
-            mono({Y: 6}),
-            mono({Y: 3, V: 6}),
-            mono({V: 12}),
-        }
+        # each generator raised on its own: no mixed product such as y3 v6
+        assert set(comp.generators) == {mono({X: 6}), mono({Y: 6}), mono({V: 12})}
 
     def test_degenerate_mark(self):
         ch = chart(2, [mono({0: 1, 1: 1})], 2)
