@@ -15,6 +15,12 @@ chart meeting P has at most `dim_p` (the relative dimension of P over the
 integers) components not cutting P; configurations reject any other chart.
 Within a chart every stratum is non-empty, and the full stratum, the
 chart's distinguished point, is its largest point of P.
+
+A configuration validates its charts once, when it is built.  A blow-up
+(`grow`) adds only children that meet every rule by construction: their
+paths end at a stage no chart reached before, so their keys are new.  The
+grown configuration carries that blow-up's (chart, children) pairs as its
+`step`, so whoever follows a run finds each child by identity.
 """
 
 from __future__ import annotations
@@ -230,7 +236,14 @@ class Configuration:
 
     `registry` order is the total order on the component index set; new
     exceptional components are appended, hence strictly larger.  All charts
-    carry one mark, `mark`.
+    carry one mark, `mark`.  `n_blowups` counts the blow-ups made so far;
+    no chart's path goes past that stage.  `step` holds the (chart,
+    children) pairs of the blow-up that made this configuration (`grow`),
+    in chart order, and is `()` for a configuration built here.
+
+    The constructor checks every chart: registered components, at most
+    `dim_p` components off P in a chart meeting P, one mark, one P-cutting
+    set, and a unique (label, path) key.
 
     The charts are held as a tuple (`charts`), in a `_ChartIndex`, or both;
     the index also maps each registry name to its id.  A blow-up (`grow`)
@@ -241,32 +254,61 @@ class Configuration:
 
     One rule brings back the charts of a configuration that holds neither:
     it was grown from without a tuple, and kept a link to the configuration
-    it grew into and the (chart, children) pairs of that blow-up
-    (`_grown`).  It follows such links to the first configuration holding
-    a tuple or an index and undoes the blow-ups from there back to itself.
-    The links are strong, so a kept grown-from configuration keeps alive
-    every later configuration it would undo from, until it makes its tuple.
-    Making the tuple lets the index and the link go, as the tuple rebuilds
-    the index.  Either way a configuration's answers never change.
+    it grew into (`_grown`), whose `step` has that blow-up's pairs.  It
+    follows such links to the first configuration holding a tuple or an
+    index and undoes the blow-ups from there back to itself.  The links are
+    strong, so a kept grown-from configuration keeps alive every later
+    configuration it would undo from, until it makes its tuple.  Making the
+    tuple lets the index and the link go, as the tuple rebuilds the index.
+    Either way a configuration's answers never change.
     """
 
     __slots__ = (
-        "registry", "dim_p", "n_blowups", "mark", "_p", "_meeting", "_index", "_charts", "_grown",
+        "registry", "dim_p", "n_blowups", "mark", "step",
+        "_p", "_meeting", "_index", "_charts", "_grown",
     )
 
     def __init__(self, registry, charts, dim_p: int, n_blowups: int = 0) -> None:
         registry, charts = tuple(registry), tuple(charts)
         if dim_p < 0:
             raise ValidationError("dim_p must be non-negative")
+        if not isinstance(n_blowups, int) or isinstance(n_blowups, bool) or n_blowups < 0:
+            raise ValidationError("n_blowups must be a non-negative integer")
         if len(set(registry)) != len(registry):
             raise ValidationError("registry names must be unique")
         if not charts:
             raise ValidationError("a configuration needs at least one chart")
         marks: set = set()
         p_sets: set = set()
-        _check_charts(registry, charts, dim_p, marks, p_sets)
+        keys: set = set()
+        for ch in charts:
+            if ch.e_components and ch.e_components[-1] >= len(registry):
+                raise ValidationError(f"chart {ch.label!r} references an unregistered component")
+            key = (ch.label, ch.path)
+            if ch.path and ch.path[-1][0] > n_blowups:
+                raise ValidationError(
+                    f"chart {chart_name(registry, *key)!r} has path stage "
+                    f"{ch.path[-1][0]}, past n_blowups {n_blowups}"
+                )
+            marks.add(ch.mark)
+            if not ch.p_empty:
+                off_p = len(ch.e_components) - len(ch.p_components)
+                if off_p > dim_p:
+                    raise ValidationError(
+                        f"chart {chart_name(registry, *key)!r} meets P with "
+                        f"{off_p} components not cutting P, more than dim_p {dim_p}"
+                    )
+                p_sets.add(ch.p_components)
+            if key in keys:
+                raise ValidationError(f"duplicate chart {chart_name(registry, *key)!r}")
+            keys.add(key)
+        if len(marks) != 1:
+            raise ValidationError("all charts must carry the same mark")
+        if len(p_sets) > 1:
+            raise ValidationError("charts meeting P must agree on the components cutting P")
         self.registry, self.dim_p, self.n_blowups = registry, dim_p, n_blowups
         self.mark = marks.pop()
+        self.step = ()
         self._p = next(iter(p_sets), frozenset())
         self._meeting = sum(not ch.p_empty for ch in charts)
         self._charts = charts
@@ -287,11 +329,11 @@ class Configuration:
         steps = []
         cfg = self
         while cfg._charts is None and cfg._index is None:
-            cfg, outcomes = cfg._grown
-            steps.append(outcomes)
+            cfg = cfg._grown
+            steps.append(cfg.step)
         charts = cfg._charts
         if charts is None:
-            charts = cfg._index.ordered(cfg._index.keys.values())
+            charts = cfg._index.ordered(cfg._index.charts.values())
         for outcomes in reversed(steps):
             first = {id(kids[0]): ch for ch, kids in outcomes}
             gone = {id(kid) for _, kids in outcomes for kid in kids}
@@ -315,15 +357,6 @@ class Configuration:
     def p_components(self) -> frozenset[int]:
         """The components cutting P in the charts meeting P."""
         return self._p if self._meeting else frozenset()
-
-    @property
-    def _keys(self) -> dict:
-        """Each chart under its (label, path) key."""
-        return dict(self._own_index().keys)
-
-    def chart(self, key) -> Chart:
-        """The chart keyed `key`, a (label, path) pair."""
-        return self._own_index().keys[key]
 
     def charts_containing(self, center) -> list[Chart]:
         """The charts in which every component of `center` is present, in
@@ -374,8 +407,9 @@ class Configuration:
 class _ChartIndex:
     """The charts and names of one configuration, indexed for blow-ups.
 
-    `ids` maps each registry name to its id, and `keys` each (label, path)
-    key to its chart.  The other maps go by `id(chart)`: `rank` is the
+    `ids` maps each registry name to its id.  The other maps go by
+    `id(chart)`, and each holds the charts it names, so no id is reused
+    while it is in the index: `charts` holds every chart; `rank` is the
     position of the root chart a chart descends from, so chart order is the
     order of (rank, path), since children replace their parent in
     centre-component order and their paths extend the parent's by (stage,
@@ -383,11 +417,11 @@ class _ChartIndex:
     `supporting` the charts with non-empty support.
     """
 
-    __slots__ = ("ids", "keys", "rank", "by_component", "supporting")
+    __slots__ = ("ids", "charts", "rank", "by_component", "supporting")
 
     def __init__(self, charts, registry) -> None:
         self.ids = {name: i for i, name in enumerate(registry)}
-        self.keys: dict = {}
+        self.charts: dict[int, Chart] = {}
         self.rank: dict[int, int] = {}
         self.by_component: dict[int, dict[int, Chart]] = {}
         self.supporting: dict[int, Chart] = {}
@@ -396,7 +430,7 @@ class _ChartIndex:
 
     def add(self, ch: Chart, rank: int) -> None:
         i = id(ch)
-        self.keys[(ch.label, ch.path)] = ch
+        self.charts[i] = ch
         self.rank[i] = rank
         for c in ch.e_components:
             self.by_component.setdefault(c, {})[i] = ch
@@ -406,7 +440,7 @@ class _ChartIndex:
     def remove(self, ch: Chart) -> int:
         """Drop `ch`; returns its rank."""
         i = id(ch)
-        del self.keys[(ch.label, ch.path)]
+        del self.charts[i]
         for c in ch.e_components:
             holders = self.by_component[c]
             del holders[i]
@@ -428,66 +462,25 @@ class _ChartIndex:
         return self.ordered(self.supporting.values())
 
 
-def _check_charts(
-    registry, charts, dim_p: int, marks: set, p_sets: set, taken=None, freed=()
-) -> None:
-    """The per-chart checks of a configuration of centre dimension `dim_p`,
-    for `charts` joining charts that carry the marks `marks`, cut P by
-    `p_sets` and are `taken`, a map from (label, path) key to chart, less
-    the charts whose ids are `freed`.
-
-    Each chart adds its mark and P-cutting set to the two sets; the checks
-    fail on an unregistered component, a chart meeting P with more than
-    `dim_p` components not cutting P (its distinguished point would be no
-    point of P), a key already taken, a second mark or a second P-cutting
-    set.
-    """
-    n = len(registry)
-    keys = set()
-    for ch in charts:
-        if ch.e_components and ch.e_components[-1] >= n:
-            raise ValidationError(f"chart {ch.label!r} references an unregistered component")
-        marks.add(ch.mark)
-        if not ch.p_empty:
-            off_p = len(ch.e_components) - len(ch.p_components)
-            if off_p > dim_p:
-                raise ValidationError(
-                    f"chart {chart_name(registry, ch.label, ch.path)!r} meets P with "
-                    f"{off_p} components not cutting P, more than dim_p {dim_p}"
-                )
-            p_sets.add(ch.p_components)
-        key = (ch.label, ch.path)
-        held = taken.get(key) if taken else None
-        if key in keys or (held is not None and id(held) not in freed):
-            raise ValidationError(f"duplicate chart {chart_name(registry, *key)!r}")
-        keys.add(key)
-    if len(marks) != 1:
-        raise ValidationError("all charts must carry the same mark")
-    if len(p_sets) > 1:
-        raise ValidationError("charts meeting P must agree on the components cutting P")
-
-
 def grow(cfg: Configuration, name: str, outcomes) -> Configuration:
     """`cfg` after one blow-up: the registry gains `name`, and each
     (chart, children) pair of `outcomes`, in chart order, puts its (one or
-    more) children in the chart's place.
+    more) children in the chart's place.  The result keeps `outcomes` as
+    its `step`.
 
-    Checks only what the blow-up adds, by the checks of a full
-    configuration: `name` must be new, and the children must agree with the
-    `dim_p`, mark, P-cutting set and keys of `cfg` (less the replaced
-    keys).  Charts carried over were checked when `cfg` was built.  The
-    chart index of `cfg`, name map included, moves to the result; nothing
-    else is copied but the registry.  A `cfg` without a chart tuple keeps a
+    Nothing is re-checked but that `name` is new.  The children of a
+    blow-up of `cfg` meet every rule of the constructor by construction:
+    their components are registered once `name` is, they swap one
+    component for another, keep the mark and drop out of P or keep its
+    P-cutting set, and their paths end at stage `cfg.n_blowups + 1`,
+    which no chart of `cfg` reaches, so their keys are new.  The chart
+    index of `cfg`, name map included, moves to the result; nothing else
+    is copied but the registry.  A `cfg` without a chart tuple keeps a
     link to the result to undo the blow-up from.
     """
     index = cfg._own_index()
     if name in index.ids:
         raise ValidationError("registry names must be unique")
-    registry = cfg.registry + (name,)
-    replaced = {id(ch) for ch, _ in outcomes}
-    added = [kid for _, kids in outcomes for kid in kids]
-    p_sets = {cfg._p} if cfg._meeting else set()
-    _check_charts(registry, added, cfg.dim_p, {cfg.mark}, p_sets, index.keys, replaced)
     index.ids[name] = len(cfg.registry)
     meeting = cfg._meeting
     for ch, kids in outcomes:
@@ -497,13 +490,13 @@ def grow(cfg: Configuration, name: str, outcomes) -> Configuration:
             index.add(kid, rank)
             meeting += not kid.p_empty
     new = object.__new__(Configuration)
-    new.registry, new.dim_p, new.mark = registry, cfg.dim_p, cfg.mark
-    new.n_blowups = cfg.n_blowups + 1
+    new.registry, new.dim_p, new.mark = cfg.registry + (name,), cfg.dim_p, cfg.mark
+    new.n_blowups, new.step = cfg.n_blowups + 1, outcomes
     new._p, new._meeting = cfg._p, meeting
     new._index, new._charts, new._grown = index, None, None
     cfg._index = None
     if cfg._charts is None:
-        cfg._grown = (new, outcomes)
+        cfg._grown = new
     return new
 
 

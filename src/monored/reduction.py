@@ -203,8 +203,6 @@ def reduce_maximal_order(
     lineages into new support-carrying charts that later passes pick up.
     """
     records: list[BlowUpRecord] = []
-    if not cfg.support_charts():
-        return cfg, records
     passes = 0
     while True:
         target = _lex_first_active(cfg)
@@ -250,7 +248,9 @@ class _StageTable:
         self.s = s
         self.floor = floor
         self.entries: dict[tuple[int, ...], list[int]] = {}
-        self.counted: dict = {}  # (label, path) key of a counted chart -> its subsets
+        # id of a counted chart -> (that chart, its subsets); holding the
+        # chart keeps its id from being reused while it is counted
+        self.counted: dict[int, tuple[Chart, list]] = {}
         self.count(charts)
 
     def count(self, charts) -> None:
@@ -278,20 +278,18 @@ class _StageTable:
                 else:
                     entry[1] += 1
                 subsets.append(subset)
-            self.counted[(ch.label, ch.path)] = subsets
+            self.counted[id(ch)] = (ch, subsets)
 
-    def update(self, cfg: Configuration, rec: BlowUpRecord) -> None:
+    def update(self, cfg: Configuration) -> None:
+        """Follow the blow-up that made `cfg`, read from its `step`."""
         added = []
-        for (label, path), children in rec.outcomes:
-            for subset in self.counted.pop((label, path), ()):
+        for ch, kids in cfg.step:
+            for subset in self.counted.pop(id(ch), (ch, ()))[1]:
                 entry = self.entries[subset]
                 entry[1] -= 1
                 if not entry[1]:
                     del self.entries[subset]
-            for child in children:
-                kid = cfg.chart((label, child))
-                if cfg.carries_support(kid):
-                    added.append(kid)
+            added.extend(kid for kid in kids if cfg.carries_support(kid))
         self.count(added)
 
     def best(self, mark: int):
@@ -329,7 +327,7 @@ def reduce_monomial(
         table = _StageTable(s, 0 if s == 1 else m, cfg.support_charts())
         while (subset := table.best(m)) is not None:
             cfg = _apply(cfg, cfg.p_components | set(subset), records, on_step)
-            table.update(cfg, records[-1])
+            table.update(cfg)
     if cfg.support_charts():
         raise InternalLogicError("monomial stage terminated with support left")
     return cfg, records

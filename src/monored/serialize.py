@@ -252,33 +252,32 @@ class StepRenderer:
 
     Called as `on_step(grown, record)` after each blow-up, in order: it
     appends the step's record object (centre, exceptional name, and each
-    replaced chart with its children) to `objs`.  It keeps the name and
-    display map of every live chart a step added, and makes a child's from
-    its parent's; a chart it never saw added (a root chart, or a chart of
-    a grown input) starts from its full name and the identity map.
+    replaced chart with its children, read from `grown.step`) to `objs`.
+    It keeps the name and display map of every live chart a step added,
+    under the chart's id and with the chart, and makes a child's from its
+    parent's; a chart it never saw added (a root chart, or a chart of a
+    grown input) starts from its full name and the identity map.
     """
 
     def __init__(self) -> None:
         self.objs: list[dict] = []
-        self._charts: dict[tuple, tuple[str, dict[int, int]]] = {}
+        self._charts: dict[int, tuple[Chart, str, dict[int, int]]] = {}
 
     def __call__(self, grown: Configuration, rec) -> None:
         registry = grown.registry
         live = self._charts
         outcomes = []
-        for key, children in rec.outcomes:
-            label, path = key
-            entry = live.pop(key, None)
-            name, display = entry or (chart_name(registry, label, path), {})
+        for parent, children in grown.step:
+            _, name, display = live.pop(id(parent), None) or (
+                parent, chart_name(registry, parent.label, parent.path), {}
+            )
             kids = []
-            for child_path in children:
-                k = child_path[-1][1]
-                child_key = (label, child_path)
-                child = grown.chart(child_key)
+            for child in children:
+                k = child.path[-1][1]
                 child_name = name + "/" + registry[k]
                 child_display = dict(display)
                 _display_step(child_display, k, rec.exceptional)
-                live[child_key] = (child_name, child_display)
+                live[id(child)] = (child, child_name, child_display)
                 kids.append(
                     {
                         "chart": child_name,

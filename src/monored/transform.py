@@ -124,7 +124,8 @@ def blow_up_global(cfg: Configuration, center) -> tuple[Configuration, BlowUpRec
     Appends one exceptional component to the registry, replaces every chart
     containing the centre by its children (in centre-component order), and
     keeps every other chart as it is.  Only the charts containing the
-    centre are visited.
+    centre are visited.  The grown configuration's `step` pairs each
+    replaced chart with its children; the record names them by path.
     """
     center = frozenset(center)
     if not is_permissible(cfg, center):

@@ -146,6 +146,17 @@ def config_support_set(cfg: Configuration):
     return out
 
 
+def index_answers(cfg: Configuration) -> tuple:
+    """What a configuration's chart index answers: its support-carrying
+    charts and, for each registered component, the charts containing it.
+    Asking for these does not make a configuration holding only an index
+    build its chart tuple."""
+    return (
+        cfg.support_charts(),
+        [cfg.charts_containing({c}) for c in range(len(cfg.registry))],
+    )
+
+
 def permissible_centers(cfg: Configuration):
     seen = set()
     out = []

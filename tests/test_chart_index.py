@@ -19,6 +19,7 @@ from conftest import (
     chart,
     config,
     golden_config,
+    index_answers,
     mono,
     permissible_centers,
     random_config,
@@ -76,8 +77,8 @@ class TestCountedStageTable:
         steps = []
         update = reduction._StageTable.update
 
-        def checked(table, cfg, rec):
-            update(table, cfg, rec)
+        def checked(table, cfg):
+            update(table, cfg)
             assert table.entries == brute_table(cfg, table.s, table.floor)
             rebuilt = reduction._StageTable(table.s, table.floor, cfg.support_charts())
             assert table.counted == rebuilt.counted
@@ -130,7 +131,7 @@ def test_children_take_their_parents_place():
 
 def answers(cfg: Configuration, centres) -> tuple:
     return (
-        cfg._keys,
+        index_answers(cfg),
         {name: cfg.component_id(name) for name in cfg.registry},
         [is_permissible(cfg, c) for c in centres],
     )
@@ -139,7 +140,7 @@ def answers(cfg: Configuration, centres) -> tuple:
 def assert_fully_validated(cfg: Configuration) -> None:
     full = Configuration(cfg.registry, cfg.charts, cfg.dim_p, cfg.n_blowups)
     assert full == cfg
-    assert full._keys == cfg._keys
+    assert index_answers(full) == index_answers(cfg)
 
 
 class TestBranchingGrowth:

@@ -12,7 +12,6 @@ from monored.core import (
     Stratum,
     UNIT,
     chart_support,
-    grow,
     is_permissible,
     max_order,
     order_at,
@@ -24,6 +23,7 @@ from monored.errors import (
     MarkOverflowError,
     ValidationError,
 )
+from monored.transform import blow_up_chart, blow_up_global
 
 from conftest import (
     U,
@@ -126,12 +126,33 @@ class TestDimPCoversTheComponentsOffP:
         assert max_order(cfg) == 0
         assert support(cfg) == []
 
-    def test_blow_up_children_are_checked(self):
-        cfg = golden_config()
-        (ch,) = cfg.charts
+    def test_chart_below_the_root_is_named(self):
+        (ch,) = golden_config().charts
         kid = replace(ch, e_components=(X, Y, U, V, 4), path=((1, X),))
         with pytest.raises(ValidationError, match="'U/x' meets P with 5 components"):
-            grow(cfg, "w", [(ch, [kid])])
+            Configuration(("x", "y", "u", "v", "w"), (kid,), 4, 1)
+
+
+class TestBlowUpCount:
+    """`n_blowups` is a non-negative int, and no chart's path ends past it:
+    the next blow-up's stage, `n_blowups + 1`, then makes new keys."""
+
+    @pytest.mark.parametrize("n_blowups", [-1, 1.5, True])
+    def test_not_a_count(self, n_blowups):
+        with pytest.raises(ValidationError, match="^n_blowups must be a non-negative integer$"):
+            Configuration(("x", "y"), (chart(2, [mono({0: 1})], 1),), 2, n_blowups)
+
+    def test_last_path_stage_past_the_count(self):
+        ch = replace(chart(3, [mono({0: 1})], 1, e=(0, 2)), path=((1, 1), (3, 2)))
+        with pytest.raises(ValidationError, match="^chart 'U/y/z' has path stage 3, past n_blowups 2$"):
+            Configuration(("x", "y", "z"), (ch,), 2, 2)
+        assert Configuration(("x", "y", "z"), (ch,), 2, 3).n_blowups == 3
+
+    def test_built_configuration_has_no_step(self):
+        cfg = golden_config()
+        assert cfg.step == ()
+        grown, _ = blow_up_global(cfg, {X, Y, U, V})
+        assert grown.step == [(cfg.charts[0], blow_up_chart(cfg.charts[0], {X, Y, U, V}, 4, 1))]
 
 
 class TestOrderAt:

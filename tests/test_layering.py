@@ -5,7 +5,8 @@ modules.
 `transform`, `reduction` and the rest import `core`; an import the other
 way, even one deferred into a function body, would make a cycle.  The
 engine computes and leaves reading, writing and digesting to `serialize`
-and `cli`, which import it.
+and `cli`, which import it.  Outside `core` no module reads another
+object's private attributes, so the storage of charts has one home.
 """
 
 from __future__ import annotations
@@ -67,3 +68,32 @@ def test_deferred_imports_are_seen():
 def test_engine_imports_neither_serialize_nor_cli(module):
     tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
     assert not monored_imports(tree) & {"monored.serialize", "monored.cli"}
+
+
+def foreign_private_reads(tree: ast.AST) -> list[tuple[int, str]]:
+    """(line, attribute) of each `_`-prefixed attribute a module reads
+    from anything but `self` or a class it defines itself."""
+    own = {"self"} | {n.name for n in ast.walk(tree) if isinstance(n, ast.ClassDef)}
+    return [
+        (node.lineno, node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr.startswith("_")
+        and not (isinstance(node.value, ast.Name) and node.value.id in own)
+    ]
+
+
+def test_foreign_private_reads_are_seen():
+    tree = ast.parse(
+        "class A:\n    def f(self, cfg):\n"
+        "        return self._x, A._y, cfg._index, cfg.step[0]._p, B._z\n"
+    )
+    assert foreign_private_reads(tree) == [(3, "_index"), (3, "_p"), (3, "_z")]
+
+
+@pytest.mark.parametrize(
+    "module", sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "core")
+)
+def test_private_attributes_stay_home(module):
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    assert foreign_private_reads(tree) == []

@@ -4,7 +4,8 @@ The trace writer keeps each live chart's name and display map and derives
 a child's from its parent's in one step.  Every child a record lists and
 every final chart must render as `conftest.chain_render_ideal`, which walks
 the chart's defining chain from scratch, renders it, and every name must be
-`core.chart_name` of the chart's path.
+`core.chart_name` of the chart's path.  Each child is taken from the grown
+configuration's `step`, which must name the charts its record names.
 """
 
 from __future__ import annotations
@@ -29,11 +30,15 @@ def check_against_chain_walk(initial, records, final) -> None:
     for rec, rec_obj in zip(records, doc["records"], strict=True):
         cfg, _ = blow_up_global(cfg, rec.center)
         exc_stage[rec.exceptional] = rec.stage
-        for ((label, path), children), outcome in zip(rec.outcomes, rec_obj["outcomes"], strict=True):
-            assert outcome["chart"] == chart_name(cfg.registry, label, path)
-            for child_path, child_obj in zip(children, outcome["children"], strict=True):
-                child = cfg.chart((label, child_path))
-                assert child_obj["chart"] == chart_name(cfg.registry, label, child_path)
+        # the grown configuration's step and the record name the same charts
+        assert (
+            tuple(((p.label, p.path), tuple(k.path for k in kids)) for p, kids in cfg.step)
+            == rec.outcomes
+        )
+        for (parent, children), outcome in zip(cfg.step, rec_obj["outcomes"], strict=True):
+            assert outcome["chart"] == chart_name(cfg.registry, parent.label, parent.path)
+            for child, child_obj in zip(children, outcome["children"], strict=True):
+                assert child_obj["chart"] == chart_name(cfg.registry, child.label, child.path)
                 assert child_obj["rendered"] == chain_render_ideal(cfg.registry, child, exc_stage)
     final_obj = final_state_obj(final, records)
     assert doc["final"] == final_obj

@@ -177,7 +177,7 @@ class TestTraceReplay:
         # configuration, which the public final_state_obj still accepts
         ch = replace(chart(2, [mono({0: 1, 1: 2})], 1), path=((1, 0),))
         record = BlowUpRecord(1, frozenset({0}), 0, ())
-        obj = final_state_obj(config(("x", "y"), [ch], 2), [record])
+        obj = final_state_obj(Configuration(("x", "y"), (ch,), 2, 1), [record])
         assert obj["charts"][0]["rendered"] == "x\u0304y\u0304\u00b2"  # x̄ȳ²
 
 

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -23,6 +24,7 @@ from conftest import (
     chart,
     config,
     golden_config,
+    index_answers,
     mono,
     permissible_centers,
     random_config,
@@ -169,8 +171,9 @@ class TestBlowUpGlobal:
 
 
 class TestGrowthValidation:
-    """A blow-up checks only the charts it adds; the result must be the
-    configuration that full validation builds from the same parts."""
+    """A blow-up checks none of the charts it adds, which meet every rule
+    by construction; the result must be the configuration that full
+    validation builds from the same parts."""
 
     def test_grown_equals_fully_validated(self, monkeypatch):
         grown = []
@@ -179,7 +182,7 @@ class TestGrowthValidation:
             new, rec = blow_up_global(cfg, center)
             full = Configuration(new.registry, new.charts, new.dim_p, new.n_blowups)
             assert full == new
-            assert full._keys == new._keys
+            assert index_answers(full) == index_answers(new)
             grown.append(new)
             return new, rec
 
@@ -189,21 +192,27 @@ class TestGrowthValidation:
             reduction.reduce(random_config(rng))
         assert len(grown) > 20
 
-    def test_duplicate_key_rejected_as_in_full_validation(self):
-        parent = config(
-            ("x", "y"),
-            [
-                chart(2, [mono({X: 2, Y: 2})], 2),
-                Chart("U", (Y,), frozenset(), frozenset(), MarkedIdeal.of([mono({Y: 1})], 2), path=((1, X),)),
-            ],
-            2,
+    def test_key_a_blow_up_would_make_is_rejected(self):
+        """A chart `U/x` of stage 1 before any blow-up holds the key the
+        first blow-up of `U` gives its x-child, so the input is refused;
+        at one blow-up the next children end at stage 2, past every key."""
+        root = chart(2, [mono({X: 2, Y: 2})], 2)
+        later = Chart(
+            "U", (Y,), frozenset(), frozenset(), MarkedIdeal.of([mono({Y: 1})], 2), path=((1, X),)
+        )
+        with pytest.raises(ValidationError, match=r"^chart 'U/x' has path stage 1, past n_blowups 0$"):
+            config(("x", "y"), [root, later], 2)
+        cfg = Configuration(("x", "y"), (root, later), 2, 1)
+        grown, rec = blow_up_global(cfg, {X, Y})
+        assert [paths for _, paths in rec.outcomes] == [(((2, X),), ((2, Y),))]
+        assert grown == Configuration(grown.registry, grown.charts, 2, 2)
+
+    def test_duplicate_key_rejected(self):
+        kid = Chart(
+            "U", (Y,), frozenset(), frozenset(), MarkedIdeal.of([mono({Y: 1})], 2), path=((1, X),)
         )
         with pytest.raises(ValidationError, match=r"^duplicate chart 'U/x'$"):
-            blow_up_global(parent, {X, Y})
-        # the same charts, fully validated
-        kids = blow_up_chart(parent.charts[0], {X, Y}, 2, 1)
-        with pytest.raises(ValidationError, match=r"^duplicate chart 'U/x'$"):
-            Configuration(("x", "y", "exc1"), (*kids, parent.charts[1]), 2, 1)
+            Configuration(("x", "y"), (kid, replace(kid)), 2, 1)
 
     def test_registered_name_rejected(self):
         cfg = golden_config()
