@@ -16,11 +16,12 @@ integers) components not cutting P; configurations reject any other chart.
 Within a chart every stratum is non-empty, and the full stratum, the
 chart's distinguished point, is its largest point of P.
 
-A configuration validates its charts once, when it is built.  A blow-up
-(`grow`) adds only children that meet every rule by construction: their
-paths end at a stage no chart reached before, so their keys are new.  The
-grown configuration carries that blow-up's (chart, children) pairs as its
-`step`, so whoever follows a run finds each child by identity.
+A configuration validates its charts once, when it is built; a chart
+checks nothing itself.  A blow-up (`grow`) adds only children that meet
+every rule by construction, and checks none: their paths end at a stage no
+chart reached before, so their keys are new.  The grown configuration
+carries that blow-up's (chart, children) pairs as its `step`, so whoever
+follows a run finds each child by identity.
 """
 
 from __future__ import annotations
@@ -36,6 +37,11 @@ from .errors import (
 )
 
 MAX_MARK = 2**63 - 1
+
+
+def is_int(value) -> bool:
+    """Whether `value` is an int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -153,7 +159,7 @@ class MarkedIdeal:
         object.__setattr__(self, "generators", minimalize(self.generators))
         if not self.generators:
             raise ValidationError("a marked ideal needs at least one generator")
-        if self.mark < 1:
+        if not is_int(self.mark) or self.mark < 1:
             raise ValidationError("the mark must be a positive integer")
         if self.mark > MAX_MARK:
             raise MarkOverflowError(f"mark {self.mark} exceeds the 64-bit checked range")
@@ -182,9 +188,9 @@ class Chart:
     no strata of P but still transform under later global centres.
     `pullback_excess` is the monomial multiplier turning the chart's
     (birational-transform) generators into literal pullback generators.
-    A chart keeps nothing derived from its fields: whether it carries
-    support is recorded once, by the chart index of the configuration
-    holding it.
+    A chart is a plain record: it checks nothing (the configuration holding
+    it does) and keeps nothing derived from its fields: whether it carries
+    support is recorded once, by the chart index of that configuration.
     """
 
     label: str
@@ -195,23 +201,6 @@ class Chart:
     path: tuple[tuple[int, int], ...] = ()
     p_empty: bool = False
     pullback_excess: Monomial = UNIT
-
-    def __post_init__(self) -> None:
-        if list(self.e_components) != sorted(set(self.e_components)):
-            raise ValidationError(f"chart {self.label!r}: components must be strictly increasing")
-        present = set(self.e_components)
-        if not self.p_components <= present:
-            raise ValidationError(f"chart {self.label!r}: p_components not present in the chart")
-        for g in self.ideal.generators:
-            comps = g.components
-            if not comps <= present:
-                raise ValidationError(f"chart {self.label!r}: generator uses absent components")
-            if comps & self.p_components:
-                raise ValidationError(
-                    f"chart {self.label!r}: generator uses a component cutting P"
-                )
-        if not self.pullback_excess.components <= present:
-            raise ValidationError(f"chart {self.label!r}: pullback excess uses absent components")
 
     @property
     def mark(self) -> int:
@@ -241,9 +230,11 @@ class Configuration:
     children) pairs of the blow-up that made this configuration (`grow`),
     in chart order, and is `()` for a configuration built here.
 
-    The constructor checks every chart: registered components, at most
-    `dim_p` components off P in a chart meeting P, one mark, one P-cutting
-    set, and a unique (label, path) key.
+    The constructor is the one place that checks chart rules: strictly
+    increasing, registered components holding the P-cutting set, the
+    generators and pullback excess, no generator on a P-cutting component,
+    at most `dim_p` components off P in a chart meeting P, no path past
+    `n_blowups`, one mark, one P-cutting set, and unique (label, path) keys.
 
     The charts are held as a tuple (`charts`), in a `_ChartIndex`, or both;
     the index also maps each registry name to its id.  A blow-up (`grow`)
@@ -270,9 +261,9 @@ class Configuration:
 
     def __init__(self, registry, charts, dim_p: int, n_blowups: int = 0) -> None:
         registry, charts = tuple(registry), tuple(charts)
-        if dim_p < 0:
-            raise ValidationError("dim_p must be non-negative")
-        if not isinstance(n_blowups, int) or isinstance(n_blowups, bool) or n_blowups < 0:
+        if not is_int(dim_p) or dim_p < 0:
+            raise ValidationError("dim_p must be a non-negative integer")
+        if not is_int(n_blowups) or n_blowups < 0:
             raise ValidationError("n_blowups must be a non-negative integer")
         if len(set(registry)) != len(registry):
             raise ValidationError("registry names must be unique")
@@ -282,9 +273,23 @@ class Configuration:
         p_sets: set = set()
         keys: set = set()
         for ch in charts:
-            if ch.e_components and ch.e_components[-1] >= len(registry):
-                raise ValidationError(f"chart {ch.label!r} references an unregistered component")
+            comps = ch.e_components
             key = (ch.label, ch.path)
+            if list(comps) != sorted(set(comps)):
+                raise ValidationError(f"chart {ch.label!r}: components must be strictly increasing")
+            if comps and comps[-1] >= len(registry):
+                raise ValidationError(f"chart {ch.label!r} references an unregistered component")
+            present = set(comps)
+            if not ch.p_components <= present:
+                raise ValidationError(f"chart {ch.label!r}: p_components not present in the chart")
+            for g in ch.ideal.generators:
+                used = g.components
+                if not used <= present:
+                    raise ValidationError(f"chart {ch.label!r}: generator uses absent components")
+                if used & ch.p_components:
+                    raise ValidationError(f"chart {ch.label!r}: generator uses a component cutting P")
+            if not ch.pullback_excess.components <= present:
+                raise ValidationError(f"chart {ch.label!r}: pullback excess uses absent components")
             if ch.path and ch.path[-1][0] > n_blowups:
                 raise ValidationError(
                     f"chart {chart_name(registry, *key)!r} has path stage "

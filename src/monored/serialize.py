@@ -24,8 +24,8 @@ computed in one step from the parent's: the defining component k leaves the
 map and the new exceptional component maps to what k showed as.  The
 renderer keeps each live chart's name and map, so rendering a child costs
 its own ideal, not its depth; `final_state_obj` folds the same step along
-each final chart's path.  A stage no record covers (a chart of a grown
-input) contributes nothing.
+each final chart's path.  A stage no record covers (in a library run from
+a grown start; traces start from inputs) contributes nothing.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from __future__ import annotations
 import hashlib
 import json
 
-from .core import Chart, Configuration, MarkedIdeal, Monomial, chart_name, max_order
+from .core import Chart, Configuration, MarkedIdeal, Monomial, chart_name, is_int, max_order
 from .errors import ValidationError
 from .transform import blow_up_global
 
@@ -63,12 +63,10 @@ def _expect(cond: bool, where: str, message: str) -> None:
         raise ValidationError(f"{where}: {message}")
 
 
-def _is_int(value) -> bool:
-    # JSON true/false load as bool, a subclass of int
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def load_config(obj) -> Configuration:
+    """The configuration a JSON document describes.  This checks only what
+    no constructor can: the document's shape, that names resolve, `n_vars`
+    and integer exponents; the constructors check every other rule."""
     _expect(isinstance(obj, dict), "$", "configuration must be an object")
     components = obj.get("components")
     _expect(
@@ -79,25 +77,15 @@ def load_config(obj) -> Configuration:
         "components",
         "names must be non-empty strings",
     )
-    _expect(len(set(components)) == len(components), "components", "names must be unique")
     ids = {name: i for i, name in enumerate(components)}
-
-    dim_p = obj.get("dim_p")
-    _expect(_is_int(dim_p) and dim_p >= 0, "dim_p", "non-negative integer required")
-    mark = obj.get("mark")
-    _expect(_is_int(mark) and mark >= 1, "mark", "positive integer required")
-
     raw_charts = obj.get("charts")
-    _expect(isinstance(raw_charts, list) and raw_charts, "charts", "non-empty chart list required")
+    _expect(isinstance(raw_charts, list), "charts", "chart list required")
     charts = []
-    seen_names = set()
     for i, raw in enumerate(raw_charts):
         where = f"charts[{i}]"
         _expect(isinstance(raw, dict), where, "chart must be an object")
         name = raw.get("name")
         _expect(isinstance(name, str) and name, f"{where}.name", "non-empty string required")
-        _expect(name not in seen_names, f"{where}.name", f"duplicate chart name {name!r}")
-        seen_names.add(name)
 
         def resolve(names, field):
             out = []
@@ -133,21 +121,19 @@ def load_config(obj) -> Configuration:
             exps = {}
             for n, e in graw.items():
                 _expect(n in ids, gwhere, f"unknown component {n!r}")
-                _expect(_is_int(e) and e >= 0, gwhere, f"bad exponent for {n!r}")
+                _expect(is_int(e) and e >= 0, gwhere, f"bad exponent for {n!r}")
                 exps[ids[n]] = e
             gens.append(Monomial.of(exps))
-        try:
-            chart = Chart(
+        charts.append(
+            Chart(
                 label=name,
                 e_components=tuple(sorted(set(e_comps))),
                 n_vars=frozenset(n_vars),
                 p_components=frozenset(p_comps),
-                ideal=MarkedIdeal.of(gens, mark),
+                ideal=MarkedIdeal.of(gens, obj.get("mark")),
             )
-        except ValidationError as exc:
-            raise ValidationError(f"{where}: {exc}") from None
-        charts.append(chart)
-    return Configuration(tuple(components), tuple(charts), dim_p)
+        )
+    return Configuration(tuple(components), tuple(charts), obj.get("dim_p"))
 
 
 def read_json_file(path: str):
@@ -176,7 +162,15 @@ def _chart_fields(registry, chart: Chart) -> dict:
 
 
 def config_to_obj(cfg: Configuration) -> dict:
-    """Input-schema view of a configuration (root charts only)."""
+    """Input-schema view of a configuration `load_config` can have made:
+    root charts only, before any blow-up.  Others are refused, so no trace
+    holds an input `load_config` rejects, or two charts under one name."""
+    for ch in cfg.charts:
+        if ch.path:
+            name = chart_name(cfg.registry, ch.label, ch.path)
+            raise ValidationError(f"chart {name!r} is not a root chart: not an input")
+    if cfg.n_blowups:
+        raise ValidationError(f"configuration after {cfg.n_blowups} blow-ups: not an input")
     return {
         "components": list(cfg.registry),
         "dim_p": cfg.dim_p,
@@ -255,8 +249,8 @@ class StepRenderer:
     replaced chart with its children, read from `grown.step`) to `objs`.
     It keeps the name and display map of every live chart a step added,
     under the chart's id and with the chart, and makes a child's from its
-    parent's; a chart it never saw added (a root chart, or a chart of a
-    grown input) starts from its full name and the identity map.
+    parent's; a chart it never saw added (a root chart, or one of a grown
+    start in a library run) starts from its full name and the identity map.
     """
 
     def __init__(self) -> None:

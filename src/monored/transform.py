@@ -52,8 +52,6 @@ def substitute(g: Monomial, center, chart_var: int, exceptional: int, shift: int
     multiplier, 0 for the literal pullback.  Everything else is untouched.
     """
     e = g.degree(center) + shift
-    if e < 0:
-        raise ValidationError(f"exponent {e} for component {exceptional} is negative")
     exps = [(c, x) for c, x in g.exps if c != chart_var and c != exceptional]
     if e:
         bisect.insort(exps, (exceptional, e))

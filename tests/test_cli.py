@@ -154,6 +154,28 @@ class TestValidation:
         assert err.startswith("validation error: ")
         assert field in err
 
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            (
+                {"charts": [dict(GOLDEN["charts"][0], p_components=["u"])]},
+                "chart 'U': generator uses a component cutting P",
+            ),
+            (
+                {"charts": [dict(GOLDEN["charts"][0], e_components=["x", "y", "v"], p_components=["u"])]},
+                "chart 'U': p_components not present in the chart",
+            ),
+            ({"charts": [GOLDEN["charts"][0]] * 2}, "duplicate chart 'U'"),
+            ({"components": ["x", "y", "u", "v", "x"]}, "registry names must be unique"),
+        ],
+        ids=["generator-cuts-p", "p-outside-e", "duplicate-chart", "duplicate-component"],
+    )
+    def test_rule_left_to_the_constructors(self, tmp_path, capsys, changes, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(dict(GOLDEN, **changes)))
+        assert main(["order", str(path)]) == 1
+        assert capsys.readouterr().err == f"validation error: {message}\n"
+
     def test_missing_file(self, capsys):
         assert main(["order", "/nonexistent.json"]) == 1
 

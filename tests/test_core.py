@@ -79,6 +79,11 @@ class TestMarkedIdeal:
         with pytest.raises(MarkOverflowError):
             MarkedIdeal.of([mono({0: 1})], 2**63)
 
+    @pytest.mark.parametrize("mark", [True, 2.0, "2"])
+    def test_mark_not_an_integer(self, mark):
+        with pytest.raises(ValidationError, match="^the mark must be a positive integer$"):
+            MarkedIdeal.of([mono({0: 1})], mark)
+
     def test_no_generator_divides_another(self):
         rng = random.Random(7)
         for _ in range(50):
@@ -91,13 +96,48 @@ class TestMarkedIdeal:
 
 
 class TestChartValidation:
+    """A chart checks nothing itself; the configuration holding it checks
+    every chart rule."""
+
+    def test_chart_checks_nothing(self):
+        Chart("U", (1, 0), frozenset(), frozenset({2}), MarkedIdeal.of([mono({2: 1})], 1))
+
+    @pytest.mark.parametrize("comps", [(1, 0), (0, 0, 1)], ids=["unsorted", "repeated"])
+    def test_components_strictly_increasing(self, comps):
+        ch = replace(chart(2, [mono({0: 1})], 1), e_components=comps)
+        with pytest.raises(ValidationError, match="^chart 'U': components must be strictly increasing$"):
+            Configuration(("x", "y"), (ch,), 2)
+
     def test_p_must_be_present(self):
-        with pytest.raises(ValidationError):
-            Chart("U", (0,), frozenset(), frozenset({1}), MarkedIdeal.of([mono({0: 1})], 1))
+        ch = chart(2, [mono({0: 1})], 1, p=(1,), e=(0,))
+        with pytest.raises(ValidationError, match="^chart 'U': p_components not present in the chart$"):
+            Configuration(("x", "y"), (ch,), 1)
+
+    def test_generators_use_present_components(self):
+        ch = chart(2, [mono({0: 1, 1: 1})], 1, e=(0,))
+        with pytest.raises(ValidationError, match="^chart 'U': generator uses absent components$"):
+            Configuration(("x", "y"), (ch,), 1)
 
     def test_generators_avoid_p(self):
-        with pytest.raises(ValidationError):
-            Chart("U", (0, 1), frozenset(), frozenset({0}), MarkedIdeal.of([mono({0: 1})], 1))
+        ch = chart(2, [mono({0: 1})], 1, p=(0,))
+        with pytest.raises(ValidationError, match="^chart 'U': generator uses a component cutting P$"):
+            Configuration(("x", "y"), (ch,), 2)
+
+    def test_pullback_excess_on_present_components(self):
+        ch = replace(chart(2, [mono({0: 1})], 1, e=(0,)), pullback_excess=mono({1: 2}))
+        with pytest.raises(ValidationError, match="^chart 'U': pullback excess uses absent components$"):
+            Configuration(("x", "y"), (ch,), 1)
+
+    def test_rules_hold_for_every_chart(self):
+        good = chart(2, [mono({0: 1})], 1, label="A")
+        bad = chart(2, [mono({0: 1})], 1, p=(0,), label="B")
+        with pytest.raises(ValidationError, match="^chart 'B': generator uses a component cutting P$"):
+            Configuration(("x", "y"), (good, bad), 2)
+
+    @pytest.mark.parametrize("dim_p", [2.5, True, "2", -1, None])
+    def test_dim_p_not_a_count(self, dim_p):
+        with pytest.raises(ValidationError, match="^dim_p must be a non-negative integer$"):
+            Configuration(("x", "y"), (chart(2, [mono({0: 3, 1: 1})], 2),), dim_p)
 
     def test_unregistered_component(self):
         ch = chart(2, [mono({1: 1})], 1)

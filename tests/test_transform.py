@@ -30,6 +30,7 @@ from conftest import (
     random_config,
     random_maximal_order_config,
 )
+from test_digests import RUNS
 
 K = frozenset({X, Y, U, V})
 EXC = 4
@@ -219,6 +220,16 @@ class TestGrowthValidation:
         kids = blow_up_chart(cfg.charts[0], K, EXC, 1)
         with pytest.raises(ValidationError, match="registry names must be unique"):
             grow(cfg, "x", [(cfg.charts[0], kids)])
+
+
+@pytest.mark.parametrize("name", list(RUNS))
+def test_final_configuration_passes_full_validation(name):
+    """The charts a run grows unchecked, through the deep principalize and
+    weak-resolve paths too, are those the constructor accepts."""
+    _, _, final = RUNS[name]()
+    full = Configuration(final.registry, final.charts, final.dim_p, final.n_blowups)
+    assert full == final
+    assert index_answers(full) == index_answers(final)
 
 
 class TestSumsCommuteWithTransforms:
