@@ -21,13 +21,17 @@ checks nothing itself.  A blow-up (`grow`) adds only children that meet
 every rule by construction, and checks none: their paths end at a stage no
 chart reached before, so their keys are new.  The grown configuration
 carries that blow-up's (chart, children) pairs as its `step`, so whoever
-follows a run finds each child by identity.
+follows a run finds each child by identity.  Monomials too are checked where
+they enter, not where the engine derives them, and a lineage of
+configurations shares one append-only list of names (`Registry`).
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 from .errors import (
@@ -46,7 +50,11 @@ def is_int(value) -> bool:
 
 @dataclass(frozen=True)
 class Monomial:
-    """Finite map component id -> positive exponent; the empty map is 1."""
+    """Finite map component id -> positive exponent; the empty map is 1.
+
+    The constructor and `of` check their input; the monomials derived from
+    checked ones (`power`, `drop`, `restrict`, `exchanged`) skip the check.
+    """
 
     exps: tuple[tuple[int, int], ...] = ()
 
@@ -83,6 +91,9 @@ class Monomial:
         """Total degree, or degree over the given component set."""
         if comps is None:
             return sum([e for _, e in self.exps])
+        if len(comps) == 1:
+            (comp,) = comps
+            return self.exponent(comp)
         return sum([e for c, e in self.exps if c in comps])
 
     @property
@@ -104,7 +115,7 @@ class Monomial:
     def power(self, k: int) -> "Monomial":
         if k < 0:
             raise ValidationError("negative power")
-        return Monomial(tuple((c, e * k) for c, e in self.exps)) if k else UNIT
+        return _derived(tuple([(c, e * k) for c, e in self.exps])) if k else UNIT
 
     def divides(self, other: "Monomial") -> bool:
         return all(other.exponent(c) >= e for c, e in self.exps)
@@ -119,11 +130,23 @@ class Monomial:
 
     def drop(self, comps) -> "Monomial":
         """Remove the listed components (set them to exponent 0)."""
-        return Monomial(tuple((c, e) for c, e in self.exps if c not in comps))
+        return _derived(tuple([x for x in self.exps if x[0] not in comps]))
 
     def restrict(self, comps) -> "Monomial":
         """Keep only the listed components."""
-        return Monomial(tuple((c, e) for c, e in self.exps if c in comps))
+        return _derived(tuple([x for x in self.exps if x[0] in comps]))
+
+    def exchanged(self, k: int, exceptional: int, e: int) -> "Monomial":
+        """The substitution rule x_k = E, x_c = x_c' E (c in the centre) in
+        the child chart of k: k drops out, and E gets exponent `e`, the
+        centre degree minus the mark for the birational transform, plus it
+        for the pullback multiplier, or as is for the literal pullback."""
+        if e < 0:
+            raise ValidationError("stored exponents must be positive")
+        exps = [x for x in self.exps if x[0] != k and x[0] != exceptional]
+        if e:
+            bisect.insort(exps, (exceptional, e))
+        return _derived(tuple(exps))
 
     def sort_key(self):
         return (self.degree(), self.exps)
@@ -135,6 +158,13 @@ class Monomial:
 
 
 UNIT = Monomial()
+
+
+def _derived(exps) -> Monomial:
+    """The monomial of exponents known sorted and positive, unchecked."""
+    m = object.__new__(Monomial)
+    object.__setattr__(m, "exps", exps)
+    return m
 
 
 def minimalize(gens) -> tuple[Monomial, ...]:
@@ -156,7 +186,9 @@ class MarkedIdeal:
     mark: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "generators", minimalize(self.generators))
+        gens = tuple(self.generators)
+        # one generator is minimal already
+        object.__setattr__(self, "generators", gens if len(gens) == 1 else minimalize(gens))
         if not self.generators:
             raise ValidationError("a marked ideal needs at least one generator")
         if not is_int(self.mark) or self.mark < 1:
@@ -207,6 +239,47 @@ class Chart:
         return self.ideal.mark
 
 
+class Registry(Sequence):
+    """A configuration's component names in id order: the first `len(self)`
+    of an append-only list its lineage shares (see `grow`).  It equals, and
+    hashes as, the tuple of its names."""
+
+    __slots__ = ("_names", "_n")
+
+    def __init__(self, names: list, n: int) -> None:
+        self._names, self._n = names, n
+
+    def extended(self, name: str) -> "Registry":
+        """This registry with `name` appended: to the shared list when this
+        registry reads all of it, else to a copy of its own names."""
+        names = self._names if len(self._names) == self._n else self._names[: self._n]
+        names.append(name)
+        return Registry(names, self._n + 1)
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self)[i]
+        return self._names[range(self._n)[i]]
+
+    def __iter__(self):
+        return itertools.islice(self._names, self._n)
+
+    def __eq__(self, other) -> bool:
+        return tuple(self) == tuple(other) if isinstance(other, (Registry, tuple)) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __add__(self, other):
+        return tuple(self) + other
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
 def chart_name(registry, label: str, path) -> str:
     """Display name of a chart: its root label, then each defining component."""
     return "/".join([label] + [registry[c] for _, c in path])
@@ -224,7 +297,8 @@ class Configuration:
     """Global registry, chart list and centre dimension.
 
     `registry` order is the total order on the component index set; new
-    exceptional components are appended, hence strictly larger.  All charts
+    exceptional components are appended, hence strictly larger; it is a
+    `Registry`, equal to the tuple of its names.  All charts
     carry one mark, `mark`.  `n_blowups` counts the blow-ups made so far;
     no chart's path goes past that stage.  `step` holds the (chart,
     children) pairs of the blow-up that made this configuration (`grow`),
@@ -233,8 +307,9 @@ class Configuration:
     The constructor is the one place that checks chart rules: strictly
     increasing, registered components holding the P-cutting set, the
     generators and pullback excess, no generator on a P-cutting component,
-    at most `dim_p` components off P in a chart meeting P, no path past
-    `n_blowups`, one mark, one P-cutting set, and unique (label, path) keys.
+    at most `dim_p` components off P in a chart meeting P, registered
+    components and no stage past `n_blowups` in a path, one mark, one
+    P-cutting set, and unique (label, path) keys.
 
     The charts are held as a tuple (`charts`), in a `_ChartIndex`, or both;
     the index also maps each registry name to its id.  A blow-up (`grow`)
@@ -261,6 +336,7 @@ class Configuration:
 
     def __init__(self, registry, charts, dim_p: int, n_blowups: int = 0) -> None:
         registry, charts = tuple(registry), tuple(charts)
+        n_names = len(registry)
         if not is_int(dim_p) or dim_p < 0:
             raise ValidationError("dim_p must be a non-negative integer")
         if not is_int(n_blowups) or n_blowups < 0:
@@ -277,7 +353,7 @@ class Configuration:
             key = (ch.label, ch.path)
             if list(comps) != sorted(set(comps)):
                 raise ValidationError(f"chart {ch.label!r}: components must be strictly increasing")
-            if comps and comps[-1] >= len(registry):
+            if comps and comps[-1] >= n_names:
                 raise ValidationError(f"chart {ch.label!r} references an unregistered component")
             present = set(comps)
             if not ch.p_components <= present:
@@ -290,11 +366,15 @@ class Configuration:
                     raise ValidationError(f"chart {ch.label!r}: generator uses a component cutting P")
             if not ch.pullback_excess.components <= present:
                 raise ValidationError(f"chart {ch.label!r}: pullback excess uses absent components")
-            if ch.path and ch.path[-1][0] > n_blowups:
-                raise ValidationError(
-                    f"chart {chart_name(registry, *key)!r} has path stage "
-                    f"{ch.path[-1][0]}, past n_blowups {n_blowups}"
-                )
+            if ch.path:
+                ks = [k for _, k in ch.path]
+                if min(ks) < 0 or max(ks) >= n_names:
+                    raise ValidationError(f"chart {ch.label!r}: path references an unregistered component")
+                if ch.path[-1][0] > n_blowups:
+                    raise ValidationError(
+                        f"chart {chart_name(registry, *key)!r} has path stage "
+                        f"{ch.path[-1][0]}, past n_blowups {n_blowups}"
+                    )
             marks.add(ch.mark)
             if not ch.p_empty:
                 off_p = len(ch.e_components) - len(ch.p_components)
@@ -311,7 +391,7 @@ class Configuration:
             raise ValidationError("all charts must carry the same mark")
         if len(p_sets) > 1:
             raise ValidationError("charts meeting P must agree on the components cutting P")
-        self.registry, self.dim_p, self.n_blowups = registry, dim_p, n_blowups
+        self.registry, self.dim_p, self.n_blowups = Registry(list(registry), n_names), dim_p, n_blowups
         self.mark = marks.pop()
         self.step = ()
         self._p = next(iter(p_sets), frozenset())
@@ -479,9 +559,10 @@ def grow(cfg: Configuration, name: str, outcomes) -> Configuration:
     component for another, keep the mark and drop out of P or keep its
     P-cutting set, and their paths end at stage `cfg.n_blowups + 1`,
     which no chart of `cfg` reaches, so their keys are new.  The chart
-    index of `cfg`, name map included, moves to the result; nothing else
-    is copied but the registry.  A `cfg` without a chart tuple keeps a
-    link to the result to undo the blow-up from.
+    index of `cfg`, name map included, moves to the result, and `name` is
+    appended to the name list of `cfg`, which is copied only if `cfg` was
+    grown from before.  A `cfg` without a chart tuple keeps a link to the
+    result to undo the blow-up from.
     """
     index = cfg._own_index()
     if name in index.ids:
@@ -495,7 +576,7 @@ def grow(cfg: Configuration, name: str, outcomes) -> Configuration:
             index.add(kid, rank)
             meeting += not kid.p_empty
     new = object.__new__(Configuration)
-    new.registry, new.dim_p, new.mark = cfg.registry + (name,), cfg.dim_p, cfg.mark
+    new.registry, new.dim_p, new.mark = cfg.registry.extended(name), cfg.dim_p, cfg.mark
     new.n_blowups, new.step = cfg.n_blowups + 1, outcomes
     new._p, new._meeting = cfg._p, meeting
     new._index, new._charts, new._grown = index, None, None
@@ -598,20 +679,27 @@ def is_permissible(cfg: Configuration, center) -> bool:
     permissibility outright, since the centre's trace on N there cannot lie
     in the support.
     """
+    return permissible_charts(cfg, center) is not None
+
+
+def permissible_charts(cfg: Configuration, center) -> list[Chart] | None:
+    """The charts containing `center`, in chart order, if it is permissible
+    (`is_permissible`), else None: the charts a blow-up replaces."""
     center = frozenset(center)
     if not center:
         raise ValidationError("the centre must be a non-empty component set")
     for c in center:
         if not 0 <= c < len(cfg.registry):
             raise ValidationError(f"centre references unregistered component id {c}")
-    for ch in cfg.charts_containing(center):
+    charts = cfg.charts_containing(center)
+    for ch in charts:
         if ch.p_empty:
-            return False
+            return None
         if not ch.p_components <= center:
-            return False
+            return None
         if min_degree(ch.ideal.generators, center) < ch.mark:
-            return False
-    return True
+            return None
+    return charts
 
 
 def sum_marked(ideals) -> MarkedIdeal:

@@ -18,6 +18,7 @@ and blowing up Y itself empties the chart's support in one step.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass, replace
 
@@ -242,12 +243,18 @@ class _StageTable:
     `floor` to [that sum, the number of charts giving it].  Charts agree on
     the sum of a shared subset; `update` follows a blow-up by taking out the
     charts it replaced and counting the support-carrying charts it added.
+
+    `heap` holds (-sum, subset) for every entry, so `best` reads the top
+    instead of scanning the table.  Deleting an entry leaves its item in
+    the heap, stale: `best` drops stale items it meets on top, and once
+    stale items outnumber live ones the heap is rebuilt from the entries.
     """
 
     def __init__(self, s: int, floor: int, charts) -> None:
         self.s = s
         self.floor = floor
         self.entries: dict[tuple[int, ...], list[int]] = {}
+        self.heap: list[tuple[int, tuple[int, ...]]] = []
         # id of a counted chart -> (that chart, its subsets); holding the
         # chart keeps its id from being reused while it is counted
         self.counted: dict[int, tuple[Chart, list]] = {}
@@ -270,6 +277,7 @@ class _StageTable:
                 entry = self.entries.get(subset)
                 if entry is None:
                     self.entries[subset] = [total, 1]
+                    heapq.heappush(self.heap, (-total, subset))
                 elif entry[0] != total:
                     raise InternalLogicError(
                         f"component {subset[0] if self.s == 1 else subset} has "
@@ -279,6 +287,9 @@ class _StageTable:
                     entry[1] += 1
                 subsets.append(subset)
             self.counted[id(ch)] = (ch, subsets)
+        if len(self.heap) > 2 * len(self.entries):
+            self.heap = [(-v, subset) for subset, (v, _) in self.entries.items()]
+            heapq.heapify(self.heap)
 
     def update(self, cfg: Configuration) -> None:
         """Follow the blow-up that made `cfg`, read from its `step`."""
@@ -295,10 +306,14 @@ class _StageTable:
     def best(self, mark: int):
         """The subset of largest sum at least `mark` (least subset on
         ties), or None."""
-        top = max((v for v, _ in self.entries.values() if v >= mark), default=None)
-        if top is None:
-            return None
-        return min(subset for subset, (v, _) in self.entries.items() if v == top)
+        heap, entries = self.heap, self.entries
+        while heap:
+            neg, subset = heap[0]
+            entry = entries.get(subset)
+            if entry is not None and entry[0] == -neg:
+                return subset if -neg >= mark else None
+            heapq.heappop(heap)
+        return None
 
 
 def reduce_monomial(

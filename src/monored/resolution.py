@@ -26,7 +26,7 @@ from .core import (
     support,
 )
 from .errors import ValidationError
-from .transform import BlowUpRecord, ChartKey, substitute
+from .transform import BlowUpRecord, ChartKey
 from .reduction import reduce
 
 
@@ -83,8 +83,8 @@ def is_locally_principal(cfg: Configuration, trace: ResolutionTrace | None = Non
 def _strict_step(gens, center, chart_var, exceptional, original_count):
     stripped = []
     for g in gens:
-        pulled = substitute(g, center, chart_var, exceptional)
-        bare = Monomial(tuple((c, e) for c, e in pulled.exps if c < original_count))
+        pulled = g.exchanged(chart_var, exceptional, g.degree(center))
+        bare = pulled.restrict(range(original_count))
         if not bare.is_unit():
             stripped.append(bare)
     return minimalize(stripped)

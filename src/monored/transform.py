@@ -4,13 +4,12 @@ A blow-up along the intersection of a component set K replaces every chart
 containing all of K by one child chart per k in K.  Generators move by the
 substitution rule for blow-up coordinates followed by division by the m-th
 power of the exceptional coordinate; on exponent vectors that is pure
-integer arithmetic (`substitute`), verified independently by the polynomial
-oracle in `arithmetic`.
+integer arithmetic (`Monomial.exchanged`), verified independently by the
+polynomial oracle in `arithmetic`.
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 
 from .core import (
@@ -19,7 +18,7 @@ from .core import (
     MarkedIdeal,
     Monomial,
     grow,
-    is_permissible,
+    permissible_charts,
 )
 from .errors import NonPermissibleError, ValidationError
 
@@ -42,33 +41,21 @@ class BlowUpRecord:
     outcomes: tuple[tuple[ChartKey, tuple[ChartPath, ...]], ...]
 
 
-def substitute(g: Monomial, center, chart_var: int, exceptional: int, shift: int = 0) -> Monomial:
-    """The substitution rule x_k = E, x_c = x_c' E (c in the centre) in the
-    child chart of k = `chart_var`.
-
-    The chart-defining component disappears (its strict transform misses its
-    own chart) and the exceptional component E receives the centre degree
-    plus `shift`: -mark for the birational transform, +mark for the pullback
-    multiplier, 0 for the literal pullback.  Everything else is untouched.
-    """
-    e = g.degree(center) + shift
-    exps = [(c, x) for c, x in g.exps if c != chart_var and c != exceptional]
-    if e:
-        bisect.insort(exps, (exceptional, e))
-    return Monomial(tuple(exps))
+def _check_degree(g: Monomial, total: int, mark: int) -> None:
+    """Refuse a generator whose degree along the centre is below the mark."""
+    if total < mark:
+        raise NonPermissibleError(
+            f"generator {g!r} has degree {total} < mark {mark} along the centre"
+        )
 
 
 def transform_generator(
     g: Monomial, center, chart_var: int, exceptional: int, mark: int
 ) -> Monomial:
     """Birational transform of one monomial generator in one child chart."""
-    center = frozenset(center)
-    total = g.degree(center)
-    if total < mark:
-        raise NonPermissibleError(
-            f"generator {g!r} has degree {total} < mark {mark} along the centre"
-        )
-    return substitute(g, center, chart_var, exceptional, -mark)
+    total = g.degree(frozenset(center))
+    _check_degree(g, total, mark)
+    return g.exchanged(chart_var, exceptional, total - mark)
 
 
 def blow_up_chart(chart: Chart, center, exceptional: int, stage: int) -> list[Chart]:
@@ -77,33 +64,47 @@ def blow_up_chart(chart: Chart, center, exceptional: int, stage: int) -> list[Ch
     One child per centre component k, ordered by component id.  A child
     whose defining component cuts P is flagged P-empty; the others inherit
     the P-cutting set verbatim.  The exceptional component never joins it.
+    Each generator's degree along the centre is the same in every child,
+    so it is taken once.
     """
     center = frozenset(center)
-    if not center <= set(chart.e_components):
+    comps = chart.e_components
+    if not center <= set(comps):
         raise ValidationError(
             f"centre not fully present in chart {chart.label!r}; leave the chart untouched"
         )
+    if not center:
+        return []
+    mark, p_comps = chart.mark, chart.p_components
+    gens = chart.ideal.generators
+    degrees = [g.degree(center) for g in gens]
+    for g, total in zip(gens, degrees):
+        _check_degree(g, total, mark)
+    excess = chart.pullback_excess
+    # the pullback of the multiplier, times the exceptional^mark this step
+    # divided out
+    excess_degree = excess.degree(center) + mark
+    # a blow-up's exceptional id is larger than every id in the chart
+    appended = not comps or comps[-1] < exceptional
     children = []
     for k in sorted(center):
-        gens = [
-            transform_generator(g, center, k, exceptional, chart.mark)
-            for g in chart.ideal.generators
-        ]
-        comps = tuple(sorted((set(chart.e_components) - {k}) | {exceptional}))
+        if appended:
+            kid_comps = tuple([c for c in comps if c != k]) + (exceptional,)
+        else:
+            kid_comps = tuple(sorted((set(comps) - {k}) | {exceptional}))
         children.append(
             Chart(
                 label=chart.label,
-                e_components=comps,
+                e_components=kid_comps,
                 n_vars=chart.n_vars,
-                p_components=chart.p_components - {k},
-                ideal=MarkedIdeal.of(gens, chart.mark),
-                path=chart.path + ((stage, k),),
-                p_empty=chart.p_empty or (k in chart.p_components),
-                # the pullback of the multiplier, times the exceptional^mark
-                # this step divided out
-                pullback_excess=substitute(
-                    chart.pullback_excess, center, k, exceptional, chart.mark
+                p_components=p_comps - {k} if k in p_comps else p_comps,
+                ideal=MarkedIdeal.of(
+                    [g.exchanged(k, exceptional, d - mark) for g, d in zip(gens, degrees)],
+                    mark,
                 ),
+                path=chart.path + ((stage, k),),
+                p_empty=chart.p_empty or k in p_comps,
+                pullback_excess=excess.exchanged(k, exceptional, excess_degree),
             )
         )
     return children
@@ -124,9 +125,12 @@ def blow_up_global(cfg: Configuration, center) -> tuple[Configuration, BlowUpRec
     keeps every other chart as it is.  Only the charts containing the
     centre are visited.  The grown configuration's `step` pairs each
     replaced chart with its children; the record names them by path.
+    The permissibility check finds those charts, in one scan of the chart
+    index.
     """
     center = frozenset(center)
-    if not is_permissible(cfg, center):
+    charts = permissible_charts(cfg, center)
+    if charts is None:
         names = ",".join(cfg.registry[c] for c in sorted(center))
         raise NonPermissibleError(
             f"centre {{{names}}} is not permissible: its trace on N must lie in the "
@@ -134,10 +138,7 @@ def blow_up_global(cfg: Configuration, center) -> tuple[Configuration, BlowUpRec
         )
     stage = cfg.n_blowups + 1
     exceptional = len(cfg.registry)
-    outcomes = [
-        (ch, blow_up_chart(ch, center, exceptional, stage))
-        for ch in cfg.charts_containing(center)
-    ]
+    outcomes = [(ch, blow_up_chart(ch, center, exceptional, stage)) for ch in charts]
     record = BlowUpRecord(
         stage,
         center,

@@ -176,6 +176,25 @@ class TestValidation:
         assert main(["order", str(path)]) == 1
         assert capsys.readouterr().err == f"validation error: {message}\n"
 
+    @pytest.mark.parametrize("exponent", [-1, -6, 2.0, "2"])
+    def test_bad_exponent(self, tmp_path, capsys, exponent):
+        """Exponents are checked where the document enters: the engine
+        checks no monomial it derives."""
+        chart = dict(GOLDEN["charts"][0], generators=[{"x": exponent, "y": 3}, {"v": 6}])
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(dict(GOLDEN, charts=[chart])))
+        assert main(["reduce", str(path)]) == 1
+        assert capsys.readouterr().err == "validation error: charts[0].generators[0]: bad exponent for 'x'\n"
+
+    def test_zero_exponent_is_an_absent_component(self, tmp_path, capsys):
+        outs = []
+        for gens in ([{"x": 0, "y": 3}, {"v": 6}], [{"y": 3}, {"v": 6}]):
+            path = tmp_path / "in.json"
+            path.write_text(json.dumps(dict(GOLDEN, charts=[dict(GOLDEN["charts"][0], generators=gens)])))
+            assert main(["reduce", str(path)]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+
     def test_missing_file(self, capsys):
         assert main(["order", "/nonexistent.json"]) == 1
 

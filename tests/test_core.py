@@ -64,6 +64,60 @@ class TestMonomial:
         assert g.restrict({0, 1}).times(g.drop({0, 1})) == g
 
 
+class TestMonomialBoundary:
+    """Monomials are checked where they enter, by the constructor and
+    `of`; the ones the engine derives from them are not checked again, and
+    are the monomials a checked construction gives."""
+
+    @pytest.mark.parametrize(
+        "exps, message",
+        [
+            (((1, 2), (0, 1)), "^monomial exponents must be sorted by component id$"),
+            (((0, 1), (0, 2)), "^monomial exponents must be sorted by component id$"),
+            (((0, 0),), "^stored exponents must be positive$"),
+            (((0, 1), (2, -3)), "^stored exponents must be positive$"),
+        ],
+        ids=["unsorted", "repeated", "zero", "negative"],
+    )
+    def test_constructor_checks(self, exps, message):
+        with pytest.raises(ValidationError, match=message):
+            Monomial(exps)
+
+    @pytest.mark.parametrize(
+        "mapping, message",
+        [({-1: 2}, "^component id -1 is negative$"), ({0: -1}, "^exponent -1 for component 0 is negative$")],
+    )
+    def test_of_checks(self, mapping, message):
+        with pytest.raises(ValidationError, match=message):
+            Monomial.of(mapping)
+
+    def test_derived_monomials_equal_checked_ones(self):
+        g = mono({0: 2, 1: 3, 3: 6})
+        derived = [
+            (g.power(3), {0: 6, 1: 9, 3: 18}),
+            (g.drop({1}), {0: 2, 3: 6}),
+            (g.restrict({1, 3}), {1: 3, 3: 6}),
+            (g.restrict(range(2)), {0: 2, 1: 3}),
+            (g.exchanged(1, 5, 4), {0: 2, 3: 6, 5: 4}),
+            (g.exchanged(0, 2, 0), {1: 3, 3: 6}),
+            (g.exchanged(3, 1, 7), {0: 2, 1: 7}),
+        ]
+        for made, expected in derived:
+            checked = Monomial(tuple(sorted(expected.items())))
+            assert made == checked and hash(made) == hash(checked)
+            assert type(made.exps) is tuple
+
+    def test_exchanged_refuses_a_negative_exponent(self):
+        with pytest.raises(ValidationError, match="^stored exponents must be positive$"):
+            mono({0: 1}).exchanged(0, 1, -1)
+
+    def test_degree_over_one_component(self):
+        g = mono({0: 2, 1: 3, 3: 6})
+        for c in range(5):
+            assert g.degree({c}) == g.degree([c]) == g.degree(frozenset({c, 9})) == g.exponent(c)
+        assert g.degree({0, 3}) == 8
+
+
 class TestMarkedIdeal:
     def test_minimalized(self):
         ideal = MarkedIdeal.of([mono({0: 2}), mono({0: 3, 1: 1}), mono({0: 2})], 2)
@@ -187,6 +241,15 @@ class TestBlowUpCount:
         with pytest.raises(ValidationError, match="^chart 'U/y/z' has path stage 3, past n_blowups 2$"):
             Configuration(("x", "y", "z"), (ch,), 2, 2)
         assert Configuration(("x", "y", "z"), (ch,), 2, 3).n_blowups == 3
+
+    @pytest.mark.parametrize("n_blowups", [0, 1])
+    @pytest.mark.parametrize("k", [5, 2, -1])
+    def test_path_component_unregistered(self, n_blowups, k):
+        """Checked before any message names the chart, which reads the
+        path's names."""
+        ch = replace(chart(2, [mono({0: 1})], 1), path=((1, k),))
+        with pytest.raises(ValidationError, match="^chart 'U': path references an unregistered component$"):
+            Configuration(("x", "y"), (ch,), 2, n_blowups)
 
     def test_built_configuration_has_no_step(self):
         cfg = golden_config()

@@ -3,7 +3,9 @@ from dataclasses import replace
 
 import pytest
 
-from monored import reduction
+import re
+
+from monored import core, reduction
 from monored.core import (
     Chart,
     Configuration,
@@ -53,6 +55,15 @@ class TestTransformGenerator:
     def test_insufficient_degree(self):
         with pytest.raises(NonPermissibleError):
             transform_generator(mono({X: 1}), frozenset({X}), X, 2, 3)
+
+    @pytest.mark.parametrize("center", [[X, Y], [X, Y, X], [Y]])
+    def test_list_centre_of_too_low_degree(self, center):
+        g = mono({X: 2, Y: 1})
+        total = g.degree(set(center))
+        message = f"^generator c0\\^2\\*c1 has degree {total} < mark 4 along the centre$"
+        with pytest.raises(NonPermissibleError, match=message):
+            transform_generator(g, center, Y, 4, 4)
+        assert transform_generator(g, center, Y, 4, total) == mono({X: 2} if Y in center else {X: 2, Y: 1})
 
     def test_exceptional_exponent_never_negative(self):
         rng = random.Random(3)
@@ -104,6 +115,20 @@ class TestBlowUpChart:
         with pytest.raises(ValidationError):
             blow_up_chart(ch, frozenset({0, 5}), 6, 1)
 
+    def test_exceptional_below_an_existing_id(self):
+        """A blow-up's exceptional id comes after every id; any other one
+        is sorted into the children's components and exponents."""
+        ch = replace(chart(4, [mono({0: 2, 1: 3, 3: 1})], 2, e=(0, 1, 3)), pullback_excess=mono({3: 2}))
+        x_kid, y_kid = blow_up_chart(ch, {0, 1}, 2, 1)
+        assert (x_kid.e_components, y_kid.e_components) == ((1, 2, 3), (0, 2, 3))
+        assert x_kid.ideal.generators == (mono({1: 3, 2: 3, 3: 1}),)
+        assert y_kid.ideal.generators == (mono({0: 2, 2: 3, 3: 1}),)
+        assert x_kid.pullback_excess == y_kid.pullback_excess == mono({2: 2, 3: 2})
+        assert (x_kid.path, y_kid.path) == (((1, 0),), ((1, 1),))
+
+    def test_empty_centre_has_no_children(self):
+        assert blow_up_chart(chart(2, [mono({0: 1})], 1), set(), 2, 1) == []
+
 
 class TestBlowUpGlobal:
     def test_golden(self):
@@ -144,8 +169,32 @@ class TestBlowUpGlobal:
         assert rec.outcomes == ()
 
     def test_non_permissible_rejected(self):
+        message = (
+            "centre {x,v} is not permissible: its trace on N must lie in the "
+            "support (every chart meeting it needs order >= 5 along it)"
+        )
+        with pytest.raises(NonPermissibleError, match=f"^{re.escape(message)}$"):
+            blow_up_global(golden_config(), {V, X})
+
+    def test_one_containment_scan_per_blow_up(self, monkeypatch):
+        """The permissibility check hands the charts containing the centre
+        on to the blow-up."""
+        scans = []
+        containing = core._ChartIndex.containing
+
+        def counted(index, center):
+            scans.append(center)
+            return containing(index, center)
+
+        monkeypatch.setattr(core._ChartIndex, "containing", counted)
+        cfg = golden_config()
+        for center in (K, {X, Y, U, EXC}):
+            cfg, _ = blow_up_global(cfg, center)
+            assert scans == [frozenset(center)]
+            scans.clear()
         with pytest.raises(NonPermissibleError):
-            blow_up_global(golden_config(), {X})
+            blow_up_global(cfg, {X})
+        assert len(scans) == 1
 
     def test_max_order_never_increases(self):
         # holds when the mark equals the maximal order (the blown-up ideal
