@@ -10,6 +10,7 @@ polynomial oracle in `arithmetic`.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 from .core import (
@@ -84,18 +85,14 @@ def blow_up_chart(chart: Chart, center, exceptional: int, stage: int) -> list[Ch
     # the pullback of the multiplier, times the exceptional^mark this step
     # divided out
     excess_degree = excess.degree(center) + mark
-    # a blow-up's exceptional id is larger than every id in the chart
-    appended = not comps or comps[-1] < exceptional
     children = []
     for k in sorted(center):
-        if appended:
-            kid_comps = tuple([c for c in comps if c != k]) + (exceptional,)
-        else:
-            kid_comps = tuple(sorted((set(comps) - {k}) | {exceptional}))
+        kid_comps = [c for c in comps if c != k and c != exceptional]
+        bisect.insort(kid_comps, exceptional)
         children.append(
             Chart(
                 label=chart.label,
-                e_components=kid_comps,
+                e_components=tuple(kid_comps),
                 n_vars=chart.n_vars,
                 p_components=p_comps - {k} if k in p_comps else p_comps,
                 ideal=MarkedIdeal.of(

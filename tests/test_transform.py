@@ -1,9 +1,8 @@
 import random
+import re
 from dataclasses import replace
 
 import pytest
-
-import re
 
 from monored import core, reduction
 from monored.core import (
@@ -169,6 +168,10 @@ class TestBlowUpGlobal:
         assert rec.outcomes == ()
 
     def test_non_permissible_rejected(self):
+        with pytest.raises(NonPermissibleError):
+            blow_up_global(golden_config(), {X})
+
+    def test_non_permissible_message(self):
         message = (
             "centre {x,v} is not permissible: its trace on N must lie in the "
             "support (every chart meeting it needs order >= 5 along it)"
