@@ -73,12 +73,14 @@ class Monomial:
             return UNIT
         items = []
         for comp, exp in mapping.items():
+            if not (is_int(comp) and is_int(exp)):
+                raise ValidationError(f"component id {comp!r} and exponent {exp!r} must be integers")
             if comp < 0:
                 raise ValidationError(f"component id {comp} is negative")
             if exp < 0:
                 raise ValidationError(f"exponent {exp} for component {comp} is negative")
             if exp > 0:
-                items.append((int(comp), int(exp)))
+                items.append((comp, exp))
         return Monomial(tuple(sorted(items)))
 
     def exponent(self, comp: int) -> int:
@@ -304,12 +306,16 @@ class Configuration:
     children) pairs of the blow-up that made this configuration (`grow`),
     in chart order, and is `()` for a configuration built here.
 
-    The constructor is the one place that checks chart rules: strictly
-    increasing, registered components holding the P-cutting set, the
-    generators and pullback excess, no generator on a P-cutting component,
-    at most `dim_p` components off P in a chart meeting P, registered
-    components and no stage past `n_blowups` in a path, one mark, one
-    P-cutting set, and unique (label, path) keys.
+    The constructor is the one place that checks chart rules: non-empty
+    `str` names and labels (checked before either is hashed), `str`
+    `n_vars` labels, strictly increasing, registered components holding
+    the P-cutting set, the generators and pullback excess, no generator on
+    a P-cutting component, at most `dim_p` components off P in a chart
+    meeting P, registered components and no stage past `n_blowups` in a
+    path, one mark, one P-cutting set, and unique (label, path) keys.  That
+    `n_vars` labels are no component names is a rule of documents only
+    (`load_config`): the engine names exceptional components without
+    reading `n_vars`.
 
     The charts are held as a tuple (`charts`), in a `_ChartIndex`, or both;
     the index also maps each registry name to its id.  A blow-up (`grow`)
@@ -341,6 +347,8 @@ class Configuration:
             raise ValidationError("dim_p must be a non-negative integer")
         if not is_int(n_blowups) or n_blowups < 0:
             raise ValidationError("n_blowups must be a non-negative integer")
+        if not set(map(type, registry)) <= {str} or "" in registry:
+            raise ValidationError("registry names must be non-empty strings")
         if len(set(registry)) != len(registry):
             raise ValidationError("registry names must be unique")
         if not charts:
@@ -349,6 +357,10 @@ class Configuration:
         p_sets: set = set()
         keys: set = set()
         for ch in charts:
+            if type(ch.label) is not str or not ch.label:
+                raise ValidationError("chart labels must be non-empty strings")
+            if not set(map(type, ch.n_vars)) <= {str}:
+                raise ValidationError(f"chart {ch.label!r}: n_vars labels must be strings")
             comps = ch.e_components
             key = (ch.label, ch.path)
             if list(comps) != sorted(set(comps)):

@@ -102,8 +102,9 @@ def weak_resolve(cfg: Configuration, on_step=None) -> ResolutionTrace:
     Runs principalization and follows the strict transform of the subscheme
     chart by chart; the first stage where it becomes a subset of chart
     coordinates is the separation stage, and those charts carry the smooth
-    model together with its blow-up history.  `on_step` sees the
-    principalization's top-level blow-ups, as in `principalize`.
+    model together with its blow-up history.  Only a record's new charts
+    (and at the first, the roots) can newly separate, so only they are
+    tested.  `on_step` sees the top-level blow-ups, as in `principalize`.
     """
     comps: set[int] = set()
     for ch in cfg.charts:
@@ -118,8 +119,7 @@ def weak_resolve(cfg: Configuration, on_step=None) -> ResolutionTrace:
     strict: dict[ChartKey, tuple[Monomial, ...]] = {
         (ch.label, ch.path): ch.ideal.generators for ch in trace.initial.charts
     }
-    separation_stage = None
-    separated: list[tuple[ChartKey, tuple[Monomial, ...]]] = []
+    fresh = set(strict)
     for rec in trace.records:
         for (label, parent), children in rec.outcomes:
             gens = strict.pop((label, parent))
@@ -127,17 +127,9 @@ def weak_resolve(cfg: Configuration, on_step=None) -> ResolutionTrace:
                 strict[(label, child)] = _strict_step(
                     gens, rec.center, k, rec.exceptional, original_count
                 )
-        if separation_stage is None:
-            hits = [
-                (path, gens)
-                for path, gens in sorted(strict.items())
-                if _is_coordinate_subscheme(gens)
-            ]
-            if hits:
-                separation_stage = rec.stage
-                separated = hits
-    return replace(
-        trace,
-        separation_stage=separation_stage,
-        separated=tuple(separated),
-    )
+                fresh.add((label, child))
+        hits = sorted(key for key in fresh & strict.keys() if _is_coordinate_subscheme(strict[key]))
+        if hits:
+            return replace(trace, separation_stage=rec.stage, separated=tuple((k, strict[k]) for k in hits))
+        fresh = set()
+    return trace

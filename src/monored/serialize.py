@@ -64,28 +64,22 @@ def _expect(cond: bool, where: str, message: str) -> None:
 
 
 def load_config(obj) -> Configuration:
-    """The configuration a JSON document describes.  This checks only what
-    no constructor can: the document's shape, that names resolve, `n_vars`
-    and integer exponents; the constructors check every other rule."""
+    """The configuration a JSON document describes, the one definition of
+    an input.  This checks only what parsing needs: the shape, that names
+    resolve (only strings do), `n_vars` and integer exponents; the
+    constructors check every other rule, names and labels included."""
     _expect(isinstance(obj, dict), "$", "configuration must be an object")
     components = obj.get("components")
     _expect(
         isinstance(components, list) and components, "components", "non-empty name list required"
     )
-    _expect(
-        all(isinstance(c, str) and c for c in components),
-        "components",
-        "names must be non-empty strings",
-    )
-    ids = {name: i for i, name in enumerate(components)}
+    ids = {name: i for i, name in enumerate(components) if isinstance(name, str)}
     raw_charts = obj.get("charts")
     _expect(isinstance(raw_charts, list), "charts", "chart list required")
     charts = []
     for i, raw in enumerate(raw_charts):
         where = f"charts[{i}]"
         _expect(isinstance(raw, dict), where, "chart must be an object")
-        name = raw.get("name")
-        _expect(isinstance(name, str) and name, f"{where}.name", "non-empty string required")
 
         def resolve(names, field):
             out = []
@@ -104,7 +98,7 @@ def load_config(obj) -> Configuration:
             "list of labels required",
         )
         _expect(
-            not set(n_vars) & set(components),
+            not ids.keys() & n_vars,
             f"{where}.n_vars",
             "labels must not collide with component names",
         )
@@ -126,7 +120,7 @@ def load_config(obj) -> Configuration:
             gens.append(Monomial.of(exps))
         charts.append(
             Chart(
-                label=name,
+                label=raw.get("name"),
                 e_components=tuple(sorted(set(e_comps))),
                 n_vars=frozenset(n_vars),
                 p_components=frozenset(p_comps),
@@ -162,21 +156,23 @@ def _chart_fields(registry, chart: Chart) -> dict:
 
 
 def config_to_obj(cfg: Configuration) -> dict:
-    """Input-schema view of a configuration `load_config` can have made:
-    root charts only, before any blow-up.  Others are refused, so no trace
-    holds an input `load_config` rejects, or two charts under one name."""
+    """The document `load_config` reads back as `cfg`: root charts only,
+    and nothing the schema cannot carry (a blow-up count, a P-empty root, a
+    pullback excess).  Any other configuration is refused, so a trace always
+    starts from an input that replays to the state it recorded."""
     for ch in cfg.charts:
         if ch.path:
             name = chart_name(cfg.registry, ch.label, ch.path)
             raise ValidationError(f"chart {name!r} is not a root chart: not an input")
-    if cfg.n_blowups:
-        raise ValidationError(f"configuration after {cfg.n_blowups} blow-ups: not an input")
-    return {
+    obj = {
         "components": list(cfg.registry),
         "dim_p": cfg.dim_p,
         "mark": cfg.mark,
         "charts": [{"name": ch.label, **_chart_fields(cfg.registry, ch)} for ch in cfg.charts],
     }
+    if load_config(obj) != cfg:
+        raise ValidationError("configuration does not read back from its document: not an input")
+    return obj
 
 
 def config_digest(cfg: Configuration) -> str:

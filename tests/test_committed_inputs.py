@@ -1,8 +1,11 @@
-"""Every input document committed in the repository loads.
+"""Every input document committed in the repository loads and
+round-trips.
 
 A rule `load_config` enforces must never make a shipped input or trace
 unreadable: the long benchmark cases, the input section of the pinned
-trace and the example configuration in the README all have to pass it.
+trace and the example configuration in the README all have to pass it,
+and `config_to_obj` must write each one's configuration back as a
+document `load_config` reads as the same configuration.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from monored.core import Configuration
-from monored.serialize import load_config, read_json_file
+from monored.serialize import config_to_obj, load_config, read_json_file
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -43,4 +46,6 @@ def test_every_kind_is_found():
 
 @pytest.mark.parametrize("name", list(DOCUMENTS))
 def test_loads(name):
-    assert isinstance(load_config(DOCUMENTS[name]), Configuration)
+    cfg = load_config(DOCUMENTS[name])
+    assert isinstance(cfg, Configuration)
+    assert load_config(config_to_obj(cfg)) == cfg
