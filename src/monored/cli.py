@@ -31,6 +31,9 @@ from .serialize import (
 from .transform import blow_up_global
 
 HEADER = "monored report 1"
+# the largest prime check-lambda takes: its cost grows steeply with p
+# (rees_lift_check takes a p-fold product), and 13 keeps a run to seconds
+MAX_PRIME = 13
 
 
 def _write_trace(obj, fh) -> None:
@@ -217,6 +220,8 @@ def cmd_check_lambda(args) -> int:
     for p in primes:
         if not arithmetic.is_prime(p):
             raise ValidationError(f"{p} is not prime")
+    if max(primes) > MAX_PRIME:
+        raise ContractError(f"prime {max(primes)} is above {MAX_PRIME}, the largest check-lambda's budget allows")
     rng = random.Random(seed)
     print(HEADER)
     print(f"seed {seed}, primes {primes}")
@@ -248,7 +253,8 @@ def cmd_check_lambda(args) -> int:
     bad_vars = ("x",)
     bad_gens = [IntPoly.constant(bad_vars, 2), IntPoly.var(bad_vars, "x")]
     bad_samples = [IntPoly.var(bad_vars, "x")]
-    torsion = not arithmetic.normal_cone_flat_check(bad_gens, 2, primes, bad_samples)
+    # (2, x) has only 2-torsion (2x is in I^2, x is not): only p = 2 witnesses it
+    torsion = not arithmetic.normal_cone_flat_check(bad_gens, 2, [2], bad_samples)
     print(f"normal_cone_flat_check rejects (2, x): {'ok' if torsion else 'FAILED'}")
     ok &= torsion
 

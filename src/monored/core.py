@@ -61,6 +61,8 @@ class Monomial:
     def __post_init__(self) -> None:
         last = -1
         for comp, exp in self.exps:
+            if not (is_int(comp) and is_int(exp)):
+                raise ValidationError("monomial component ids and exponents must be integers")
             if comp <= last:
                 raise ValidationError("monomial exponents must be sorted by component id")
             if exp <= 0:
@@ -81,7 +83,7 @@ class Monomial:
                 raise ValidationError(f"exponent {exp} for component {comp} is negative")
             if exp > 0:
                 items.append((comp, exp))
-        return Monomial(tuple(sorted(items)))
+        return _derived(tuple(sorted(items)))
 
     def exponent(self, comp: int) -> int:
         for c, e in self.exps:

@@ -303,7 +303,7 @@ def trace_document(
     return obj
 
 
-def trace_to_obj(initial: Configuration, records, final: Configuration, extra=None) -> dict:
+def trace_to_obj(initial: Configuration, records, final: Configuration) -> dict:
     """Serialize a permissible sequence, replaying it to check the records
     and render each step."""
     steps = StepRenderer()
@@ -315,7 +315,7 @@ def trace_to_obj(initial: Configuration, records, final: Configuration, extra=No
         steps(cfg, rec)
     if cfg != final:
         raise ValidationError("records do not reproduce the final configuration")
-    return trace_document(initial, steps, final, records, extra)
+    return trace_document(initial, steps, final, records)
 
 
 def replay_trace(initial: Configuration, trace_obj) -> tuple[Configuration, list]:

@@ -502,6 +502,31 @@ class TestCheckLambda:
         assert main(["check-lambda", "--primes", "2"]) == 1
         assert "MONORED_SEED" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("primes", ["3", "7"])
+    def test_primes_without_two(self, capsys, primes):
+        # only p = 2 witnesses the torsion of (2, x), so that line runs at 2
+        assert main(["check-lambda", "--primes", primes, "--seed", "0"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert sum(line.endswith(": ok") for line in lines) == 5
+
+    def test_prime_past_the_budget_exits_at_once(self):
+        def one_cpu_second():
+            _limit_child()
+            resource.setrlimit(resource.RLIMIT_CPU, (1, 1))
+
+        src = str(Path(monored.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "monored.cli", "check-lambda", "--primes", "2,101"],
+            capture_output=True,
+            text=True,
+            env=env,
+            preexec_fn=one_cpu_second,
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("contract violation: prime 101 is above 13")
+
 
 # (x^5, y^3) with mark 1: principalized and resolved in a few dozen blow-ups
 TOWER = dict(

@@ -83,6 +83,16 @@ class TestMonomialBoundary:
         with pytest.raises(ValidationError, match=message):
             Monomial(exps)
 
+    @pytest.mark.parametrize("exps", [((0, 2.5),), ((True, 2),), ((0, 1), (1.0, 2))])
+    def test_constructor_refuses_non_integers(self, exps):
+        with pytest.raises(ValidationError, match="^monomial component ids and exponents must be integers$"):
+            Monomial(exps)
+
+    def test_no_configuration_holds_a_fractional_exponent(self):
+        with pytest.raises(ValidationError, match="must be integers$"):
+            gens = [Monomial(((0, 2.5),)), Monomial(((1, 2),))]
+            Configuration(("x", "y"), (Chart("U", (0, 1), frozenset(), frozenset(), MarkedIdeal.of(gens, 2)),), 2)
+
     @pytest.mark.parametrize(
         "mapping, message",
         [({-1: 2}, "^component id -1 is negative$"), ({0: -1}, "^exponent -1 for component 0 is negative$")],

@@ -12,6 +12,9 @@ object's private attributes, so the storage of charts has one home.
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -62,6 +65,48 @@ def test_deferred_imports_are_seen():
         "monored.serialize",
         "monored.cli",
     }
+
+
+def test_package_imports_no_module_at_load():
+    """The package's `__init__` reads its re-exports on first use, so it
+    imports no `monored` module at module level."""
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    top = ast.Module(body=[n for n in tree.body if not isinstance(n, functions)], type_ignores=[])
+    assert monored_imports(top) == set()
+
+
+def test_import_monored_loads_no_submodule():
+    src = str(PACKAGE.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = (
+        "import sys, monored\n"
+        "print(sorted(m for m in sys.modules if m.startswith('monored.')))\n"
+        "print([monored.core.__name__, monored.errors.__name__, monored.reduction.__name__,\n"
+        "       monored.resolution.__name__, monored.transform.__name__])\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "[]",
+        "['monored.core', 'monored.errors', 'monored.reduction', 'monored.resolution', 'monored.transform']",
+    ]
+
+
+def test_public_names_are_read_from_their_modules(monkeypatch):
+    assert len(monored.__all__) == len(set(monored.__all__)) == 38
+    for name in monored.__all__:
+        value = getattr(monored, name)
+        assert value is getattr(sys.modules[value.__module__], name)
+    star = {}
+    exec("from monored import *", star)
+    assert set(star) - {"__builtins__"} == set(monored.__all__)
+    assert set(monored.__all__) <= set(dir(monored))
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        monored.no_such_name
+    # nothing is kept on the package: a name is what its module binds now
+    monkeypatch.setattr(sys.modules["monored.reduction"], "reduce", len)
+    assert monored.reduce is len
 
 
 @pytest.mark.parametrize("module", ["transform", "reduction", "resolution"])
