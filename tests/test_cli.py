@@ -509,6 +509,20 @@ class TestCheckLambda:
         lines = capsys.readouterr().out.splitlines()
         assert sum(line.endswith(": ok") for line in lines) == 5
 
+    def test_a_failed_identity_exits_2_after_every_line(self, monkeypatch, capsys):
+        import monored.arithmetic
+
+        monkeypatch.setattr(monored.arithmetic, "rees_lift_check", lambda p, gens, element: False)
+        assert main(["check-lambda", "--primes", "2,3", "--seed", "5"]) == 2
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert len(lines) == 7
+        assert [line for line in lines if line.endswith(": FAILED")] == [
+            "rees_lift_check on monomial Rees elements: FAILED"
+        ]
+        assert sum(line.endswith(": ok") for line in lines) == 4
+        assert captured.err.startswith("contract violation: a Frobenius-lift identity failed")
+
     def test_prime_past_the_budget_exits_at_once(self):
         def one_cpu_second():
             _limit_child()
