@@ -215,8 +215,6 @@ def psi(p: int, f: IntPoly) -> IntPoly:
 
 def frobenius_lift_check(p: int, f: IntPoly) -> bool:
     """psi_p(f) - f^p must be divisible by p for every integer polynomial."""
-    if not is_prime(p):
-        raise ValidationError(f"{p} is not prime")
     return (psi(p, f) - f**p).divisible_by_int(p)
 
 
@@ -440,21 +438,71 @@ def random_monomial(
     return IntPoly.of(variables, {exps: 1})
 
 
-def random_rees_element(rng: random.Random, gens, max_degree_index: int = 3) -> ReesElement:
+def random_power_element(rng: random.Random, gens, d: int) -> IntPoly:
+    """An element of I^d, possibly 0: one or two terms, each an integer in
+    [-3, 3] times d generators times a monomial with exponents at most 2."""
     variables = gens[0].variables
+    acc = IntPoly.zero(variables)
+    for _ in range(rng.randint(1, 2)):
+        prod = IntPoly.constant(variables, rng.randint(-3, 3))
+        for g in rng.choices(gens, k=d):
+            prod = prod * g
+        acc = acc + prod * random_monomial(rng, variables, 2)
+    return acc
+
+
+def random_rees_element(rng: random.Random, gens, max_degree_index: int = 3) -> ReesElement:
     parts: dict[int, IntPoly] = {}
     for d in range(0, max_degree_index + 1):
         if rng.random() < 0.5:
             continue
-        acc = IntPoly.zero(variables)
-        for _ in range(rng.randint(1, 2)):
-            prod = IntPoly.constant(variables, rng.randint(-3, 3))
-            for g in rng.choices(gens, k=d):
-                prod = prod * g
-            prod = prod * random_monomial(rng, variables, 2)
-            acc = acc + prod
+        acc = random_power_element(rng, gens, d)
         if not acc.is_zero():
             parts[d] = acc
     if not parts:
         parts[1] = gens[0]
     return ReesElement.of(parts)
+
+
+# --- the battery of `monored check-lambda` ---------------------------------
+
+def lambda_checks(primes, seed: int) -> list[tuple[str, bool]]:
+    """(label, held) for the five Frobenius-lift checks of `monored
+    check-lambda`, in order, on samples drawn from `random.Random(seed)`.
+    Each runs at every prime in `primes` but the (2, x) torsion witness:
+    only 2 witnesses it, so it runs at 2."""
+    rng = random.Random(seed)
+    variables = ("x", "y", "z")
+
+    polys = [random_poly(rng, variables) for _ in range(DEFAULT_SAMPLES)]
+    frob = all(frobenius_lift_check(p, f) for p in primes for f in polys)
+
+    gens = [IntPoly.var(variables, "x"), IntPoly.var(variables, "y")]
+    rees = True
+    for _ in range(25):
+        element = random_rees_element(rng, gens)
+        for p in primes:
+            rees &= rees_lift_check(p, gens, element)
+
+    samples = [random_monomial(rng, variables, 4) for _ in range(20)]
+    flat = normal_cone_flat_check(gens, 3, primes, samples)
+
+    # 2x is in (2, x)^2 and x is not
+    t = IntPoly.var(("x",), "x")
+    torsion = not normal_cone_flat_check([IntPoly.constant(("x",), 2), t], 2, [2], [t])
+
+    proj = True
+    for _ in range(20):
+        n = rng.randint(1, 2)
+        x = random_power_element(rng, gens, n)
+        if x.is_zero():
+            x = gens[0] ** n
+        for p in primes:
+            proj &= proj_chart_frobenius_check(p, gens, gens[0], x, n)
+    return [
+        (f"frobenius_lift_check on {len(polys)} polynomials", frob),
+        ("rees_lift_check on monomial Rees elements", rees),
+        ("normal_cone_flat_check on (x, y)", flat),
+        ("normal_cone_flat_check rejects (2, x)", torsion),
+        ("proj_chart_frobenius_check on localization samples", proj),
+    ]

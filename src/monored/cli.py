@@ -203,10 +203,7 @@ def cmd_replay(args) -> int:
 
 def cmd_check_lambda(args) -> int:
     # the arithmetic kernel is loaded only for the command that runs it
-    import random
-
     from . import arithmetic
-    from .arithmetic import IntPoly
 
     try:
         primes = [int(p) for p in args.primes.split(",") if p.strip()]
@@ -222,58 +219,12 @@ def cmd_check_lambda(args) -> int:
             raise ValidationError(f"{p} is not prime")
     if max(primes) > MAX_PRIME:
         raise ContractError(f"prime {max(primes)} is above {MAX_PRIME}, the largest check-lambda's budget allows")
-    rng = random.Random(seed)
     print(HEADER)
     print(f"seed {seed}, primes {primes}")
-    variables = ("x", "y", "z")
     ok = True
-
-    polys = [
-        arithmetic.random_poly(rng, variables, arithmetic.DEFAULT_MAX_DEGREE)
-        for _ in range(arithmetic.DEFAULT_SAMPLES)
-    ]
-    frob = all(arithmetic.frobenius_lift_check(p, f) for p in primes for f in polys)
-    print(f"frobenius_lift_check on {len(polys)} polynomials: {'ok' if frob else 'FAILED'}")
-    ok &= frob
-
-    gens = [IntPoly.var(variables, "x"), IntPoly.var(variables, "y")]
-    rees_ok = True
-    for _ in range(25):
-        element = arithmetic.random_rees_element(rng, gens)
-        for p in primes:
-            rees_ok &= arithmetic.rees_lift_check(p, gens, element)
-    print(f"rees_lift_check on monomial Rees elements: {'ok' if rees_ok else 'FAILED'}")
-    ok &= rees_ok
-
-    samples = [arithmetic.random_monomial(rng, variables, 4) for _ in range(20)]
-    flat = arithmetic.normal_cone_flat_check(gens, 3, primes, samples)
-    print(f"normal_cone_flat_check on (x, y): {'ok' if flat else 'FAILED'}")
-    ok &= flat
-
-    bad_vars = ("x",)
-    bad_gens = [IntPoly.constant(bad_vars, 2), IntPoly.var(bad_vars, "x")]
-    bad_samples = [IntPoly.var(bad_vars, "x")]
-    # (2, x) has only 2-torsion (2x is in I^2, x is not): only p = 2 witnesses it
-    torsion = not arithmetic.normal_cone_flat_check(bad_gens, 2, [2], bad_samples)
-    print(f"normal_cone_flat_check rejects (2, x): {'ok' if torsion else 'FAILED'}")
-    ok &= torsion
-
-    proj_ok = True
-    for _ in range(20):
-        n = rng.randint(1, 2)
-        x = IntPoly.zero(variables)
-        for _ in range(rng.randint(1, 2)):
-            prod = IntPoly.constant(variables, rng.randint(-3, 3))
-            for g in rng.choices(gens, k=n):
-                prod = prod * g
-            x = x + prod * arithmetic.random_monomial(rng, variables, 2)
-        if x.is_zero():
-            x = gens[0] ** n
-        for p in primes:
-            proj_ok &= arithmetic.proj_chart_frobenius_check(p, gens, gens[0], x, n)
-    print(f"proj_chart_frobenius_check on localization samples: {'ok' if proj_ok else 'FAILED'}")
-    ok &= proj_ok
-
+    for label, held in arithmetic.lambda_checks(primes, seed):
+        print(f"{label}: {'ok' if held else 'FAILED'}")
+        ok &= held
     if not ok:
         raise ContractError("a Frobenius-lift identity failed; the arithmetic kernel is broken")
     return 0
