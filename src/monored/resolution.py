@@ -123,9 +123,9 @@ def weak_resolve(cfg: Configuration, on_step=None) -> ResolutionTrace:
     for rec in trace.records:
         for (label, parent), children in rec.outcomes:
             gens = strict.pop((label, parent))
-            for child, k in zip(children, sorted(rec.center)):
+            for child in children:
                 strict[(label, child)] = _strict_step(
-                    gens, rec.center, k, rec.exceptional, original_count
+                    gens, rec.center, child[-1][1], rec.exceptional, original_count
                 )
                 fresh.add((label, child))
         hits = sorted(key for key in fresh & strict.keys() if _is_coordinate_subscheme(strict[key]))
