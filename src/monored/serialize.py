@@ -263,10 +263,9 @@ class StepRenderer:
             )
             kids = []
             for child in children:
-                k = child.path[-1][1]
-                child_name = name + "/" + registry[k]
+                child_name = chart_name(registry, name, child.path[-1:])
                 child_display = dict(display)
-                _display_step(child_display, k, rec.exceptional)
+                _display_step(child_display, child.path[-1][1], rec.exceptional)
                 live[id(child)] = (child, child_name, child_display)
                 kids.append(
                     {
