@@ -7,6 +7,8 @@ way, even one deferred into a function body, would make a cycle.  The
 engine computes and leaves reading, writing and digesting to `serialize`
 and `cli`, which import it.  Outside `core` no module reads another
 object's private attributes, so the storage of charts has one home.
+`cli` takes from `arithmetic` only the primality test and the
+`check-lambda` battery.
 """
 
 from __future__ import annotations
@@ -142,3 +144,47 @@ def test_foreign_private_reads_are_seen():
 def test_private_attributes_stay_home(module):
     tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
     assert foreign_private_reads(tree) == []
+
+
+def arithmetic_reads(tree: ast.AST) -> set[str]:
+    """The names a module takes from `monored.arithmetic`: attributes of
+    the name `arithmetic`, and names imported from the module."""
+    reads = {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "arithmetic"
+    }
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module in ("arithmetic", "monored.arithmetic"):
+            reads.update(alias.name for alias in node.names)
+    return reads
+
+
+def identifiers(tree: ast.AST) -> set[str]:
+    """Every name a module binds or reads, attributes and imports included."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.update(filter(None, [node.name, node.asname]))
+    return found
+
+
+def test_arithmetic_reads_are_seen():
+    tree = ast.parse(
+        "def f():\n    from . import arithmetic\n    from .arithmetic import IntPoly\n"
+        "    return arithmetic.random_poly, IntPoly.var, rng.random\n"
+    )
+    assert arithmetic_reads(tree) == {"IntPoly", "random_poly"}
+    assert {"IntPoly", "var", "random_poly"} <= identifiers(tree)
+
+
+def test_cli_leaves_the_battery_to_arithmetic():
+    """`check-lambda` parses, checks primality, prints and exits: it builds
+    no polynomial and draws no sample itself."""
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    assert "IntPoly" not in identifiers(tree)
+    assert arithmetic_reads(tree) == {"is_prime", "lambda_checks"}
