@@ -149,13 +149,11 @@ def test_private_attributes_stay_home(module):
 def arithmetic_reads(tree: ast.AST) -> set[str]:
     """The names a module takes from `monored.arithmetic`: attributes of
     the name `arithmetic`, and names imported from the module."""
-    reads = {
-        node.attr
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "arithmetic"
-    }
+    reads = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module in ("arithmetic", "monored.arithmetic"):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "arithmetic":
+            reads.add(node.attr)
+        elif isinstance(node, ast.ImportFrom) and node.module in ("arithmetic", "monored.arithmetic"):
             reads.update(alias.name for alias in node.names)
     return reads
 
