@@ -4,7 +4,8 @@ Everything here is independent of the exponent bookkeeping in `core` and
 `transform`: substitution is honest polynomial composition, division is
 exact term division, ideal membership is decided on terms.  The module also
 verifies the Frobenius-lift arithmetic on polynomial rings, Rees algebras
-and Proj charts, and the torsion-freeness of normal cones.
+and Proj charts, each through the p-derivation `delta`, and the
+torsion-freeness of normal cones.
 
 Membership convention: for ideals generated by terms (coefficient times
 monomial), a term c*x^b belongs iff the gcd of the coefficients of the
@@ -130,15 +131,10 @@ class IntPoly:
     def __pow__(self, k: int) -> "IntPoly":
         if k < 0:
             raise ValidationError("negative polynomial power")
-        result = None
-        base = self
-        while k:
-            if k & 1:
-                result = base if result is None else result * base
-            k >>= 1
-            if k:  # the last bit needs no further square
-                base = base * base
-        return IntPoly.constant(self.variables, 1) if result is None else result
+        result = IntPoly.constant(self.variables, 1)
+        for _ in range(k):
+            result = result * self
+        return result
 
     def scale(self, c: int) -> "IntPoly":
         return IntPoly.of(self.variables, {e: co * c for e, co in self.terms})
@@ -213,9 +209,17 @@ def psi(p: int, f: IntPoly) -> IntPoly:
     return IntPoly._normalized(f.variables, {tuple(e * p for e in exps): c for exps, c in f.terms})
 
 
+def delta(p: int, f: IntPoly) -> IntPoly | None:
+    """The p-derivation (psi_p(f) - f^p)/p, or None where that is not an
+    integer polynomial.  On a torsion-free ring psi_p lifts Frobenius
+    exactly when delta_p is integral, so every lift check goes through it."""
+    diff = psi(p, f) - f**p
+    return diff.exact_div_int(p) if diff.divisible_by_int(p) else None
+
+
 def frobenius_lift_check(p: int, f: IntPoly) -> bool:
     """psi_p(f) - f^p must be divisible by p for every integer polynomial."""
-    return (psi(p, f) - f**p).divisible_by_int(p)
+    return delta(p, f) is not None
 
 
 # --- term-ideal membership ------------------------------------------------
@@ -276,48 +280,34 @@ class ReesElement:
         for d, _ in items:
             if d < 0:
                 raise ValidationError("Rees elements have non-negative degrees")
+        if len({f.variables for _, f in items}) > 1:
+            raise ValidationError("polynomials live over different variable lists")
         return ReesElement(items)
 
 
 def rees_lift_check(p: int, gens, element: ReesElement) -> bool:
-    """Frobenius lift on the Rees algebra: part i goes to psi_p(part) t^{pi}.
+    """Frobenius lift on the Rees algebra: part d goes to psi_p(part) t^{pd}.
 
-    Verifies the image parts land in I^{pi} and that the difference from the
-    p-th power is p times an element whose degree-d part lies in I^d.
+    The element sum a_d t^d is read as one polynomial with the grading
+    variable t appended, so psi_p and the p-th power of that polynomial are
+    those of the Rees algebra.  The lift holds when the degree-d part of
+    delta_p lies in I^d.  The image then lies in the Rees algebra as well,
+    since psi_p(F) = F^p + p * delta_p(F), so it is not checked apart.
     """
     if not is_prime(p):
         raise ValidationError(f"{p} is not prime")
     for d, f in element.parts:
         if not ideal_power_contains(gens, d, f):
             raise InvalidElementError(f"degree-{d} part is not in the {d}-th ideal power")
-    image = {p * d: psi(p, f) for d, f in element.parts}
-    for d, f in image.items():
-        if not ideal_power_contains(gens, d, f):
-            return False
-    # p-th power of the element, degree by degree
-    power: dict[int, IntPoly] = {}
-    base = dict(element.parts)
-    if not base:
-        return True
-    variables = next(iter(base.values())).variables
-    power[0] = IntPoly.constant(variables, 1)
-    for _ in range(p):
-        nxt: dict[int, IntPoly] = {}
-        for d1, f1 in power.items():
-            for d2, f2 in base.items():
-                g = f1 * f2
-                nxt[d1 + d2] = nxt.get(d1 + d2, g) if d1 + d2 not in nxt else nxt[d1 + d2] + g
-        power = nxt
-    degrees = set(power) | set(image)
-    for d in degrees:
-        diff = image.get(d, IntPoly.zero(variables)) - power.get(d, IntPoly.zero(variables))
-        if diff.is_zero():
-            continue
-        if not diff.divisible_by_int(p):
-            return False
-        if not ideal_power_contains(gens, d, diff.exact_div_int(p)):
-            return False
-    return True
+    variables = element.parts[0][1].variables if element.parts else ()
+    graded = IntPoly.of(variables + ("t",), {e + (d,): c for d, f in element.parts for e, c in f.terms})
+    lifted = delta(p, graded)
+    if lifted is None:
+        return False
+    parts: dict[int, dict] = {}
+    for e, c in lifted.terms:
+        parts.setdefault(e[-1], {})[e[:-1]] = c
+    return all(ideal_power_contains(gens, d, IntPoly.of(variables, coeffs)) for d, coeffs in parts.items())
 
 
 def normal_cone_flat_check(gens, k_max: int, primes, samples) -> bool:
@@ -350,12 +340,8 @@ def proj_chart_frobenius_check(p: int, gens, a_i: IntPoly, x: IntPoly, n: int) -
         raise ValidationError("the chart generator must be one of the ideal generators")
     if not ideal_power_contains(gens, n, x):
         raise InvalidSampleError(f"sample is not in the {n}-th ideal power")
-    diff = psi(p, x) - x**p
-    if diff.is_zero():
-        return True
-    if not diff.divisible_by_int(p):
-        return False
-    return ideal_power_contains(gens, p * n, diff.exact_div_int(p))
+    lifted = delta(p, x)
+    return lifted is not None and ideal_power_contains(gens, p * n, lifted)
 
 
 # --- blow-up oracle -------------------------------------------------------

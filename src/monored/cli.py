@@ -217,6 +217,8 @@ def cmd_check_lambda(args) -> int:
     for p in primes:
         if not arithmetic.is_prime(p):
             raise ValidationError(f"{p} is not prime")
+    if len(set(primes)) < len(primes):
+        raise ValidationError(f"--primes lists a prime twice: {primes}")
     if max(primes) > MAX_PRIME:
         raise ContractError(f"prime {max(primes)} is above {MAX_PRIME}, the largest check-lambda's budget allows")
     print(HEADER)

@@ -5,6 +5,7 @@ import pytest
 from monored.arithmetic import (
     IntPoly,
     ReesElement,
+    delta,
     fiber_order_check,
     frobenius_lift_check,
     ideal_power_contains,
@@ -90,6 +91,12 @@ class TestFrobeniusLift:
         x, y = xvar("x"), xvar("y")
         assert frobenius_lift_check(3, x + y)
 
+    def test_delta_values(self):
+        x, y = xvar("x"), xvar("y")
+        # (x^2 + y^2 - (x + y)^2)/2 and (2 - 2^3)/3
+        assert delta(2, x + y) == (x * y).scale(-1)
+        assert delta(3, IntPoly.constant(VS, 2)) == IntPoly.constant(VS, -2)
+
     def test_random_polynomials(self):
         rng = random.Random(3)
         for _ in range(60):
@@ -118,6 +125,14 @@ class TestReesLift:
         gens = [xvar("x")]
         with pytest.raises(InvalidElementError):
             rees_lift_check(2, gens, ReesElement.of({2: xvar("y")}))
+
+    def test_parts_over_different_variable_lists(self):
+        for other in (("x", "y", "w"), ("x", "y")):
+            with pytest.raises(ValidationError, match="^polynomials live over different variable lists$"):
+                ReesElement.of({0: xvar("x"), 1: IntPoly.var(other, "x")})
+
+    def test_empty_element_lifts(self):
+        assert rees_lift_check(2, [xvar("x")], ReesElement.of({1: IntPoly.zero(VS)}))
 
     def test_random_elements(self):
         rng = random.Random(5)

@@ -1,16 +1,16 @@
 """The `IntPoly` operations against `IntPoly.of` normalization, as a property.
 
-Sums, products and Adams operations build their results without the input
-checks of `IntPoly.of`, and powers square no further than the last bit
-needs.  Each must equal the polynomial `IntPoly.of` builds from the same
-terms, and a power must equal repeated multiplication.
+Sums, products, Adams operations and the p-derivation build their results
+without the input checks of `IntPoly.of`.  Each must equal the polynomial
+`IntPoly.of` builds from the same terms, and a power must equal repeated
+multiplication.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from monored.arithmetic import IntPoly, psi
+from monored.arithmetic import IntPoly, delta, psi
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -49,11 +49,15 @@ def assert_normal(f: IntPoly) -> None:
 @hypothesis.settings(max_examples=200, database=None, derandomize=True, deadline=None)
 @hypothesis.given(f=polys(), g=polys(), p=st.sampled_from((2, 3, 5, 7)))
 def test_sum_product_and_psi_match_of(f, g, p):
+    lift = of_sum(psi(p, f), -(f**p))
+    assert lift.divisible_by_int(p)
     for result, expected in [
         (f * g, of_product(f, g)),
         (f + g, of_sum(f, g)),
         (f - g, of_sum(f, -g)),
         (psi(p, f), IntPoly.of(VS, {tuple(p * e for e in exps): c for exps, c in f.terms})),
+        # never None: psi_p lifts Frobenius on Z[x, y, z]
+        (delta(p, f), IntPoly.of(VS, {e: c // p for e, c in lift.terms})),
     ]:
         assert_normal(result)
         assert result == expected

@@ -541,6 +541,26 @@ class TestCheckLambda:
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr.startswith("contract violation: prime 101 is above 13")
 
+    def test_repeated_prime_exits_at_once(self):
+        # the budget bounds each prime and, with repeats refused, the list:
+        # at most the six primes up to cli.MAX_PRIME
+        def one_cpu_second():
+            _limit_child()
+            resource.setrlimit(resource.RLIMIT_CPU, (1, 1))
+
+        src = str(Path(monored.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "monored.cli", "check-lambda", "--primes", "13,13"],
+            capture_output=True,
+            text=True,
+            env=env,
+            preexec_fn=one_cpu_second,
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr.startswith("validation error: --primes lists a prime twice: [13, 13]")
+
 
 # (x^5, y^3) with mark 1: principalized and resolved in a few dozen blow-ups
 TOWER = dict(

@@ -8,7 +8,8 @@ engine computes and leaves reading, writing and digesting to `serialize`
 and `cli`, which import it.  Outside `core` no module reads another
 object's private attributes, so the storage of charts has one home.
 `cli` takes from `arithmetic` only the primality test and the
-`check-lambda` battery.
+`check-lambda` battery, and inside `arithmetic` only the p-derivation
+`delta` applies the Adams operation `psi`.
 """
 
 from __future__ import annotations
@@ -186,3 +187,39 @@ def test_cli_leaves_the_battery_to_arithmetic():
     tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
     assert "IntPoly" not in identifiers(tree)
     assert arithmetic_reads(tree) == {"is_prime", "lambda_checks"}
+
+
+def referrers(tree: ast.AST, name: str) -> set[str]:
+    """The functions of a module whose own bodies read `name`, with
+    "<module>" for a read outside every function."""
+    found = set()
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Name) and child.id == name and isinstance(child.ctx, ast.Load):
+                found.add(owner)
+            visit(child, owner)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_referrers_are_seen():
+    tree = ast.parse(
+        "def psi(p, f):\n    return f\n"
+        "def a(f):\n    return psi(2, f)\n"
+        "def b(fs):\n    def inner(f):\n        return f\n    return map(psi, fs)\n"
+        "class C:\n    def m(self):\n        return [psi(3, g) for g in self.gs]\n"
+        "table = {2: psi}\n"
+    )
+    assert referrers(tree, "psi") == {"a", "b", "m", "<module>"}
+
+
+def test_only_delta_calls_psi():
+    """Every Frobenius-lift check goes through the p-derivation: inside
+    `arithmetic`, only `delta` uses the Adams operation."""
+    tree = ast.parse((PACKAGE / "arithmetic.py").read_text(encoding="utf-8"))
+    assert referrers(tree, "psi") == {"delta"}
