@@ -48,9 +48,7 @@ _HOMES = {
     "principalize": "resolution",
     "weak_resolve": "resolution",
     "BlowUpRecord": "transform",
-    "blow_up_chart": "transform",
     "blow_up_global": "transform",
-    "transform_generator": "transform",
 }
 
 __all__ = list(_HOMES)

@@ -696,24 +696,30 @@ def is_permissible(cfg: Configuration, center) -> bool:
     return permissible_charts(cfg, center) is not None
 
 
-def permissible_charts(cfg: Configuration, center) -> list[Chart] | None:
-    """The charts containing `center`, in chart order, if it is permissible
-    (`is_permissible`), else None: the charts a blow-up replaces."""
+def permissible_charts(cfg: Configuration, center) -> list[tuple[Chart, list[int]]] | None:
+    """The charts containing `center`, in chart order, each with its
+    generators' degrees along the centre, if it is permissible
+    (`is_permissible`), else None: the charts a blow-up replaces.
+
+    This is the one permissibility check of a blow-up.  It takes each
+    degree once, and a blow-up reuses them: the centre is non-empty and
+    lies in every chart returned, and no degree is below the mark.
+    """
     center = frozenset(center)
     if not center:
         raise ValidationError("the centre must be a non-empty component set")
     for c in center:
         if not 0 <= c < len(cfg.registry):
             raise ValidationError(f"centre references unregistered component id {c}")
-    charts = cfg.charts_containing(center)
-    for ch in charts:
-        if ch.p_empty:
+    replaced = []
+    for ch in cfg.charts_containing(center):
+        if ch.p_empty or not ch.p_components <= center:
             return None
-        if not ch.p_components <= center:
+        degrees = [g.degree(center) for g in ch.ideal.generators]
+        if min(degrees) < ch.mark:
             return None
-        if min_degree(ch.ideal.generators, center) < ch.mark:
-            return None
-    return charts
+        replaced.append((ch, degrees))
+    return replaced
 
 
 def sum_marked(ideals) -> MarkedIdeal:

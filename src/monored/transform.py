@@ -5,23 +5,23 @@ containing all of K by one child chart per k in K.  Generators move by the
 substitution rule for blow-up coordinates followed by division by the m-th
 power of the exceptional coordinate; on exponent vectors that is pure
 integer arithmetic (`Monomial.exchanged`), verified independently by the
-polynomial oracle in `arithmetic`.
+polynomial oracle in `arithmetic`.  `blow_up_global` is the one place the
+rule is applied to charts, and `core.permissible_charts` the one place a
+centre is checked.
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 
 from .core import (
     Chart,
     Configuration,
     MarkedIdeal,
-    Monomial,
     grow,
     permissible_charts,
 )
-from .errors import NonPermissibleError, ValidationError
+from .errors import NonPermissibleError
 
 ChartPath = tuple[tuple[int, int], ...]
 ChartKey = tuple[str, ChartPath]
@@ -42,71 +42,6 @@ class BlowUpRecord:
     outcomes: tuple[tuple[ChartKey, tuple[ChartPath, ...]], ...]
 
 
-def _check_degree(g: Monomial, total: int, mark: int) -> None:
-    """Refuse a generator whose degree along the centre is below the mark."""
-    if total < mark:
-        raise NonPermissibleError(
-            f"generator {g!r} has degree {total} < mark {mark} along the centre"
-        )
-
-
-def transform_generator(
-    g: Monomial, center, chart_var: int, exceptional: int, mark: int
-) -> Monomial:
-    """Birational transform of one monomial generator in one child chart."""
-    total = g.degree(frozenset(center))
-    _check_degree(g, total, mark)
-    return g.exchanged(chart_var, exceptional, total - mark)
-
-
-def blow_up_chart(chart: Chart, center, exceptional: int, stage: int) -> list[Chart]:
-    """All child charts of one chart under a blow-up along `center`.
-
-    One child per centre component k, ordered by component id.  A child
-    whose defining component cuts P is flagged P-empty; the others inherit
-    the P-cutting set verbatim.  The exceptional component never joins it.
-    Each generator's degree along the centre is the same in every child,
-    so it is taken once.
-    """
-    center = frozenset(center)
-    comps = chart.e_components
-    if not center <= set(comps):
-        raise ValidationError(
-            f"centre not fully present in chart {chart.label!r}; leave the chart untouched"
-        )
-    if not center:
-        return []
-    mark, p_comps = chart.mark, chart.p_components
-    gens = chart.ideal.generators
-    degrees = [g.degree(center) for g in gens]
-    for g, total in zip(gens, degrees):
-        _check_degree(g, total, mark)
-    excess = chart.pullback_excess
-    # the pullback of the multiplier, times the exceptional^mark this step
-    # divided out
-    excess_degree = excess.degree(center) + mark
-    children = []
-    for k in sorted(center):
-        kid_comps = [c for c in comps if c != k and c != exceptional]
-        bisect.insort(kid_comps, exceptional)
-        children.append(
-            Chart(
-                label=chart.label,
-                e_components=tuple(kid_comps),
-                n_vars=chart.n_vars,
-                p_components=p_comps - {k} if k in p_comps else p_comps,
-                ideal=MarkedIdeal.of(
-                    [g.exchanged(k, exceptional, d - mark) for g, d in zip(gens, degrees)],
-                    mark,
-                ),
-                path=chart.path + ((stage, k),),
-                p_empty=chart.p_empty or k in p_comps,
-                pullback_excess=excess.exchanged(k, exceptional, excess_degree),
-            )
-        )
-    return children
-
-
 def _fresh_name(cfg: Configuration, stage: int) -> str:
     name = f"exc{stage}"
     while cfg.is_registered(name):
@@ -118,16 +53,23 @@ def blow_up_global(cfg: Configuration, center) -> tuple[Configuration, BlowUpRec
     """Blow the whole configuration up along a permissible centre.
 
     Appends one exceptional component to the registry, replaces every chart
-    containing the centre by its children (in centre-component order), and
-    keeps every other chart as it is.  Only the charts containing the
-    centre are visited.  The grown configuration's `step` pairs each
-    replaced chart with its children; the record names them by path.
-    The permissibility check finds those charts, in one scan of the chart
-    index.
+    containing the centre by its children (one per centre component k, in
+    component order), and keeps every other chart as it is.  Only the
+    charts containing the centre are visited.  The grown configuration's
+    `step` pairs each replaced chart with its children; the record names
+    them by path.
+
+    `permissible_charts` finds those charts, in one scan of the chart
+    index, and hands on each generator's degree along the centre, which is
+    the same in every child.  In the child of k, k drops out and the
+    exceptional component, whose id is above every present one, comes
+    last.  No replaced chart is P-empty, so a child is P-empty just when
+    its defining component cuts P; the others inherit the P-cutting set
+    verbatim.
     """
     center = frozenset(center)
-    charts = permissible_charts(cfg, center)
-    if charts is None:
+    replaced = permissible_charts(cfg, center)
+    if replaced is None:
         names = ",".join(cfg.registry[c] for c in sorted(center))
         raise NonPermissibleError(
             f"centre {{{names}}} is not permissible: its trace on N must lie in the "
@@ -135,7 +77,31 @@ def blow_up_global(cfg: Configuration, center) -> tuple[Configuration, BlowUpRec
         )
     stage = cfg.n_blowups + 1
     exceptional = len(cfg.registry)
-    outcomes = [(ch, blow_up_chart(ch, center, exceptional, stage)) for ch in charts]
+    ks = sorted(center)
+    outcomes = []
+    for ch, degrees in replaced:
+        mark, p_comps, excess = ch.mark, ch.p_components, ch.pullback_excess
+        gens = ch.ideal.generators
+        # the pullback of the multiplier, times the exceptional^mark this step
+        # divided out
+        excess_degree = excess.degree(center) + mark
+        kids = [
+            Chart(
+                label=ch.label,
+                e_components=tuple([c for c in ch.e_components if c != k]) + (exceptional,),
+                n_vars=ch.n_vars,
+                p_components=p_comps - {k} if k in p_comps else p_comps,
+                ideal=MarkedIdeal.of(
+                    [g.exchanged(k, exceptional, d - mark) for g, d in zip(gens, degrees)],
+                    mark,
+                ),
+                path=ch.path + ((stage, k),),
+                p_empty=k in p_comps,
+                pullback_excess=excess.exchanged(k, exceptional, excess_degree),
+            )
+            for k in ks
+        ]
+        outcomes.append((ch, kids))
     record = BlowUpRecord(
         stage,
         center,

@@ -19,6 +19,7 @@ from monored.core import (
     is_permissible,
     minimalize,
 )
+from monored.transform import blow_up_global
 
 X, Y, U, V = 0, 1, 2, 3
 
@@ -44,6 +45,24 @@ def chart(reg_size, gens, mark, p=(), n=(), label="U", e=None):
 
 def config(names, charts, dim_p) -> Configuration:
     return Configuration(tuple(names), tuple(charts), dim_p)
+
+
+def fresh_step(cfg: Configuration, center) -> list:
+    """The step of a blow-up of a fresh copy of `cfg` along `center`: each
+    chart it replaces, in chart order, paired with its children.  `cfg`
+    itself is not grown from."""
+    fresh = Configuration(cfg.registry, cfg.charts, cfg.dim_p, cfg.n_blowups)
+    grown, _ = blow_up_global(fresh, center)
+    return grown.step
+
+
+def chart_children(ch: Chart, center) -> list[Chart]:
+    """The children of `ch` in a blow-up along `center` of the configuration
+    holding only `ch`, over components c0, c1, ... up to its largest."""
+    n = max(ch.e_components) + 1
+    grown, _ = blow_up_global(config([f"c{i}" for i in range(n)], [ch], n), center)
+    ((_, kids),) = grown.step
+    return kids
 
 
 def golden_config() -> Configuration:

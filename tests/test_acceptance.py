@@ -37,7 +37,7 @@ from monored.serialize import (
     replay_trace,
     trace_to_obj,
 )
-from monored.transform import blow_up_chart, blow_up_global, transform_generator
+from monored.transform import blow_up_global
 
 from conftest import (
     U,
@@ -46,6 +46,7 @@ from conftest import (
     Y,
     brute_support_set,
     chart,
+    chart_children,
     config,
     golden_config,
     mono,
@@ -93,8 +94,9 @@ def test_c2_counterexample_ideals_differ_supports_agree():
     fresh_based = MarkedIdeal.of([mono({U: 5})], 1)
 
     # transported companion is built from exc^3 and u^5 exc^4
-    t1 = transform_generator(mono({V: 6}), K, V, EXC, 3)
-    t2 = transform_generator(mono({U: 5}), K, V, EXC, 1)
+    v6, u5 = mono({V: 6}), mono({U: 5})
+    t1 = v6.exchanged(V, EXC, v6.degree(K) - 3)
+    t2 = u5.exchanged(V, EXC, u5.degree(K) - 1)
     assert (t1, t2) == (mono({EXC: 3}), mono({U: 5, EXC: 4}))
     transported = sum_marked([MarkedIdeal.of([t1], 3), MarkedIdeal.of([t2], 1)])
     assert transported != fresh_based  # ideal inequality
@@ -164,12 +166,10 @@ def test_c4_sum_laws():
         if not centers:
             continue
         center = rng.choice(centers)
-        kids = blow_up_chart(summed_chart, center, 4, 1)
-        for pos in range(len(sorted(center))):
-            parts = [
-                blow_up_chart(chart(4, i.generators, i.mark), center, 4, 1)[pos].ideal
-                for i in ideals
-            ]
+        grown, _ = blow_up_global(cfg, center)
+        ((_, kids),) = grown.step
+        for pos in range(len(center)):
+            parts = [chart_children(chart(4, i.generators, i.mark), center)[pos].ideal for i in ideals]
             recombined = sum_marked(parts)
             assert recombined.generators == kids[pos].ideal.generators
             assert recombined.mark == kids[pos].ideal.mark
@@ -235,7 +235,8 @@ def test_c6_oracle_equivalence_and_fibers():
         m = rng.randint(1, total)
         kvar = rng.choice(center)
         exc = nvars
-        got = transform_generator(g, frozenset(center), kvar, exc, m)
+        kids = chart_children(chart(nvars, [g], m), center)
+        (got,) = kids[center.index(kvar)].ideal.generators
 
         poly = IntPoly.monomial(names[:nvars], {names[c]: e for c, e in g.exps})
         (oracle,) = oracle_transform(

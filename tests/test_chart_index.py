@@ -18,6 +18,7 @@ from conftest import (
     brute_support_set,
     chart,
     config,
+    fresh_step,
     golden_config,
     index_answers,
     mono,
@@ -29,7 +30,7 @@ from monored import reduction, transform
 from monored.core import Configuration, chart_support, grow, has_support, is_permissible
 from monored.errors import InternalLogicError, ValidationError
 from monored.resolution import principalize
-from monored.transform import blow_up_chart, blow_up_global
+from monored.transform import blow_up_global
 
 X, Y, U, V = 0, 1, 2, 3
 K = frozenset({X, Y, U, V})
@@ -182,7 +183,7 @@ class TestBranchingGrowth:
         """Each chart index maps the names of its own registry, so two
         branches may register one name under different ids."""
         parent = golden_config()
-        kids = blow_up_chart(parent.charts[0], K, 4, 1)
+        ((_, kids),) = fresh_step(parent, K)
         with_w = grow(parent, "w", [(parent.charts[0], kids)])
         with_z = grow(parent, "z", [(parent.charts[0], kids)])
         # "w" names component 4 in one branch; the other adds it as 5

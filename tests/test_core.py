@@ -23,7 +23,7 @@ from monored.errors import (
     MarkOverflowError,
     ValidationError,
 )
-from monored.transform import blow_up_chart, blow_up_global
+from monored.transform import blow_up_global
 
 from conftest import (
     U,
@@ -35,6 +35,7 @@ from conftest import (
     brute_support_set,
     chart,
     config,
+    fresh_step,
     golden_config,
     mono,
     random_config,
@@ -265,7 +266,7 @@ class TestBlowUpCount:
         cfg = golden_config()
         assert cfg.step == ()
         grown, _ = blow_up_global(cfg, {X, Y, U, V})
-        assert grown.step == [(cfg.charts[0], blow_up_chart(cfg.charts[0], {X, Y, U, V}, 4, 1))]
+        assert grown.step == fresh_step(golden_config(), {X, Y, U, V})
 
 
 class TestOrderAt:

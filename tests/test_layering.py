@@ -9,7 +9,10 @@ and `cli`, which import it.  Outside `core` no module reads another
 object's private attributes, so the storage of charts has one home.
 `cli` takes from `arithmetic` only the primality test and the
 `check-lambda` battery, and inside `arithmetic` only the p-derivation
-`delta` applies the Adams operation `psi`.
+`delta` applies the Adams operation `psi`.  `transform` has one public
+function, `blow_up_global`, and it and the strict transform of
+`resolution` are the only callers of the exponent rule
+`Monomial.exchanged`.
 """
 
 from __future__ import annotations
@@ -97,7 +100,7 @@ def test_import_monored_loads_no_submodule():
 
 
 def test_public_names_are_read_from_their_modules(monkeypatch):
-    assert len(monored.__all__) == len(set(monored.__all__)) == 38
+    assert len(monored.__all__) == len(set(monored.__all__)) == 36
     for name in monored.__all__:
         value = getattr(monored, name)
         assert value is getattr(sys.modules[value.__module__], name)
@@ -189,9 +192,9 @@ def test_cli_leaves_the_battery_to_arithmetic():
     assert arithmetic_reads(tree) == {"is_prime", "lambda_checks"}
 
 
-def referrers(tree: ast.AST, name: str) -> set[str]:
-    """The functions of a module whose own bodies read `name`, with
-    "<module>" for a read outside every function."""
+def owners(tree: ast.AST, matches) -> set[str]:
+    """The functions of a module whose own bodies hold a node that
+    `matches`, with "<module>" for one outside every function."""
     found = set()
 
     def visit(node, owner):
@@ -199,12 +202,24 @@ def referrers(tree: ast.AST, name: str) -> set[str]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, child.name)
                 continue
-            if isinstance(child, ast.Name) and child.id == name and isinstance(child.ctx, ast.Load):
+            if matches(child):
                 found.add(owner)
             visit(child, owner)
 
     visit(tree, "<module>")
     return found
+
+
+def referrers(tree: ast.AST, name: str) -> set[str]:
+    """The functions of a module whose own bodies read `name`."""
+    return owners(tree, lambda n: isinstance(n, ast.Name) and n.id == name and isinstance(n.ctx, ast.Load))
+
+
+def method_callers(tree: ast.AST, method: str) -> set[str]:
+    """The functions of a module whose own bodies call `<anything>.method(...)`."""
+    return owners(
+        tree, lambda n: isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute) and n.func.attr == method
+    )
 
 
 def test_referrers_are_seen():
@@ -223,3 +238,47 @@ def test_only_delta_calls_psi():
     `arithmetic`, only `delta` uses the Adams operation."""
     tree = ast.parse((PACKAGE / "arithmetic.py").read_text(encoding="utf-8"))
     assert referrers(tree, "psi") == {"delta"}
+
+
+def exchanged_callers(sources: dict[str, str]) -> set[tuple[str, str]]:
+    """(module, function) of each call of `.exchanged(`, the substitution
+    rule on exponents, in the given module sources."""
+    return {
+        (module, owner)
+        for module, text in sources.items()
+        for owner in method_callers(ast.parse(text), "exchanged")
+    }
+
+
+def package_sources() -> dict[str, str]:
+    return {p.stem: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+
+
+def test_method_callers_are_seen():
+    tree = ast.parse(
+        "def f(g):\n    return g.exchanged(0, 1, 2)\n"
+        "def r(g):\n    return g.exchanged\n"
+        "class C:\n    def m(self, gs):\n        return [h.exchanged(1, 2, 0) for h in gs]\n"
+        "z = w.exchanged(0, 1, 0)\n"
+    )
+    assert method_callers(tree, "exchanged") == {"f", "m", "<module>"}
+    sources = package_sources()
+    sources["reduction"] += "\n\ndef planted(g, k, e):\n    return g.exchanged(k, e, 0)\n"
+    assert ("reduction", "planted") in exchanged_callers(sources)
+
+
+def test_one_exponent_transform():
+    """The blow-up applies the substitution rule in one place, and the
+    strict transform of `weak_resolve` in the other; no second exponent
+    transform sits beside them."""
+    assert exchanged_callers(package_sources()) == {
+        ("transform", "blow_up_global"),
+        ("resolution", "_strict_step"),
+    }
+
+
+def test_transform_has_one_public_function():
+    tree = ast.parse((PACKAGE / "transform.py").read_text(encoding="utf-8"))
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    public = {n.name for n in tree.body if isinstance(n, functions) and not n.name.startswith("_")}
+    assert public == {"blow_up_global"}

@@ -27,7 +27,7 @@ from monored.reduction import (
     reduce_monomial,
     residual_order,
 )
-from monored.transform import blow_up_global, transform_generator
+from monored.transform import blow_up_global
 
 from conftest import (
     U,
@@ -301,8 +301,9 @@ class TestReduceMaximalOrder:
         assert child_comp is None  # the degenerate branch
 
         # transported companion: transform the original summands separately
-        t1 = transform_generator(mono({V: 6}), K, V, EXC, 3)
-        t2 = transform_generator(mono({U: 5}), K, V, EXC, 1)
+        v6, u5 = mono({V: 6}), mono({U: 5})
+        t1 = v6.exchanged(V, EXC, v6.degree(K) - 3)
+        t2 = u5.exchanged(V, EXC, u5.degree(K) - 1)
         assert (t1, t2) == (mono({EXC: 3}), mono({U: 5, EXC: 4}))
         transported = sum_marked(
             [MarkedIdeal.of([t1], 3), MarkedIdeal.of([t2], 1)]

@@ -24,7 +24,7 @@ from monored.serialize import (
     replay_trace,
     trace_to_obj,
 )
-from monored.transform import BlowUpRecord, transform_generator
+from monored.transform import BlowUpRecord
 
 from conftest import chart, config, golden_config, mono, random_config
 
@@ -206,9 +206,7 @@ class TestPullbackLedger:
                     if g.degree(rec.center) < tr.initial.mark:
                         ok = False
                         break
-                    g = transform_generator(
-                        g, rec.center, k, rec.exceptional, tr.initial.mark
-                    )
+                    g = g.exchanged(k, rec.exceptional, g.degree(rec.center) - tr.initial.mark)
                 if not ok:
                     continue
                 # literal pullback: substitution without division

@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import chart, config, golden_config, mono
+from conftest import chart, config, fresh_step, golden_config, mono
 from monored.core import Registry, grow
 from monored.resolution import principalize
 from monored.serialize import StepRenderer
-from monored.transform import blow_up_chart, blow_up_global
+from monored.transform import blow_up_global
 
 X, Y, U, V = 0, 1, 2, 3
 K = frozenset({X, Y, U, V})
@@ -50,7 +50,7 @@ class TestSharedRegistry:
 
     def test_grown_from_twice_copies_the_prefix(self):
         parent = golden_config()
-        kids = blow_up_chart(parent.charts[0], K, 4, 1)
+        ((_, kids),) = fresh_step(parent, K)
         with_w = grow(parent, "w", [(parent.charts[0], kids)])
         with_z = grow(parent, "z", [(parent.charts[0], kids)])
         with_zw = grow(with_z, "w", [])

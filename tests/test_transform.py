@@ -5,16 +5,19 @@ from dataclasses import replace
 import pytest
 
 from monored import core, reduction
+from monored.arithmetic import IntPoly, oracle_transform
 from monored.core import (
     Chart,
     Configuration,
     MarkedIdeal,
+    Monomial,
     grow,
     max_order,
+    minimalize,
     sum_marked,
 )
 from monored.errors import NonPermissibleError, ValidationError
-from monored.transform import blow_up_chart, blow_up_global, transform_generator
+from monored.transform import blow_up_global
 
 from conftest import (
     U,
@@ -23,7 +26,9 @@ from conftest import (
     Y,
     brute_support_set,
     chart,
+    chart_children,
     config,
+    fresh_step,
     golden_config,
     index_answers,
     mono,
@@ -37,32 +42,41 @@ K = frozenset({X, Y, U, V})
 EXC = 4
 
 
+def transformed(g, center, k, mark):
+    """The birational transform of one generator in the child of k: the
+    generator of that child of the one-chart configuration holding `g`."""
+    kids = chart_children(chart(4, [g], mark), center)
+    (out,) = kids[sorted(set(center)).index(k)].ideal.generators
+    return out
+
+
 class TestTransformGenerator:
     def test_middle_generator(self):
         # x2 v6 in the v-chart: exponent 8 along the centre, drops to exc 3
-        g = transform_generator(mono({X: 2, V: 6}), K, V, EXC, 5)
+        g = transformed(mono({X: 2, V: 6}), K, V, 5)
         assert g == mono({X: 2, EXC: 3})
 
     def test_third_generator(self):
-        g = transform_generator(mono({Y: 4, U: 5}), K, V, EXC, 5)
+        g = transformed(mono({Y: 4, U: 5}), K, V, 5)
         assert g == mono({Y: 4, U: 5, EXC: 4})
 
     def test_unit_result(self):
-        g = transform_generator(mono({X: 1}), frozenset({X, Y}), X, 2, 1)
+        g = transformed(mono({X: 1}), frozenset({X, Y}), X, 1)
         assert g.is_unit()
 
     def test_insufficient_degree(self):
         with pytest.raises(NonPermissibleError):
-            transform_generator(mono({X: 1}), frozenset({X}), X, 2, 3)
+            transformed(mono({X: 1}), frozenset({X}), X, 3)
 
     @pytest.mark.parametrize("center", [[X, Y], [X, Y, X], [Y]])
     def test_list_centre_of_too_low_degree(self, center):
         g = mono({X: 2, Y: 1})
         total = g.degree(set(center))
-        message = f"^generator c0\\^2\\*c1 has degree {total} < mark 4 along the centre$"
+        names = ",".join(f"c{c}" for c in sorted(set(center)))
+        message = f"^centre {{{names}}} is not permissible: .* order >= 4 along it\\)$"
         with pytest.raises(NonPermissibleError, match=message):
-            transform_generator(g, center, Y, 4, 4)
-        assert transform_generator(g, center, Y, 4, total) == mono({X: 2} if Y in center else {X: 2, Y: 1})
+            transformed(g, center, Y, 4)
+        assert transformed(g, center, Y, total) == mono({X: 2})
 
     def test_exceptional_exponent_never_negative(self):
         rng = random.Random(3)
@@ -74,15 +88,14 @@ class TestTransformGenerator:
                 continue
             m = rng.randint(1, total)
             k = rng.choice(sorted(center))
-            out = transform_generator(g, center, k, 9, m)
-            assert out.exponent(9) == total - m >= 0
+            out = transformed(g, center, k, m)
+            assert out.exponent(EXC) == total - m >= 0
             assert out.exponent(k) == 0
 
 
 class TestBlowUpChart:
     def test_golden_v_child(self):
-        ch = golden_config().charts[0]
-        kids = blow_up_chart(ch, K, EXC, 1)
+        ((_, kids),) = fresh_step(golden_config(), K)
         v_child = kids[3]
         assert v_child.path == ((1, V),)
         assert v_child.ideal.generators == (
@@ -94,7 +107,7 @@ class TestBlowUpChart:
 
     def test_unit_minimalization(self):
         ch = chart(2, [mono({0: 1}), mono({1: 1})], 1)
-        kids = blow_up_chart(ch, frozenset({0, 1}), 2, 1)
+        kids = chart_children(ch, frozenset({0, 1}))
         x_child = kids[0]
         assert x_child.ideal.is_unit()
         assert brute_support_set(x_child, 2) == set()
@@ -103,30 +116,12 @@ class TestBlowUpChart:
         # the single-component blow-up renames the component and lowers its
         # exponent by the mark on every generator
         ch = chart(2, [mono({0: 3, 1: 1}), mono({0: 2, 1: 4})], 2)
-        kids = blow_up_chart(ch, frozenset({0}), 2, 1)
+        kids = chart_children(ch, frozenset({0}))
         assert len(kids) == 1
         child = kids[0]
         assert child.e_components == (1, 2)
         assert set(child.ideal.generators) == {mono({1: 4}), mono({1: 1, 2: 1})}
 
-    def test_centre_must_be_present(self):
-        ch = chart(2, [mono({0: 1})], 1)
-        with pytest.raises(ValidationError):
-            blow_up_chart(ch, frozenset({0, 5}), 6, 1)
-
-    def test_exceptional_below_an_existing_id(self):
-        """A blow-up's exceptional id comes after every id; any other one
-        is sorted into the children's components and exponents."""
-        ch = replace(chart(4, [mono({0: 2, 1: 3, 3: 1})], 2, e=(0, 1, 3)), pullback_excess=mono({3: 2}))
-        x_kid, y_kid = blow_up_chart(ch, {0, 1}, 2, 1)
-        assert (x_kid.e_components, y_kid.e_components) == ((1, 2, 3), (0, 2, 3))
-        assert x_kid.ideal.generators == (mono({1: 3, 2: 3, 3: 1}),)
-        assert y_kid.ideal.generators == (mono({0: 2, 2: 3, 3: 1}),)
-        assert x_kid.pullback_excess == y_kid.pullback_excess == mono({2: 2, 3: 2})
-        assert (x_kid.path, y_kid.path) == (((1, 0),), ((1, 1),))
-
-    def test_empty_centre_has_no_children(self):
-        assert blow_up_chart(chart(2, [mono({0: 1})], 1), set(), 2, 1) == []
 
 
 class TestBlowUpGlobal:
@@ -199,6 +194,29 @@ class TestBlowUpGlobal:
             blow_up_global(cfg, {X})
         assert len(scans) == 1
 
+    def test_one_centre_degree_per_generator(self, monkeypatch):
+        """The permissibility check hands each generator's degree along the
+        centre on to the blow-up: a step takes it once per generator of each
+        chart it replaces, and once for that chart's pullback excess."""
+        along = []
+        degree = core.Monomial.degree
+
+        def counted(g, comps=None):
+            if comps is not None:
+                along.append(comps)
+            return degree(g, comps)
+
+        cfg, records, _ = RUNS["reduce worked"]()
+        monkeypatch.setattr(core.Monomial, "degree", counted)
+        widest = 0
+        for rec in records:
+            cfg, _ = blow_up_global(cfg, rec.center)
+            assert set(along) == {rec.center}
+            assert len(along) == sum(len(ch.ideal.generators) + 1 for ch, _ in cfg.step)
+            along.clear()
+            widest = max(widest, len(cfg.step))
+        assert widest > 1
+
     def test_max_order_never_increases(self):
         # holds when the mark equals the maximal order (the blown-up ideal
         # is of maximal order); with a smaller mark the order can climb
@@ -269,9 +287,43 @@ class TestGrowthValidation:
 
     def test_registered_name_rejected(self):
         cfg = golden_config()
-        kids = blow_up_chart(cfg.charts[0], K, EXC, 1)
+        ((_, kids),) = fresh_step(cfg, K)
         with pytest.raises(ValidationError, match="registry names must be unique"):
             grow(cfg, "x", [(cfg.charts[0], kids)])
+
+
+def oracle_children(parent, center, k, exceptional):
+    """The generators of the child of k, from the polynomial oracle: the
+    literal substitution and division of each of the parent's generators,
+    with the chart variable read as the exceptional component."""
+    comps = parent.e_components
+    names = [f"c{c}" for c in comps]
+    polys = [IntPoly.monomial(names, {f"c{c}": e for c, e in g.exps}) for g in parent.ideal.generators]
+    out = []
+    for poly in oracle_transform(polys, [f"c{c}" for c in center], f"c{k}", parent.mark):
+        ((exps, coeff),) = poly.terms
+        assert coeff == 1
+        out.append(Monomial.of({exceptional if c == k else c: e for c, e in zip(comps, exps)}))
+    return minimalize(out)
+
+
+@pytest.mark.parametrize("name", list(RUNS))
+def test_children_agree_with_the_polynomial_oracle(name):
+    """Every child the engine makes in a pinned run has the generators the
+    exact-polynomial oracle gives for its parent's."""
+    cfg, records, _ = RUNS[name]()
+    children = 0
+    for rec in records:
+        cfg, replayed = blow_up_global(cfg, rec.center)
+        assert replayed == rec
+        for parent, kids in cfg.step:
+            for kid in kids:
+                ((stage, k),) = kid.path[len(parent.path):]
+                assert stage == rec.stage
+                assert kid.ideal.mark == parent.mark
+                assert kid.ideal.generators == oracle_children(parent, rec.center, k, rec.exceptional)
+                children += 1
+    assert children or not records
 
 
 @pytest.mark.parametrize("name", list(RUNS))
@@ -307,12 +359,12 @@ class TestSumsCommuteWithTransforms:
             if not centers:
                 continue
             center = rng.choice(centers)
-            kids_of_sum = blow_up_chart(summed_chart, center, 4, 1)
+            ((_, kids_of_sum),) = fresh_step(cfg, center)
             for pos, kvar in enumerate(sorted(center)):
                 parts = []
                 for ideal in ideals:
                     ch_i = chart(4, ideal.generators, ideal.mark)
-                    parts.append(blow_up_chart(ch_i, center, 4, 1)[pos].ideal)
+                    parts.append(chart_children(ch_i, center)[pos].ideal)
                 recombined = sum_marked(parts)
                 assert recombined.generators == kids_of_sum[pos].ideal.generators
                 assert recombined.mark == kids_of_sum[pos].ideal.mark
