@@ -24,11 +24,17 @@ carries that blow-up's (chart, children) pairs as its `step`, so whoever
 follows a run finds each child by identity.  Monomials too are checked where
 they enter, not where the engine derives them, and a lineage of
 configurations shares one append-only list of names (`Registry`).
+
+A chart's path is a `PathNode` linked to its parent chart's, so a blow-up
+copies no path; a caller's tuple path becomes a node when a configuration
+is built.  Chart order, (root position, path), is kept by the chart index
+with integer order labels, so keeping it compares and walks no path.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 from collections.abc import Sequence
@@ -215,6 +221,56 @@ class MarkedIdeal:
         return frozenset(out)
 
 
+@functools.total_ordering
+class PathNode(Sequence):
+    """A chart's path: the (stage, component) pairs of the blow-ups that
+    made it from its root chart, held as a node linked to its parent's.
+
+    It equals, hashes, compares, iterates, indexes and slices as the tuple
+    of those pairs; `last` is its own pair, `depth` its length and `top` its
+    largest component (-1 at the root).  A blow-up makes one node per child
+    and copies nothing; the hash is taken once, on first use.
+    """
+
+    __slots__ = ("parent", "last", "depth", "top", "_hash")
+
+    def __init__(self, parent, last, depth: int, top: int) -> None:
+        self.parent, self.last, self.depth, self.top, self._hash = parent, last, depth, top, None
+
+    def __len__(self) -> int:
+        return self.depth
+
+    def __iter__(self):
+        steps = []
+        node = self
+        while node.depth:
+            steps.append(node.last)
+            node = node.parent
+        return reversed(steps)
+
+    def __getitem__(self, i):
+        return tuple(self)[i]
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash(tuple(self))
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (PathNode, tuple)):
+            return NotImplemented
+        return self is other or tuple(self) == tuple(other)
+
+    def __lt__(self, other) -> bool:
+        return tuple(self) < tuple(other)
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
+ROOT = PathNode(None, None, 0, -1)
+
+
 @dataclass(frozen=True)
 class Chart:
     """One affine coordinate patch of the chart complex.
@@ -224,6 +280,9 @@ class Chart:
     no strata of P but still transform under later global centres.
     `pullback_excess` is the monomial multiplier turning the chart's
     (birational-transform) generators into literal pullback generators.
+    `path` lists the (stage, component) pairs of the blow-ups that made the
+    chart from its root chart: a `PathNode`, or a tuple that the
+    configuration holding the chart turns into one.
     A chart is a plain record: it checks nothing (the configuration holding
     it does) and keeps nothing derived from its fields: whether it carries
     support is recorded once, by the chart index of that configuration.
@@ -234,7 +293,7 @@ class Chart:
     n_vars: frozenset[str]
     p_components: frozenset[int]
     ideal: MarkedIdeal
-    path: tuple[tuple[int, int], ...] = ()
+    path: PathNode = ROOT
     p_empty: bool = False
     pullback_excess: Monomial = UNIT
 
@@ -284,6 +343,25 @@ class Registry(Sequence):
         return repr(tuple(self))
 
 
+def _path_node(label: str, path) -> PathNode:
+    """The node of a path a caller gave as a tuple of (stage, component)
+    pairs of ints, stages strictly increasing from 1, components not
+    negative; anything else is refused."""
+    if not isinstance(path, tuple):
+        raise ValidationError(f"chart {label!r}: a path must be a tuple of (stage, component) pairs")
+    node, previous = ROOT, 0
+    for step in path:
+        if not (isinstance(step, tuple) and len(step) == 2 and is_int(step[0]) and is_int(step[1])):
+            raise ValidationError(f"chart {label!r}: a path must be a tuple of (stage, component) pairs of integers")
+        stage, k = step
+        if stage <= previous:
+            raise ValidationError(f"chart {label!r}: path stages must be strictly increasing positive integers")
+        if k < 0:
+            raise ValidationError(f"chart {label!r}: path references an unregistered component")
+        node, previous = PathNode(node, (stage, k), node.depth + 1, max(node.top, k)), stage
+    return node
+
+
 def chart_name(registry, label: str, path) -> str:
     """Display name of a chart: its root label, then each defining component."""
     return "/".join([label] + [registry[c] for _, c in path])
@@ -314,7 +392,11 @@ class Configuration:
     the P-cutting set, the generators and pullback excess, no generator on
     a P-cutting component, at most `dim_p` components off P in a chart
     meeting P, registered components and no stage past `n_blowups` in a
-    path, one mark, one P-cutting set, and unique (label, path) keys.  That
+    path, one mark, one P-cutting set, and unique (label, path) keys.  A
+    path given as a tuple must hold (stage, component) pairs of ints with
+    stages strictly increasing from 1; the chart is held with its path
+    turned into a `PathNode`, and a chart whose path is one already is held
+    as it is.  That
     `n_vars` labels are no component names is a rule of documents only
     (`load_config`): the engine names exceptional components without
     reading `n_vars`.
@@ -343,7 +425,7 @@ class Configuration:
     )
 
     def __init__(self, registry, charts, dim_p: int, n_blowups: int = 0) -> None:
-        registry, charts = tuple(registry), tuple(charts)
+        registry, charts = tuple(registry), list(charts)
         n_names = len(registry)
         if not is_int(dim_p) or dim_p < 0:
             raise ValidationError("dim_p must be a non-negative integer")
@@ -358,13 +440,12 @@ class Configuration:
         marks: set = set()
         p_sets: set = set()
         keys: set = set()
-        for ch in charts:
+        for i, ch in enumerate(charts):
             if type(ch.label) is not str or not ch.label:
                 raise ValidationError("chart labels must be non-empty strings")
             if not set(map(type, ch.n_vars)) <= {str}:
                 raise ValidationError(f"chart {ch.label!r}: n_vars labels must be strings")
             comps = ch.e_components
-            key = (ch.label, ch.path)
             if list(comps) != sorted(set(comps)):
                 raise ValidationError(f"chart {ch.label!r}: components must be strictly increasing")
             if comps and comps[-1] >= n_names:
@@ -380,15 +461,18 @@ class Configuration:
                     raise ValidationError(f"chart {ch.label!r}: generator uses a component cutting P")
             if not ch.pullback_excess.components <= present:
                 raise ValidationError(f"chart {ch.label!r}: pullback excess uses absent components")
-            if ch.path:
-                ks = [k for _, k in ch.path]
-                if min(ks) < 0 or max(ks) >= n_names:
-                    raise ValidationError(f"chart {ch.label!r}: path references an unregistered component")
-                if ch.path[-1][0] > n_blowups:
-                    raise ValidationError(
-                        f"chart {chart_name(registry, *key)!r} has path stage "
-                        f"{ch.path[-1][0]}, past n_blowups {n_blowups}"
-                    )
+            path = ch.path
+            if type(path) is not PathNode:
+                path = _path_node(ch.label, path)
+                ch = charts[i] = replace(ch, path=path)
+            if path.top >= n_names:
+                raise ValidationError(f"chart {ch.label!r}: path references an unregistered component")
+            key = (ch.label, path)
+            if path.depth and path.last[0] > n_blowups:
+                raise ValidationError(
+                    f"chart {chart_name(registry, *key)!r} has path stage "
+                    f"{path.last[0]}, past n_blowups {n_blowups}"
+                )
             marks.add(ch.mark)
             if not ch.p_empty:
                 off_p = len(ch.e_components) - len(ch.p_components)
@@ -410,7 +494,7 @@ class Configuration:
         self.step = ()
         self._p = next(iter(p_sets), frozenset())
         self._meeting = sum(not ch.p_empty for ch in charts)
-        self._charts = charts
+        self._charts = tuple(charts)
         self._index = self._grown = None  # the index is built on first use
 
     @property
@@ -508,36 +592,41 @@ class _ChartIndex:
 
     `ids` maps each registry name to its id.  The other maps go by
     `id(chart)`, and each holds the charts it names, so no id is reused
-    while it is in the index: `charts` holds every chart; `rank` is the
-    position of the root chart a chart descends from, so chart order is the
-    order of (rank, path), since children replace their parent in
-    centre-component order and their paths extend the parent's by (stage,
-    component); `by_component` holds the charts containing each component;
-    `supporting` the charts with non-empty support.
+    while it is in the index: `charts` holds every chart; `by_component`
+    the charts containing each component; `supporting` the charts with
+    non-empty support.  `span` gives each chart a range of integer order
+    labels, disjoint from every other chart's, and chart order is the order
+    of their starts.  The charts of a configuration built from a tuple get
+    equal spans in tuple order; a blow-up (`grow`) splits the span of each
+    chart it replaces among its children in centre-component order,
+    which keeps chart order that of (root position, path), as a child's
+    path extends its parent's by (stage, component).  A span too narrow to
+    split makes every chart take a fresh one, in the same order
+    (`relabel`).
     """
 
-    __slots__ = ("ids", "charts", "rank", "by_component", "supporting")
+    __slots__ = ("ids", "charts", "span", "by_component", "supporting")
 
     def __init__(self, charts, registry) -> None:
         self.ids = {name: i for i, name in enumerate(registry)}
         self.charts: dict[int, Chart] = {}
-        self.rank: dict[int, int] = {}
+        self.span: dict[int, tuple[int, int]] = {}
         self.by_component: dict[int, dict[int, Chart]] = {}
         self.supporting: dict[int, Chart] = {}
-        for rank, ch in enumerate(charts):
-            self.add(ch, rank)
+        for ch in charts:
+            self.add(ch, None)
+        self.relabel(charts)
 
-    def add(self, ch: Chart, rank: int) -> None:
+    def add(self, ch: Chart, span: tuple[int, int]) -> None:
         i = id(ch)
         self.charts[i] = ch
-        self.rank[i] = rank
+        self.span[i] = span
         for c in ch.e_components:
             self.by_component.setdefault(c, {})[i] = ch
         if has_support(ch):
             self.supporting[i] = ch
 
-    def remove(self, ch: Chart) -> int:
-        """Drop `ch`; returns its rank."""
+    def remove(self, ch: Chart) -> None:
         i = id(ch)
         del self.charts[i]
         for c in ch.e_components:
@@ -546,11 +635,23 @@ class _ChartIndex:
             if not holders:
                 del self.by_component[c]
         self.supporting.pop(i, None)
-        return self.rank.pop(i)
+        del self.span[i]
+
+    # labels stay below 2**30, where splitting a span is small-int
+    # arithmetic, for up to 1024 charts; no span is given out narrower
+    RANGE, MIN_WIDTH = 1 << 30, 1 << 20
+
+    def relabel(self, charts) -> None:
+        """Give the charts, listed in chart order, equal spans in that
+        order."""
+        w = max(self.RANGE // len(charts), self.MIN_WIDTH)
+        span = self.span
+        for n, ch in enumerate(charts):
+            span[id(ch)] = (n * w, n * w + w)
 
     def ordered(self, charts) -> list[Chart]:
-        rank = self.rank
-        return sorted(charts, key=lambda ch: (rank[id(ch)], ch.path))
+        span = self.span
+        return sorted(charts, key=lambda ch: span[id(ch)])
 
     def containing(self, center: frozenset[int]) -> list[Chart]:
         holders = [self.by_component.get(c, {}) for c in center]
@@ -573,7 +674,8 @@ def grow(cfg: Configuration, name: str, outcomes) -> Configuration:
     component for another, keep the mark and drop out of P or keep its
     P-cutting set, and their paths end at stage `cfg.n_blowups + 1`,
     which no chart of `cfg` reaches, so their keys are new.  The chart
-    index of `cfg`, name map included, moves to the result, and `name` is
+    index of `cfg`, name map included, moves to the result, each replaced
+    chart's span of order labels split among its children, and `name` is
     appended to the name list of `cfg`, which is copied only if `cfg` was
     grown from before.  A `cfg` without a chart tuple keeps a link to the
     result to undo the blow-up from.
@@ -583,11 +685,19 @@ def grow(cfg: Configuration, name: str, outcomes) -> Configuration:
         raise ValidationError("registry names must be unique")
     index.ids[name] = len(cfg.registry)
     meeting = cfg._meeting
+    span = index.span
     for ch, kids in outcomes:
-        rank = index.remove(ch)
+        lo, hi = span[id(ch)]
+        width = (hi - lo) // len(kids)
+        if not width:
+            index.relabel(index.ordered(index.charts.values()))
+            lo, hi = span[id(ch)]
+            width = (hi - lo) // len(kids)
+        index.remove(ch)
         meeting -= not ch.p_empty
         for kid in kids:
-            index.add(kid, rank)
+            index.add(kid, (lo, lo + width))
+            lo += width
             meeting += not kid.p_empty
     new = object.__new__(Configuration)
     new.registry, new.dim_p, new.mark = cfg.registry.extended(name), cfg.dim_p, cfg.mark

@@ -125,7 +125,7 @@ def weak_resolve(cfg: Configuration, on_step=None) -> ResolutionTrace:
             gens = strict.pop((label, parent))
             for child in children:
                 strict[(label, child)] = _strict_step(
-                    gens, rec.center, child[-1][1], rec.exceptional, original_count
+                    gens, rec.center, child.last[1], rec.exceptional, original_count
                 )
                 fresh.add((label, child))
         hits = sorted(key for key in fresh & strict.keys() if _is_coordinate_subscheme(strict[key]))

@@ -263,9 +263,10 @@ class StepRenderer:
             )
             kids = []
             for child in children:
-                child_name = chart_name(registry, name, child.path[-1:])
+                step = child.path.last
+                child_name = chart_name(registry, name, (step,))
                 child_display = dict(display)
-                _display_step(child_display, child.path[-1][1], rec.exceptional)
+                _display_step(child_display, step[1], rec.exceptional)
                 live[id(child)] = (child, child_name, child_display)
                 kids.append(
                     {

@@ -18,13 +18,13 @@ from .core import (
     Chart,
     Configuration,
     MarkedIdeal,
+    PathNode,
     grow,
     permissible_charts,
 )
 from .errors import NonPermissibleError
 
-ChartPath = tuple[tuple[int, int], ...]
-ChartKey = tuple[str, ChartPath]
+ChartKey = tuple[str, PathNode]
 
 
 @dataclass(frozen=True)
@@ -32,7 +32,8 @@ class BlowUpRecord:
     """One step of a permissible sequence.
 
     `outcomes` lists the charts the step replaces, in chart order: each is
-    keyed by (root label, path) and paired with the paths of its children.
+    keyed by (root label, path) and paired with the paths of its children,
+    the nodes the charts hold, each equal to the tuple of its pairs.
     Charts that miss the centre are carried over unchanged and not listed.
     """
 
@@ -57,7 +58,7 @@ def blow_up_global(cfg: Configuration, center) -> tuple[Configuration, BlowUpRec
     component order), and keeps every other chart as it is.  Only the
     charts containing the centre are visited.  The grown configuration's
     `step` pairs each replaced chart with its children; the record names
-    them by path.
+    them by path.  Each child's path is one new node on its parent's.
 
     `permissible_charts` finds those charts, in one scan of the chart
     index, and hands on each generator's degree along the centre, which is
@@ -78,34 +79,39 @@ def blow_up_global(cfg: Configuration, center) -> tuple[Configuration, BlowUpRec
     stage = cfg.n_blowups + 1
     exceptional = len(cfg.registry)
     ks = sorted(center)
+    steps = [(stage, k) for k in ks]
     outcomes = []
     for ch, degrees in replaced:
         mark, p_comps, excess = ch.mark, ch.p_components, ch.pullback_excess
+        node = ch.path
+        depth, top = node.depth + 1, node.top
         gens = ch.ideal.generators
         # the pullback of the multiplier, times the exceptional^mark this step
         # divided out
         excess_degree = excess.degree(center) + mark
+        # Chart's fields in order: keyword arguments would cost a quarter
+        # of the call
         kids = [
             Chart(
-                label=ch.label,
-                e_components=tuple([c for c in ch.e_components if c != k]) + (exceptional,),
-                n_vars=ch.n_vars,
-                p_components=p_comps - {k} if k in p_comps else p_comps,
-                ideal=MarkedIdeal.of(
+                ch.label,
+                tuple([c for c in ch.e_components if c != k]) + (exceptional,),
+                ch.n_vars,
+                p_comps - {k} if k in p_comps else p_comps,
+                MarkedIdeal.of(
                     [g.exchanged(k, exceptional, d - mark) for g, d in zip(gens, degrees)],
                     mark,
                 ),
-                path=ch.path + ((stage, k),),
-                p_empty=k in p_comps,
-                pullback_excess=excess.exchanged(k, exceptional, excess_degree),
+                PathNode(node, step, depth, k if k > top else top),
+                k in p_comps,
+                excess.exchanged(k, exceptional, excess_degree),
             )
-            for k in ks
+            for k, step in zip(ks, steps)
         ]
         outcomes.append((ch, kids))
     record = BlowUpRecord(
         stage,
         center,
         exceptional,
-        tuple(((ch.label, ch.path), tuple(k.path for k in kids)) for ch, kids in outcomes),
+        tuple([((ch.label, ch.path), tuple([k.path for k in kids])) for ch, kids in outcomes]),
     )
     return grow(cfg, _fresh_name(cfg, stage), outcomes), record

@@ -12,7 +12,8 @@ object's private attributes, so the storage of charts has one home.
 `delta` applies the Adams operation `psi`.  `transform` has one public
 function, `blow_up_global`, and it and the strict transform of
 `resolution` are the only callers of the exponent rule
-`Monomial.exchanged`.
+`Monomial.exchanged`.  No module concatenates or slices a chart path: a
+path is a linked node, and a child's step is read from its own node.
 """
 
 from __future__ import annotations
@@ -282,3 +283,41 @@ def test_transform_has_one_public_function():
     functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     public = {n.name for n in tree.body if isinstance(n, functions) and not n.name.startswith("_")}
     assert public == {"blow_up_global"}
+
+
+def path_copies(tree: ast.AST) -> list[tuple[int, str]]:
+    """(line, operation) of each `+` and slice of a path: a `.path`
+    attribute or a name `path`."""
+
+    def is_path(node) -> bool:
+        return (isinstance(node, ast.Attribute) and node.attr == "path") or (
+            isinstance(node, ast.Name) and node.id == "path"
+        )
+
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add) and (is_path(node.left) or is_path(node.right)):
+            found.append((node.lineno, "+"))
+        elif isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Add) and is_path(node.target):
+            found.append((node.lineno, "+="))
+        elif isinstance(node, ast.Subscript) and is_path(node.value) and isinstance(node.slice, ast.Slice):
+            found.append((node.lineno, "slice"))
+    return found
+
+
+def test_path_copies_are_seen():
+    tree = ast.parse(
+        "def f(ch, stage, k, path):\n"
+        "    a = ch.path + ((stage, k),)\n"
+        "    b = ((0, 1),) + path\n"
+        "    c = ch.path[-1:]\n"
+        "    path += ((stage, k),)\n"
+        "    return ch.path[-1], ch.path.last, a + b, c[1:]\n"
+    )
+    assert sorted(path_copies(tree)) == [(2, "+"), (3, "+"), (4, "slice"), (5, "+=")]
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in PACKAGE.glob("*.py")))
+def test_no_path_is_copied(module):
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    assert path_copies(tree) == []
