@@ -267,6 +267,11 @@ class PathNode(Sequence):
     def __repr__(self) -> str:
         return repr(tuple(self))
 
+    def __reduce__(self):
+        # as the tuple, which pickles flat, where the chain of parents would
+        # recurse once per step
+        return _path_node, ("", tuple(self))
+
 
 ROOT = PathNode(None, None, 0, -1)
 

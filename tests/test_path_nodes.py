@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import gc
 import itertools
+import pickle
 import tracemalloc
 from dataclasses import replace
 
@@ -183,6 +184,16 @@ def test_the_hash_is_taken_once(monkeypatch):
     fresh = PathNode(node.parent, node.last, node.depth, node.top)
     assert hash(fresh) == hash(fresh) == hash(node)
     assert [w for w in walks if w is fresh] == [fresh]
+
+
+def test_deep_paths_pickle():
+    """A node pickles as its tuple: a path 5000 steps deep would otherwise
+    recurse past the interpreter's limit."""
+    path = tuple((stage, stage % 2) for stage in range(1, 5001))
+    cfg = Configuration(("x", "y"), (replace(chart(2, [mono({X: 1})], 1), path=path),), 2, 5000)
+    copy = pickle.loads(pickle.dumps(cfg))
+    assert copy == cfg and type(copy.charts[0].path) is PathNode
+    assert pickle.loads(pickle.dumps(ROOT)) is ROOT
 
 
 def test_roots_share_one_node():
