@@ -22,8 +22,8 @@ every rule by construction, and checks none: their paths end at a stage no
 chart reached before, so their keys are new.  The grown configuration
 carries that blow-up's (chart, children) pairs as its `step`, so whoever
 follows a run finds each child by identity.  Monomials too are checked where
-they enter, not where the engine derives them, and a lineage of
-configurations shares one append-only list of names (`Registry`).
+they enter, not where the engine derives them, and a lineage shares one name
+list and name -> id map (`Registry`), where `grow` names each new component.
 
 A chart's path is a `PathNode` linked to its parent chart's, so a blow-up
 copies no path; a caller's tuple path becomes a node when a configuration
@@ -69,6 +69,8 @@ class Monomial:
         for comp, exp in self.exps:
             if not (is_int(comp) and is_int(exp)):
                 raise ValidationError("monomial component ids and exponents must be integers")
+            if comp < 0:
+                raise ValidationError(f"component id {comp} is negative")
             if comp <= last:
                 raise ValidationError("monomial exponents must be sorted by component id")
             if exp <= 0:
@@ -309,20 +311,25 @@ class Chart:
 
 class Registry(Sequence):
     """A configuration's component names in id order: the first `len(self)`
-    of an append-only list its lineage shares (see `grow`).  It equals, and
-    hashes as, the tuple of its names."""
+    of an append-only list its lineage shares, with the lineage's one map
+    from name to id, which `in` reads (see `grow`).  It equals, and hashes
+    as, the tuple of its names."""
 
-    __slots__ = ("_names", "_n")
+    __slots__ = ("_names", "_ids", "_n")
 
-    def __init__(self, names: list, n: int) -> None:
-        self._names, self._n = names, n
+    def __init__(self, names: list, ids: dict, n: int) -> None:
+        self._names, self._ids, self._n = names, ids, n
 
     def extended(self, name: str) -> "Registry":
-        """This registry with `name` appended: to the shared list when this
-        registry reads all of it, else to a copy of its own names."""
-        names = self._names if len(self._names) == self._n else self._names[: self._n]
-        names.append(name)
-        return Registry(names, self._n + 1)
+        """This registry with `name` appended, to the shared list and map
+        unless another branch put it there (`grow` names each position)."""
+        if len(self._names) == self._n:
+            self._ids[name] = self._n
+            self._names.append(name)
+        return Registry(self._names, self._ids, self._n + 1)
+
+    def __contains__(self, name) -> bool:
+        return self._ids.get(name, self._n) < self._n
 
     def __len__(self) -> int:
         return self._n
@@ -385,15 +392,15 @@ class Configuration:
 
     `registry` order is the total order on the component index set; new
     exceptional components are appended, hence strictly larger; it is a
-    `Registry`, equal to the tuple of its names.  All charts
-    carry one mark, `mark`.  `n_blowups` counts the blow-ups made so far;
-    no chart's path goes past that stage.  `step` holds the (chart,
-    children) pairs of the blow-up that made this configuration (`grow`),
-    in chart order, and is `()` for a configuration built here.
+    `Registry`, equal to the tuple of its names, whose map answers name
+    lookups.  All charts carry one mark, `mark`.  `n_blowups` counts the
+    blow-ups made so far; no chart's path goes past that stage.  `step`
+    holds the (chart, children) pairs of the blow-up that made this
+    configuration (`grow`), in chart order, and is `()` for one built here.
 
     The constructor is the one place that checks chart rules: non-empty
-    `str` names and labels (checked before either is hashed), `str`
-    `n_vars` labels, strictly increasing, registered components holding
+    `str` names and labels (checked before either is hashed), unique names,
+    `str` `n_vars` labels, strictly increasing, registered components holding
     the P-cutting set, the generators and pullback excess, no generator on
     a P-cutting component, at most `dim_p` components off P in a chart
     meeting P, registered components and no stage past `n_blowups` in a
@@ -401,17 +408,15 @@ class Configuration:
     path given as a tuple must hold (stage, component) pairs of ints with
     stages strictly increasing from 1; the chart is held with its path
     turned into a `PathNode`, and a chart whose path is one already is held
-    as it is.  That
-    `n_vars` labels are no component names is a rule of documents only
-    (`load_config`): the engine names exceptional components without
-    reading `n_vars`.
+    as it is.  That `n_vars` labels are no component names is a rule of
+    documents only (`load_config`): the engine names exceptional components
+    without reading `n_vars`.
 
-    The charts are held as a tuple (`charts`), in a `_ChartIndex`, or both;
-    the index also maps each registry name to its id.  A blow-up (`grow`)
-    moves the index on to the grown configuration and updates it there for
-    the charts it replaces and adds and the name it registers, so a step
-    costs what it touches.  A configuration without an index builds one
-    from its chart tuple when asked.
+    The charts are held as a tuple (`charts`), in a `_ChartIndex`, or both.
+    A blow-up (`grow`) moves the index on to the grown configuration and
+    updates it there for the charts it replaces and adds, so a step costs
+    what it touches.  A configuration without an index builds one from its
+    chart tuple when asked; a copy or pickle rebuilds it.
 
     One rule brings back the charts of a configuration that holds neither:
     it was grown from without a tuple, and kept a link to the configuration
@@ -438,7 +443,8 @@ class Configuration:
             raise ValidationError("n_blowups must be a non-negative integer")
         if not set(map(type, registry)) <= {str} or "" in registry:
             raise ValidationError("registry names must be non-empty strings")
-        if len(set(registry)) != len(registry):
+        ids = {name: i for i, name in enumerate(registry)}
+        if len(ids) != n_names:
             raise ValidationError("registry names must be unique")
         if not charts:
             raise ValidationError("a configuration needs at least one chart")
@@ -494,7 +500,7 @@ class Configuration:
             raise ValidationError("all charts must carry the same mark")
         if len(p_sets) > 1:
             raise ValidationError("charts meeting P must agree on the components cutting P")
-        self.registry, self.dim_p, self.n_blowups = Registry(list(registry), n_names), dim_p, n_blowups
+        self.registry, self.dim_p, self.n_blowups = Registry(list(registry), ids, n_names), dim_p, n_blowups
         self.mark = marks.pop()
         self.step = ()
         self._p = next(iter(p_sets), frozenset())
@@ -561,17 +567,16 @@ class Configuration:
         return id(chart) in self._own_index().supporting
 
     def is_registered(self, name: str) -> bool:
-        return name in self._own_index().ids
+        return name in self.registry
 
     def component_id(self, name: str) -> int:
-        i = self._own_index().ids.get(name)
-        if i is None:
+        if name not in self.registry:
             raise ValidationError(f"unknown component name {name!r}")
-        return i
+        return self.registry._ids[name]
 
     def _own_index(self) -> "_ChartIndex":
         if self._index is None:
-            self._index = _ChartIndex(self.charts, self.registry)
+            self._index = _ChartIndex(self.charts)
         return self._index
 
     def _fields(self):
@@ -585,6 +590,10 @@ class Configuration:
     def __hash__(self) -> int:
         return hash(self._fields())
 
+    def __reduce__(self):
+        # rebuilt through the constructor, as the index goes by chart identity
+        return Configuration, (tuple(self.registry), self.charts, self.dim_p, self.n_blowups)
+
     def __repr__(self) -> str:
         return (
             f"Configuration(registry={self.registry!r}, charts={self.charts!r}, "
@@ -593,27 +602,24 @@ class Configuration:
 
 
 class _ChartIndex:
-    """The charts and names of one configuration, indexed for blow-ups.
+    """The charts of one configuration, indexed for blow-ups.
 
-    `ids` maps each registry name to its id.  The other maps go by
-    `id(chart)`, and each holds the charts it names, so no id is reused
-    while it is in the index: `charts` holds every chart; `by_component`
-    the charts containing each component; `supporting` the charts with
-    non-empty support.  `span` gives each chart a range of integer order
-    labels, disjoint from every other chart's, and chart order is the order
-    of their starts.  The charts of a configuration built from a tuple get
-    equal spans in tuple order; a blow-up (`grow`) splits the span of each
-    chart it replaces among its children in centre-component order,
-    which keeps chart order that of (root position, path), as a child's
-    path extends its parent's by (stage, component).  A span too narrow to
-    split makes every chart take a fresh one, in the same order
-    (`relabel`).
+    The maps go by `id(chart)`, and each holds the charts it names, so no id
+    is reused while it is in the index: `charts` holds every chart;
+    `by_component` the charts containing each component; `supporting` the
+    charts with non-empty support.  `span` gives each chart a range of
+    integer order labels, disjoint from every other chart's, and chart order
+    is the order of their starts.  The charts of a configuration built from
+    a tuple get equal spans in tuple order; a blow-up (`grow`) splits the
+    span of each chart it replaces among its children in centre-component
+    order, which keeps chart order that of (root position, path), as a
+    child's path extends its parent's by (stage, component).  A span too
+    narrow to split makes every chart take a fresh one in order (`relabel`).
     """
 
-    __slots__ = ("ids", "charts", "span", "by_component", "supporting")
+    __slots__ = ("charts", "span", "by_component", "supporting")
 
-    def __init__(self, charts, registry) -> None:
-        self.ids = {name: i for i, name in enumerate(registry)}
+    def __init__(self, charts) -> None:
         self.charts: dict[int, Chart] = {}
         self.span: dict[int, tuple[int, int]] = {}
         self.by_component: dict[int, dict[int, Chart]] = {}
@@ -667,28 +673,29 @@ class _ChartIndex:
         return self.ordered(self.supporting.values())
 
 
-def grow(cfg: Configuration, name: str, outcomes) -> Configuration:
-    """`cfg` after one blow-up: the registry gains `name`, and each
-    (chart, children) pair of `outcomes`, in chart order, puts its (one or
-    more) children in the chart's place.  The result keeps `outcomes` as
-    its `step`.
+def grow(cfg: Configuration, outcomes) -> Configuration:
+    """`cfg` after one blow-up: the registry gains the exceptional
+    component, and each (chart, children) pair of `outcomes`, in chart
+    order, puts its (one or more) children in the chart's place.  The
+    result keeps `outcomes` as its `step`.
 
-    Nothing is re-checked but that `name` is new.  The children of a
-    blow-up of `cfg` meet every rule of the constructor by construction:
-    their components are registered once `name` is, they swap one
-    component for another, keep the mark and drop out of P or keep its
-    P-cutting set, and their paths end at stage `cfg.n_blowups + 1`,
-    which no chart of `cfg` reaches, so their keys are new.  The chart
-    index of `cfg`, name map included, moves to the result, each replaced
-    chart's span of order labels split among its children, and `name` is
-    appended to the name list of `cfg`, which is copied only if `cfg` was
-    grown from before.  A `cfg` without a chart tuple keeps a link to the
-    result to undo the blow-up from.
+    The component of stage s is named `exc<s>`, primed while the name is
+    taken.  A lineage's registry length less `n_blowups` is fixed, so the
+    name depends only on the names before it: branches name a position
+    alike and share one name list and map.  Nothing is re-checked.  The
+    children of a blow-up of `cfg` meet every rule of the constructor by
+    construction: their components are registered once the exceptional
+    one is, they swap one component for another, keep the mark and drop
+    out of P or keep its P-cutting set, and their paths end at stage
+    `cfg.n_blowups + 1`, which no chart of `cfg` reaches, so their keys
+    are new.  The chart index of `cfg` moves to the result, each replaced
+    chart's span of order labels split among its children.  A `cfg`
+    without a chart tuple keeps a link to the result to undo it from.
     """
     index = cfg._own_index()
-    if name in index.ids:
-        raise ValidationError("registry names must be unique")
-    index.ids[name] = len(cfg.registry)
+    name = f"exc{cfg.n_blowups + 1}"
+    while name in cfg.registry:
+        name += "'"
     meeting = cfg._meeting
     span = index.span
     for ch, kids in outcomes:

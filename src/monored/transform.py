@@ -40,14 +40,7 @@ class BlowUpRecord:
     stage: int
     center: frozenset[int]
     exceptional: int
-    outcomes: tuple[tuple[ChartKey, tuple[ChartPath, ...]], ...]
-
-
-def _fresh_name(cfg: Configuration, stage: int) -> str:
-    name = f"exc{stage}"
-    while cfg.is_registered(name):
-        name += "'"
-    return name
+    outcomes: tuple[tuple[ChartKey, tuple[PathNode, ...]], ...]
 
 
 def blow_up_global(cfg: Configuration, center) -> tuple[Configuration, BlowUpRecord]:
@@ -114,4 +107,4 @@ def blow_up_global(cfg: Configuration, center) -> tuple[Configuration, BlowUpRec
         exceptional,
         tuple([((ch.label, ch.path), tuple([k.path for k in kids])) for ch, kids in outcomes]),
     )
-    return grow(cfg, _fresh_name(cfg, stage), outcomes), record
+    return grow(cfg, outcomes), record

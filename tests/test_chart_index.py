@@ -1,4 +1,4 @@
-"""The chart index, the registry name map and the counted monomial-stage table.
+"""The chart index, the registry name lookups and the counted monomial-stage table.
 
 A blow-up updates these for the charts it touches instead of rescanning the
 configuration; the tests here check each against what a from-scratch
@@ -18,7 +18,6 @@ from conftest import (
     brute_support_set,
     chart,
     config,
-    fresh_step,
     golden_config,
     index_answers,
     mono,
@@ -26,8 +25,8 @@ from conftest import (
     random_config,
     random_principal_config,
 )
-from monored import reduction, transform
-from monored.core import Configuration, chart_support, grow, has_support, is_permissible
+from monored import core, reduction, transform
+from monored.core import Configuration, chart_support, has_support, is_permissible
 from monored.errors import InternalLogicError, ValidationError
 from monored.resolution import principalize
 from monored.transform import blow_up_global
@@ -179,20 +178,6 @@ class TestBranchingGrowth:
             assert first == expected_first
             assert first.component_id("exc2") == second.component_id("exc2") == 5
 
-    def test_names_held_under_other_ids_fork_the_map(self):
-        """Each chart index maps the names of its own registry, so two
-        branches may register one name under different ids."""
-        parent = golden_config()
-        ((_, kids),) = fresh_step(parent, K)
-        with_w = grow(parent, "w", [(parent.charts[0], kids)])
-        with_z = grow(parent, "z", [(parent.charts[0], kids)])
-        # "w" names component 4 in one branch; the other adds it as 5
-        with_zw = grow(with_z, "w", [])
-        assert with_w.component_id("w") == 4
-        assert with_zw.component_id("w") == 5
-        assert with_zw.component_id("z") == 4
-        with pytest.raises(ValidationError, match="unknown component name 'z'"):
-            with_w.component_id("z")
 
 
 class TestFreshNames:
@@ -239,6 +224,32 @@ def test_long_undo_chain():
     assert ids(kept) == ids(fresh) == {"x": 0, "y": 1, "exc1": 2}
     with pytest.raises(ValidationError, match="unknown component name 'exc2'"):
         kept.component_id("exc2")
+
+
+def test_name_lookups_build_no_index(monkeypatch):
+    """A kept grown-from configuration answers name lookups from its
+    registry: it builds no chart index and undoes no blow-up."""
+    initial = config(("x", "y"), [chart(2, [mono({X: 30}), mono({Y: 3})], 1)], 2)
+    records = principalize(initial).records
+    kept, _ = blow_up_global(initial, records[0].center)
+    cfg = kept
+    for rec in records[1:]:
+        cfg, _ = blow_up_global(cfg, rec.center)
+    builds = []
+    build = core._ChartIndex.__init__
+
+    def counted(self, charts):
+        builds.append(None)
+        build(self, charts)
+
+    monkeypatch.setattr(core._ChartIndex, "__init__", counted)
+    assert kept.component_id("exc1") == 2 and kept.component_id("y") == 1
+    assert kept.is_registered("x") and not kept.is_registered("exc2")
+    with pytest.raises(ValidationError, match="unknown component name 'exc2'"):
+        kept.component_id("exc2")
+    assert builds == [] and kept._charts is None
+    kept.support_charts()
+    assert builds == [None]
 
 
 def test_runs_keep_no_undo_links(monkeypatch):

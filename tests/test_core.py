@@ -1,5 +1,8 @@
+import dataclasses
+import importlib
 import itertools
 import random
+import typing
 from dataclasses import replace
 
 import pytest
@@ -77,8 +80,10 @@ class TestMonomialBoundary:
             (((0, 1), (0, 2)), "^monomial exponents must be sorted by component id$"),
             (((0, 0),), "^stored exponents must be positive$"),
             (((0, 1), (2, -3)), "^stored exponents must be positive$"),
+            (((-1, 2),), "^component id -1 is negative$"),
+            (((0, 1), (-3, 2)), "^component id -3 is negative$"),
         ],
-        ids=["unsorted", "repeated", "zero", "negative"],
+        ids=["unsorted", "repeated", "zero", "negative", "negative id", "negative id after"],
     )
     def test_constructor_checks(self, exps, message):
         with pytest.raises(ValidationError, match=message):
@@ -476,3 +481,17 @@ class TestSumMarked:
                         brute_order(i.generators, s) >= i.mark for i in ideals
                     )
                     assert in_sum == in_all
+
+
+@pytest.mark.parametrize("module", ["core", "transform", "reduction", "resolution", "arithmetic"])
+def test_dataclass_type_hints_resolve(module):
+    """Every annotation of a dataclass names something its module defines
+    or imports."""
+    mod = importlib.import_module(f"monored.{module}")
+    classes = [
+        v for v in vars(mod).values()
+        if isinstance(v, type) and dataclasses.is_dataclass(v) and v.__module__ == mod.__name__
+    ]
+    assert classes
+    for cls in classes:
+        assert set(typing.get_type_hints(cls)) >= {f.name for f in dataclasses.fields(cls)}

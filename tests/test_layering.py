@@ -14,12 +14,15 @@ function, `blow_up_global`, and it and the strict transform of
 `resolution` are the only callers of the exponent rule
 `Monomial.exchanged`.  No module concatenates or slices a chart path: a
 path is a linked node, and a child's step is read from its own node.
+`core.grow` alone spells an exceptional component's name (`exc<stage>`)
+and extends a registry.
 """
 
 from __future__ import annotations
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -321,3 +324,33 @@ def test_path_copies_are_seen():
 def test_no_path_is_copied(module):
     tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
     assert path_copies(tree) == []
+
+
+def exc_name_spellers(sources: dict[str, str]) -> set[tuple[str, str]]:
+    """(module, function) of each string constant spelling an exceptional
+    component name or its stem: `exc`, `exc1`, `exc2''` and the like."""
+
+    def spells(node) -> bool:
+        return isinstance(node, ast.Constant) and bool(re.fullmatch(r"exc\d*'*", str(node.value)))
+
+    return {(module, owner) for module, text in sources.items() for owner in owners(ast.parse(text), spells)}
+
+
+def registry_extenders(sources: dict[str, str]) -> set[tuple[str, str]]:
+    return {(module, owner) for module, text in sources.items() for owner in method_callers(ast.parse(text), "extended")}
+
+
+def test_naming_rules_are_seen():
+    sources = package_sources()
+    sources["transform"] += '\n\ndef planted(cfg, stage):\n    return cfg.registry.extended(f"exc{stage}")\n'
+    sources["serialize"] += "\n\ndef planted():\n    return \"exc2'\", \"exceptional\"\n"
+    assert {("transform", "planted"), ("serialize", "planted")} <= exc_name_spellers(sources)
+    assert ("transform", "planted") in registry_extenders(sources)
+
+
+def test_grow_alone_names_exceptional_components():
+    """The naming rule has one home: no function but `core.grow` spells an
+    exceptional name, and none but it extends a registry."""
+    sources = package_sources()
+    assert exc_name_spellers(sources) == {("core", "grow")}
+    assert registry_extenders(sources) == {("core", "grow")}

@@ -1,16 +1,19 @@
-"""A lineage of configurations shares one append-only registry name list.
+"""A lineage of configurations shares one append-only registry name list
+and one map from name to id.
 
 Each registry reads the list up to its own length and equals the tuple of
-its names; a configuration grown from a second time copies its names to a
-list of the new branch's own.  No blow-up step reads a registry whole.
+its names.  `grow` names each new component by the names before it, so a
+configuration grown from a second time names it as the first branch did,
+and no branch copies the list or the map.  No blow-up step reads a
+registry whole.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from conftest import chart, config, fresh_step, golden_config, mono
-from monored.core import Registry, grow
+from conftest import chart, config, golden_config, mono, permissible_centers
+from monored.core import Configuration, Registry, grow
 from monored.resolution import principalize
 from monored.serialize import StepRenderer
 from monored.transform import blow_up_global
@@ -19,10 +22,15 @@ X, Y, U, V = 0, 1, 2, 3
 K = frozenset({X, Y, U, V})
 
 
+def tower(e: int) -> Configuration:
+    """(x^e, y^3) with mark 1 on one chart."""
+    return config(("x", "y"), [chart(2, [mono({X: e}), mono({Y: 3})], 1)], 2)
+
+
 class TestSharedRegistry:
-    """A lineage shares one append-only name list; each registry reads it
-    up to its own length, and a configuration grown from a second time
-    copies its names to a list of the new branch's own."""
+    """A lineage shares one append-only name list and name map; each
+    registry reads them up to its own length, and every branch names a
+    position alike."""
 
     NAMES = ("x", "y", "u", "v")
 
@@ -48,26 +56,49 @@ class TestSharedRegistry:
         assert first.registry == self.NAMES + ("exc1",)
         assert second.registry == self.NAMES + ("exc1", "exc2")
 
-    def test_grown_from_twice_copies_the_prefix(self):
-        parent = golden_config()
-        ((_, kids),) = fresh_step(parent, K)
-        with_w = grow(parent, "w", [(parent.charts[0], kids)])
-        with_z = grow(parent, "z", [(parent.charts[0], kids)])
-        with_zw = grow(with_z, "w", [])
-        with_ww = grow(with_w, "ww", [])
-        assert with_z.registry._names is with_zw.registry._names
-        assert with_z.registry._names is not with_w.registry._names
-        assert parent.registry == self.NAMES
-        assert with_ww.registry == self.NAMES + ("w", "ww")
-        assert with_zw.registry == self.NAMES + ("z", "w")
-        assert with_w.registry == self.NAMES + ("w",)
-        assert with_w.registry != with_z.registry
+    @staticmethod
+    def assert_branches_alike(parent, *branches):
+        """Each branch grown from `parent` holds the parent's list and map,
+        and names the new component as a copy of the parent on a list of
+        its own does, under the id after the parent's names."""
+        n = len(parent.registry)
+        alone = Configuration(parent.registry, parent.charts, parent.dim_p, parent.n_blowups)
+        name = grow(alone, []).registry[n]
+        for branch in branches:
+            assert branch.registry._names is parent.registry._names
+            assert branch.registry._ids is parent.registry._ids
+            assert branch.registry == parent.registry + (name,)
+            assert branch.component_id(name) == n
+
+    def test_branches_name_each_position_alike(self):
+        """At every step of a run, a side branch along another centre and
+        the run itself name the new component alike; so does a second run
+        grown from a configuration kept after the first step."""
+        records = principalize(tower(25)).records
+        cfg = tower(25)
+        for rec in records:
+            others = [c for c in permissible_centers(cfg) if c != rec.center]
+            side, _ = blow_up_global(cfg, (others or [rec.center])[0])
+            grown, _ = blow_up_global(cfg, rec.center)
+            self.assert_branches_alike(cfg, side, grown)
+            cfg = grown
+        assert cfg.registry == ("x", "y") + tuple(f"exc{s}" for s in range(1, len(records) + 1))
+        kept, _ = blow_up_global(tower(25), records[0].center)
+        first = kept
+        for rec in records[1:]:
+            first, _ = blow_up_global(first, rec.center)
+        again = kept
+        for rec in records[1:]:
+            grown, _ = blow_up_global(again, rec.center)
+            self.assert_branches_alike(again, grown)
+            again = grown
+        assert again == first and len(first.registry._names) == len(first.registry)
 
     def test_steps_build_no_registry_tuple(self, monkeypatch):
         """Neither a blow-up nor the trace renderer reads a registry whole."""
         trace = principalize(config(("x", "y"), [chart(2, [mono({X: 30}), mono({Y: 3})], 1)], 2))
         cfg, records = trace.initial, trace.records
-        cfg.support_charts()  # the index reads the names once
+        cfg.support_charts()
         reads = []
 
         def counting(name):

@@ -285,11 +285,16 @@ class TestGrowthValidation:
         with pytest.raises(ValidationError, match=r"^duplicate chart 'U/x'$"):
             Configuration(("x", "y"), (kid, replace(kid)), 2, 1)
 
-    def test_registered_name_rejected(self):
-        cfg = golden_config()
+    def test_taken_names_get_primes(self):
+        """`grow` names the component of stage s `exc<s>`, primed past the
+        names an input holds already, so no registered name is taken twice."""
+        gens = [mono({X: 2, Y: 3}), mono({X: 2, V: 6}), mono({Y: 4, U: 5})]
+        cfg = config(("x", "exc1", "exc1'", "v"), [chart(4, gens, 5)], 4)
         ((_, kids),) = fresh_step(cfg, K)
-        with pytest.raises(ValidationError, match="registry names must be unique"):
-            grow(cfg, "x", [(cfg.charts[0], kids)])
+        grown = grow(cfg, [(cfg.charts[0], kids)])
+        assert grown.registry == ("x", "exc1", "exc1'", "v", "exc1''")
+        assert grown.component_id("exc1''") == 4 and grown.component_id("exc1'") == 2
+        assert grow(grown, []).registry[5:] == ("exc2",)
 
 
 def oracle_children(parent, center, k, exceptional):
