@@ -8,26 +8,13 @@ write a replayable JSON trace.  Exit codes: 0 success, 1 validation error,
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
+# each command imports `reduction`, `resolution`, `serialize` or
+# `arithmetic` when it runs, so it loads only the modules it uses
 from .core import chart_name, chart_order, max_order, support
 from .errors import ContractError, ValidationError
-from .reduction import reduce
-from .resolution import principalize, total_transform_generators, weak_resolve
-from .serialize import (
-    StepRenderer,
-    canonical_json,
-    component_names,
-    final_state_obj,
-    load_config,
-    load_config_file,
-    monomial_obj,
-    read_json_file,
-    replay_trace,
-    trace_document,
-)
 from .transform import blow_up_global
 
 HEADER = "monored report 1"
@@ -37,8 +24,11 @@ MAX_PRIME = 13
 
 
 def _write_trace(obj, fh) -> None:
-    # json.dump streams the text in pieces; json.dumps would hold it whole
-    json.dump(obj, fh, indent=2, sort_keys=True, ensure_ascii=False)
+    # the canonical form input_digest hashes, streamed in pieces each
+    # encoded by json's C encoder; the whole text is never held
+    from .serialize import write_canonical
+
+    write_canonical(obj, fh)
     fh.write("\n")
 
 
@@ -78,6 +68,8 @@ def _emit(out_path: str | None, obj) -> None:
 
 
 def cmd_order(args) -> int:
+    from .serialize import load_config_file
+
     cfg = load_config_file(args.config)
     print(HEADER)
     print(f"max_order: {max_order(cfg)}")
@@ -87,6 +79,8 @@ def cmd_order(args) -> int:
 
 
 def cmd_support(args) -> int:
+    from .serialize import component_names, load_config_file
+
     cfg = load_config_file(args.config)
     print(HEADER)
     strata = support(cfg)
@@ -103,6 +97,8 @@ def cmd_support(args) -> int:
 
 
 def cmd_blowup(args) -> int:
+    from .serialize import StepRenderer, component_names, load_config_file, trace_document
+
     cfg = load_config_file(args.config)
     center = frozenset(cfg.component_id(n.strip()) for n in args.center.split(",") if n.strip())
     if not center:
@@ -118,6 +114,9 @@ def cmd_blowup(args) -> int:
 
 
 def cmd_reduce(args) -> int:
+    from .reduction import reduce
+    from .serialize import StepRenderer, load_config_file, trace_document
+
     cfg = load_config_file(args.config)
     steps = StepRenderer()
     final, records = reduce(cfg, on_step=steps)
@@ -128,6 +127,8 @@ def cmd_reduce(args) -> int:
 
 
 def _principal_extra(trace) -> dict:
+    from .serialize import component_names
+
     return {
         "cosupport": [
             {
@@ -140,6 +141,9 @@ def _principal_extra(trace) -> dict:
 
 
 def cmd_principalize(args) -> int:
+    from .resolution import principalize, total_transform_generators
+    from .serialize import StepRenderer, load_config_file, monomial_obj, trace_document
+
     cfg = load_config_file(args.config)
     steps = StepRenderer()
     trace = principalize(cfg, on_step=steps)
@@ -159,6 +163,9 @@ def cmd_principalize(args) -> int:
 
 
 def cmd_resolve(args) -> int:
+    from .resolution import weak_resolve
+    from .serialize import StepRenderer, load_config_file, monomial_obj, trace_document
+
     cfg = load_config_file(args.config)
     steps = StepRenderer()
     trace = weak_resolve(cfg, on_step=steps)
@@ -185,6 +192,8 @@ def cmd_resolve(args) -> int:
 
 
 def cmd_replay(args) -> int:
+    from .serialize import canonical_json, final_state_obj, load_config, read_json_file, replay_trace
+
     obj = read_json_file(args.trace)
     if not isinstance(obj, dict) or "input" not in obj:
         raise ValidationError("trace file carries no input section")
@@ -202,7 +211,6 @@ def cmd_replay(args) -> int:
 
 
 def cmd_check_lambda(args) -> int:
-    # the arithmetic kernel is loaded only for the command that runs it
     from . import arithmetic
 
     try:

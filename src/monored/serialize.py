@@ -15,6 +15,9 @@ observer, so each step is rendered as the engine makes it and nothing is
 blown up twice; `trace_to_obj` renders a finished sequence by replaying
 it, checking that the records replay and reproduce the final
 configuration.  `replay_trace` (`monored replay`) re-runs a written trace.
+A trace is written in its canonical form (`canonical_json`), streamed in
+pieces by `write_canonical`; replay reads JSON, so traces written in any
+layout, the indented one the CLI once wrote included, replay alike.
 
 Below the root, a chart shows each exceptional component as the component
 that defined the chart at that component's stage, followed back while that
@@ -42,8 +45,43 @@ TRACE_FORMAT = "monored-trace-2"
 READABLE_TRACE_FORMATS = ("monored-trace-1", TRACE_FORMAT)
 
 
+# the canonical form: sorted keys, no whitespace, non-ASCII kept; with no
+# indent, json encodes it in C
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+# how many levels of containers `write_canonical` writes item by item
+WRITE_DEPTH = 5
+
+
 def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+    return _CANONICAL.encode(obj)
+
+
+def write_canonical(obj, fh) -> None:
+    """Write `canonical_json(obj)` to `fh` in pieces, so the whole text is
+    never held.  Lists, and dicts keyed by strings, down to `WRITE_DEPTH`
+    levels are written item by item; every other value, those below that
+    depth included, goes through json's C encoder in one piece."""
+    encode, write = _CANONICAL.encode, fh.write
+
+    def put(value, depth: int) -> None:
+        if depth and isinstance(value, dict) and value and all(isinstance(k, str) for k in value):
+            sep = "{"
+            for key, item in sorted(value.items()):
+                write(sep + encode(key) + ":")
+                put(item, depth - 1)
+                sep = ","
+            write("}")
+        elif depth and isinstance(value, (list, tuple)) and value:
+            sep = "["
+            for item in value:
+                write(sep)
+                put(item, depth - 1)
+                sep = ","
+            write("]")
+        else:
+            write(encode(value))
+
+    put(obj, WRITE_DEPTH)
 
 
 def monomial_obj(registry, g: Monomial) -> dict:

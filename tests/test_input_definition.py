@@ -127,9 +127,11 @@ EXC1 = {
     ],
 }
 
-# sha256 of the trace file `principalize --out` wrote before names, labels
-# and n_vars labels were checked in the constructor.
-EXC1_TRACE = "e2767c570d230d7e3cb112ec5446e510c50193d0bdd3950ada525e8f3d7a4458"
+# sha256 of the trace file `principalize --out` writes, and of the one it
+# wrote in the indented form before names, labels and n_vars labels were
+# checked in the constructor, which the file re-rendered in that form gives.
+EXC1_TRACE = "13408c05495ad309f665432ac44f34f9cd3be6277e436f1d0e8d5b118941b71d"
+EXC1_INDENTED_TRACE = "e2767c570d230d7e3cb112ec5446e510c50193d0bdd3950ada525e8f3d7a4458"
 
 
 def test_an_n_vars_label_an_exceptional_name_takes_later(tmp_path, capsys):
@@ -137,7 +139,10 @@ def test_an_n_vars_label_an_exceptional_name_takes_later(tmp_path, capsys):
     config.write_text(json.dumps(EXC1))
     trace = tmp_path / "trace.json"
     assert main(["principalize", str(config), "--out", str(trace)]) == 0
-    assert hashlib.sha256(trace.read_bytes()).hexdigest() == EXC1_TRACE
+    data = trace.read_bytes()
+    assert hashlib.sha256(data).hexdigest() == EXC1_TRACE
+    indented = json.dumps(json.loads(data), indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+    assert hashlib.sha256(indented.encode("utf-8")).hexdigest() == EXC1_INDENTED_TRACE
     assert main(["replay", "--trace", str(trace)]) == 0
     assert capsys.readouterr().out.endswith("replay: final state identical\n")
 

@@ -15,7 +15,9 @@ function, `blow_up_global`, and it and the strict transform of
 `Monomial.exchanged`.  No module concatenates or slices a chart path: a
 path is a linked node, and a child's step is read from its own node.
 `core.grow` alone spells an exceptional component's name (`exc<stage>`)
-and extends a registry.
+and extends a registry.  `cli` imports only `core`, `errors` and
+`transform` when it loads, and each command the other modules it runs, so
+`check-lambda` loads no trace or engine module and `replay` no reduction.
 """
 
 from __future__ import annotations
@@ -101,6 +103,51 @@ def test_import_monored_loads_no_submodule():
         "[]",
         "['monored.core', 'monored.errors', 'monored.reduction', 'monored.resolution', 'monored.transform']",
     ]
+
+
+# the `monored` modules a child has loaded, on the last line of its stderr
+LOADED = "print(*sorted(m for m in sys.modules if m.startswith('monored.')), file=sys.stderr)\n"
+# a child that runs `monored.cli.main` on its own arguments
+CLI_CHILD = "import sys\nfrom monored.cli import main\nrc = main(sys.argv[1:])\n" + LOADED + "sys.exit(rc)\n"
+COMMAND_MODULES = {"monored.reduction", "monored.resolution", "monored.serialize"}
+
+
+def loaded_by(code: str, *argv: str) -> set[str]:
+    """The `monored` modules a child running `code` on `argv` loaded; the
+    child must exit 0."""
+    src = str(PACKAGE.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stderr.splitlines()[-1].split())
+
+
+def test_import_cli_loads_no_command_module():
+    loaded = loaded_by("import sys, monored.cli\n" + LOADED)
+    assert loaded == {"monored.cli", "monored.core", "monored.errors", "monored.transform"}
+
+
+def test_check_lambda_loads_no_command_module():
+    loaded = loaded_by(CLI_CHILD, "check-lambda", "--primes", "2")
+    assert "monored.arithmetic" in loaded
+    assert not loaded & COMMAND_MODULES
+
+
+def test_replay_loads_neither_reduction_nor_resolution(tmp_path, capsys):
+    from monored.cli import main
+
+    config, trace = tmp_path / "in.json", tmp_path / "trace.json"
+    config.write_text(
+        '{"components": ["x", "y"], "dim_p": 2, "mark": 1, "charts": '
+        '[{"name": "U", "e_components": ["x", "y"], "generators": [{"x": 3}, {"y": 2}]}]}',
+        encoding="utf-8",
+    )
+    assert main(["principalize", str(config), "--out", str(trace)]) == 0
+    loaded = loaded_by(CLI_CHILD, "replay", "--trace", str(trace))
+    assert "monored.serialize" in loaded
+    assert not loaded & {"monored.reduction", "monored.resolution"}
 
 
 def test_public_names_are_read_from_their_modules(monkeypatch):

@@ -1,10 +1,12 @@
 """The bytes the CLI writes, and how `cli._emit` writes them.
 
-The pinned SHA-256 digests below are of the files and the standard output
-the CLI wrote with `json.dumps(obj, indent=2, sort_keys=True,
-ensure_ascii=False) + "\\n"`, so `_emit`, which streams the same text, is
-held to the old bytes, indentation included, and not only to the canonical
-document.
+A trace is written in its canonical form, `canonical_json(doc) + "\\n"`,
+streamed in pieces.  Each output carries two pins, (bytes, SHA-256): one of
+the canonical text the CLI writes, and one of the indented text it wrote
+before, `json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) +
+"\\n"`, checked against the output re-rendered in that form.  So the
+document is held to the old bytes as well as the new ones, and the old
+pins were kept as they were.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import pytest
 import monored
 from monored.cli import _emit, main
 from monored.resolution import principalize
-from monored.serialize import StepRenderer, load_config, trace_document
+from monored.serialize import StepRenderer, canonical_json, load_config, trace_document, write_canonical
 
 WORKED = {
     "components": ["x", "y", "u", "v"],
@@ -60,23 +62,58 @@ def tower(e: int) -> dict:
 
 
 def dumps(obj) -> str:
+    """The indented form the CLI wrote traces in before."""
     return json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+
+
+def canonical(obj) -> str:
+    """The form the CLI writes traces in."""
+    return canonical_json(obj) + "\n"
+
+
+def pin(text: str) -> tuple[int, str]:
+    data = text.encode("utf-8")
+    return len(data), hashlib.sha256(data).hexdigest()
 
 
 # --- the CLI's bytes ----------------------------------------------------------
 
-# command, input, flags -> (bytes, SHA-256) of the --out file
+# command, input, flags -> (bytes, SHA-256) of the --out file as written,
+# and of the file re-rendered by `dumps`, as the CLI wrote it before
 OUT_FILES = {
-    "blowup": (WORKED, ["--center", "x,y,u,v"], 5232, "a1824ea3dad7fbb3f0071061463ddcd1dbdba2a58512b3832f5a8b0836bd7d3d"),
-    "reduce": (WORKED, [], 78016, "168f6f22603f1d1474d2fbb04a8522e2802cdf1a383eb9c5259e73309c692a01"),
-    "principalize": (tower(25), [], 295676, "2b77edf1e34c959738d0cb3a9ea89c62fd8e2b359c4e5ec39ef4d865258579dc"),
-    "resolve": (tower(10), [], 68133, "4fc213175677ae3ba1fd57ca9b6f810d180a837c2f8804c18cb3866a7e235f54"),
+    "blowup": (
+        WORKED, ["--center", "x,y,u,v"],
+        (2015, "9e97603efcdb5fb2b5e4c2fe70d016d74756a27152d0f5c845804986fb2fc014"),
+        (5232, "a1824ea3dad7fbb3f0071061463ddcd1dbdba2a58512b3832f5a8b0836bd7d3d"),
+    ),
+    "reduce": (
+        WORKED, [],
+        (27605, "90fcbfbb10944d00a2686d18ddd95b38776172da3e5a7d0ea83403db61d90530"),
+        (78016, "168f6f22603f1d1474d2fbb04a8522e2802cdf1a383eb9c5259e73309c692a01"),
+    ),
+    "principalize": (
+        tower(25), [],
+        (183941, "902d251919b7f11d6952ab81c09a60468ffd12e0ddac71a48460fa7cedb0e5f2"),
+        (295676, "2b77edf1e34c959738d0cb3a9ea89c62fd8e2b359c4e5ec39ef4d865258579dc"),
+    ),
+    "resolve": (
+        tower(10), [],
+        (33799, "b45a3ec5b0f49dc0aefbeec8fa0a025eb96256d25939dd5c15b7d41ec6ef6638"),
+        (68133, "4fc213175677ae3ba1fd57ca9b6f810d180a837c2f8804c18cb3866a7e235f54"),
+    ),
 }
 
-# command -> (bytes, SHA-256) of standard output without --out, as UTF-8
+# command -> (bytes, SHA-256) of standard output without --out, as UTF-8,
+# as written and with its last line, the trace, re-rendered by `dumps`
 STDOUT = {
-    "blowup": (5279, "71063f09cb5e271b3dcd0e7e5b8f241b0bc09c31ab68cfaca08acaf1991a3a9e"),
-    "reduce": (78081, "63e6e523e00e2596e6a8068e76dfa19e616019cb11f25de8a24b75644acdf94d"),
+    "blowup": (
+        (2062, "df3a646e2c9300c1e296c7f6c39938dffd4d63087517cc936ee71ad46391294d"),
+        (5279, "71063f09cb5e271b3dcd0e7e5b8f241b0bc09c31ab68cfaca08acaf1991a3a9e"),
+    ),
+    "reduce": (
+        (27670, "cc64b4d8e9379204e81d769cc020253eea1484fe12a3cb5f630d2105620771dc"),
+        (78081, "63e6e523e00e2596e6a8068e76dfa19e616019cb11f25de8a24b75644acdf94d"),
+    ),
 }
 
 
@@ -91,15 +128,41 @@ def run(command, tmp_path, extra=()):
 def test_out_file_bytes_are_pinned(command, tmp_path, capsys):
     out = tmp_path / "trace.json"
     run(command, tmp_path, ["--out", str(out)])
-    data = out.read_bytes()
-    assert (len(data), hashlib.sha256(data).hexdigest()) == OUT_FILES[command][2:]
+    text = out.read_text(encoding="utf-8")
+    assert pin(text) == OUT_FILES[command][2]
+    assert pin(dumps(json.loads(text))) == OUT_FILES[command][3]
 
 
 @pytest.mark.parametrize("command", list(STDOUT))
 def test_stdout_bytes_are_pinned(command, tmp_path, capsys):
     run(command, tmp_path)
-    data = capsys.readouterr().out.encode("utf-8")
-    assert (len(data), hashlib.sha256(data).hexdigest()) == STDOUT[command]
+    text = capsys.readouterr().out
+    assert pin(text) == STDOUT[command][0]
+    report, _, trace = text.rstrip("\n").rpartition("\n")
+    assert pin(report + "\n" + dumps(json.loads(trace))) == STDOUT[command][1]
+
+
+@pytest.mark.parametrize("command", list(OUT_FILES))
+def test_each_trace_file_is_its_canonical_form(command, tmp_path, capsys):
+    out = tmp_path / "trace.json"
+    run(command, tmp_path, ["--out", str(out)])
+    text = out.read_text(encoding="utf-8")
+    assert text == canonical(json.loads(text))
+
+
+@pytest.mark.parametrize("command", list(OUT_FILES))
+def test_an_indented_trace_still_replays(command, tmp_path, capsys):
+    """A trace in the indented form the CLI wrote before, byte for byte,
+    replays as the canonical one does: JSON whitespace carries no meaning."""
+    out = tmp_path / "trace.json"
+    run(command, tmp_path, ["--out", str(out)])
+    indented = tmp_path / "indented.json"
+    indented.write_text(dumps(json.loads(out.read_text(encoding="utf-8"))), encoding="utf-8")
+    assert pin(indented.read_text(encoding="utf-8")) == OUT_FILES[command][3]
+    capsys.readouterr()
+    for trace in (out, indented):
+        assert main(["replay", "--trace", str(trace)]) == 0
+        assert capsys.readouterr().out.endswith("replay: final state identical\n")
 
 
 # --- streaming and failures ---------------------------------------------------
@@ -121,9 +184,26 @@ def test_the_tower_trace_is_written_in_pieces(monkeypatch):
     monkeypatch.setattr(sys, "stdout", out)
     _emit(None, doc)
     text = "".join(out.writes)
-    assert text == dumps(doc)
+    assert text == canonical(doc)
+    assert dumps(json.loads(text)) == dumps(doc)
     # about 5 MB of text, never handed over as one string
     assert max(map(len, out.writes)) < len(text) // 1000
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"b": [(), {}, [1, (2.5, None)]], "a": {"z": [{"y": [[{"x": [True]}]]}]}, "é": "x̄²"},
+        {"keys": {2: "two", 1: "one"}, "nested": [[[[[[[[0]]]]]]]]},
+        [],
+        "x̄",
+    ],
+    ids=["mixed", "int-keys-and-depth", "empty", "scalar"],
+)
+def test_the_pieces_are_the_canonical_text(doc):
+    out = Recorder()
+    write_canonical(doc, out)
+    assert "".join(out.writes) == canonical_json(doc)
 
 
 # enough items that part of the document is written before the failure
@@ -155,7 +235,7 @@ def test_emit_through_a_symlink_replaces_its_target(tmp_path, capsys):
     doc = {"records": [1, 2], "rendered": "x̄²"}
     _emit(str(link), doc)
     assert link.is_symlink() and link.resolve() == target
-    assert target.read_text(encoding="utf-8") == dumps(doc)
+    assert target.read_text(encoding="utf-8") == canonical(doc)
     assert target.stat().st_mode & 0o777 == 0o640
     assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "target.json"]
 
@@ -172,7 +252,7 @@ def test_emit_to_a_pipe_writes_in_place(tmp_path, capsys):
     doc = {"records": [1, 2], "rendered": "x̄²"}
     _emit(str(fifo), doc)
     reader.join(timeout=10)
-    assert received == [dumps(doc)]
+    assert received == [canonical(doc)]
     assert stat.S_ISFIFO(fifo.lstat().st_mode)
     assert [p.name for p in tmp_path.iterdir()] == ["pipe"]
 
