@@ -24,8 +24,7 @@ MAX_PRIME = 13
 
 
 def _write_trace(obj, fh) -> None:
-    # the canonical form input_digest hashes, streamed in pieces each
-    # encoded by json's C encoder; the whole text is never held
+    # the canonical form, the one input_digest hashes, streamed in pieces
     from .serialize import write_canonical
 
     write_canonical(obj, fh)
