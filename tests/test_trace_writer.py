@@ -4,9 +4,8 @@ A trace is written in its canonical form, `canonical_json(doc) + "\\n"`,
 streamed in pieces.  Each output carries two pins, (bytes, SHA-256): one of
 the canonical text the CLI writes, and one of the indented text it wrote
 before, `json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) +
-"\\n"`, checked against the output re-rendered in that form.  So the
-document is held to the old bytes as well as the new ones, and the old
-pins were kept as they were.
+"\\n"`, checked against the output re-rendered in that form, so the
+document is held to the old bytes as well as the new ones.
 """
 
 from __future__ import annotations
