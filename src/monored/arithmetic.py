@@ -12,10 +12,28 @@ monomial), a term c*x^b belongs iff the gcd of the coefficients of the
 generating terms whose monomial divides x^b divides c; a polynomial belongs
 iff every term does.  Powers are generated by the k-fold products of the
 generators.
+
+Packed keys: sums, products, powers, Adams operations and membership work
+on one int per term, not on exponent tuples (Monagan and Pearce, "Polynomial
+division using dynamic arrays, heaps, and packed exponent vectors", CASC
+2007).  At field width w the key of x^e over n variables is
+
+    deg(e) << n*w | e_0 << (n-1)*w | ... | e_{n-1} << 0
+
+the total degree in the top field, then each exponent in a w-bit field,
+variable 0 the most significant.  As the degree leads, int order is
+graded-lex order, the key of a product is the sum of the keys and psi_p
+multiplies the key by p, as long as no field overflows.  No exponent exceeds
+the total degree, so a width taken from a bound on the result's degree
+keeps every field in range; large exponents only widen w.  Membership packs
+one bit wider, so the top bit of each field is a guard that a subtraction
+borrows exactly when an exponent of the divisor is the larger.  `_pack` and
+`_unpack` are the one place the layout is written.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -35,9 +53,68 @@ DEFAULT_MAX_EXPONENT = 8
 DEFAULT_MAX_COEFF = 9
 
 
-def _grlex_key(term):
-    exps = term[0]
-    return (sum(exps), exps)
+def _integer(value, what: str) -> int:
+    """`value` if it is an int that is not a bool (`core.is_int`, which this
+    module does not import)."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValidationError(f"{what} must be an integer, not {value!r}")
+    return value
+
+
+def _exponent_vector(variables: tuple[str, ...], exps: dict) -> tuple[int, ...]:
+    """The exponent vector of a name -> exponent map over `variables`."""
+    vec = [0] * len(variables)
+    for name, e in exps.items():
+        if name not in variables:
+            raise ValidationError(f"{name!r} is not one of the variables {variables}")
+        if _integer(e, "an exponent") < 0:
+            raise ValidationError("negative exponent in polynomial term")
+        vec[variables.index(name)] = e
+    return tuple(vec)
+
+
+def _pack(terms, w: int) -> list[tuple[int, int]]:
+    """(key, coefficient) of each (exponents, coefficient) term, packed at
+    field width w: every exponent must be below 2**w."""
+    out = []
+    for exps, c in terms:
+        key = sum(exps)
+        for e in exps:
+            key = key << w | e
+        out.append((key, c))
+    return out
+
+
+def _unpack(variables: tuple[str, ...], packed: dict[int, int], w: int) -> "IntPoly":
+    """The polynomial of a key -> coefficient map packed at width w: terms in
+    descending key order, which is graded-lex, and zero ones dropped."""
+    mask = (1 << w) - 1
+    shifts = [w * i for i in reversed(range(len(variables)))]
+    return IntPoly(
+        variables,
+        tuple(
+            (tuple([(key >> s) & mask for s in shifts]), packed[key])
+            for key in sorted(packed, reverse=True)
+            if packed[key]
+        ),
+    )
+
+
+def _times(a, b) -> dict[int, int]:
+    """key -> coefficient of the product of two (key, coefficient) lists
+    packed at one width."""
+    out: dict[int, int] = {}
+    get = out.get
+    for k1, c1 in a:
+        for k2, c2 in b:
+            k = k1 + k2
+            out[k] = get(k, 0) + c1 * c2
+    return out
+
+
+def _degree(f: "IntPoly") -> int:
+    """The total degree of f, 0 for the zero polynomial: the leading term's."""
+    return sum(f.terms[0][0]) if f.terms else 0
 
 
 @dataclass(frozen=True)
@@ -54,23 +131,26 @@ class IntPoly:
     @staticmethod
     def of(variables, coeffs: dict) -> "IntPoly":
         variables = tuple(variables)
+        if len(set(variables)) != len(variables):
+            raise ValidationError(f"a variable is named twice in {variables}")
         norm: dict[tuple[int, ...], int] = {}
         for exps, c in coeffs.items():
-            exps = tuple(int(e) for e in exps)
+            exps = tuple(exps)
             if len(exps) != len(variables):
                 raise ValidationError("exponent vector length mismatch")
-            if any(e < 0 for e in exps):
-                raise ValidationError("negative exponent in polynomial term")
-            if c:
-                norm[exps] = norm.get(exps, 0) + int(c)
+            for e in exps:
+                if _integer(e, "an exponent") < 0:
+                    raise ValidationError("negative exponent in polynomial term")
+            if _integer(c, "a coefficient"):
+                norm[exps] = norm.get(exps, 0) + c
         return IntPoly._normalized(variables, norm)
 
     @staticmethod
     def _normalized(variables: tuple[str, ...], coeffs: dict) -> "IntPoly":
         """From exponent tuples already of the right length and non-negative:
         terms sorted, zero ones dropped.  `of` checks outside input."""
-        terms = sorted(((e, c) for e, c in coeffs.items() if c), key=_grlex_key, reverse=True)
-        return IntPoly(variables, tuple(terms))
+        w = max(map(sum, coeffs), default=0).bit_length()
+        return _unpack(variables, dict(_pack(coeffs.items(), w)), w)
 
     @staticmethod
     def zero(variables) -> "IntPoly":
@@ -83,18 +163,12 @@ class IntPoly:
 
     @staticmethod
     def var(variables, name: str) -> "IntPoly":
-        variables = tuple(variables)
-        exps = [0] * len(variables)
-        exps[variables.index(name)] = 1
-        return IntPoly.of(variables, {tuple(exps): 1})
+        return IntPoly.monomial(variables, {name: 1})
 
     @staticmethod
     def monomial(variables, exps: dict, coeff: int = 1) -> "IntPoly":
         variables = tuple(variables)
-        vec = [0] * len(variables)
-        for name, e in exps.items():
-            vec[variables.index(name)] = int(e)
-        return IntPoly.of(variables, {tuple(vec): coeff})
+        return IntPoly.of(variables, {_exponent_vector(variables, exps): coeff})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -106,38 +180,44 @@ class IntPoly:
         if self.variables != other.variables:
             raise ValidationError("polynomials live over different variable lists")
 
+    def _map_coeffs(self, fn) -> "IntPoly":
+        """The terms with each coefficient c replaced by fn(c), zero ones
+        dropped: the exponents stay, so their order does too."""
+        return IntPoly(self.variables, tuple((e, d) for e, c in self.terms if (d := fn(c))))
+
     def __add__(self, other: "IntPoly") -> "IntPoly":
         self._check_same(other)
-        out = {e: c for e, c in self.terms}
-        for e, c in other.terms:
-            out[e] = out.get(e, 0) + c
-        return IntPoly._normalized(self.variables, out)
+        w = max(_degree(self), _degree(other)).bit_length()
+        out = dict(_pack(self.terms, w))
+        for key, c in _pack(other.terms, w):
+            out[key] = out.get(key, 0) + c
+        return _unpack(self.variables, out, w)
 
     def __neg__(self) -> "IntPoly":
-        return IntPoly(self.variables, tuple((e, -c) for e, c in self.terms))
+        return self._map_coeffs(lambda c: -c)
 
     def __sub__(self, other: "IntPoly") -> "IntPoly":
         return self + (-other)
 
     def __mul__(self, other: "IntPoly") -> "IntPoly":
         self._check_same(other)
-        out: dict[tuple[int, ...], int] = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, 0) + c1 * c2
-        return IntPoly._normalized(self.variables, out)
+        w = (_degree(self) + _degree(other)).bit_length()
+        return _unpack(self.variables, _times(_pack(self.terms, w), _pack(other.terms, w)), w)
 
     def __pow__(self, k: int) -> "IntPoly":
         if k < 0:
             raise ValidationError("negative polynomial power")
-        result = IntPoly.constant(self.variables, 1)
+        w = (_degree(self) * k).bit_length()
+        base = _pack(self.terms, w)
+        # key 0 is the constant 1
+        acc = {0: 1}
         for _ in range(k):
-            result = result * self
-        return result
+            acc = _times(acc.items(), base)
+        return _unpack(self.variables, acc, w)
 
     def scale(self, c: int) -> "IntPoly":
-        return IntPoly.of(self.variables, {e: co * c for e, co in self.terms})
+        _integer(c, "a scalar")
+        return self._map_coeffs(lambda co: co * c)
 
     def compose(self, mapping: dict[str, "IntPoly"]) -> "IntPoly":
         """Substitute polynomials for variables (missing names map to themselves)."""
@@ -153,25 +233,27 @@ class IntPoly:
         return out
 
     def exact_div_term(self, exps: dict, coeff: int = 1) -> "IntPoly":
-        vec = [0] * len(self.variables)
-        for name, e in exps.items():
-            vec[self.variables.index(name)] = int(e)
+        vec = _exponent_vector(self.variables, exps)
+        if not _integer(coeff, "a divisor"):
+            raise ValidationError("division by the zero term")
         out = {}
         for e, c in self.terms:
             if any(a < b for a, b in zip(e, vec)) or c % coeff:
                 raise NonPermissibleError("division by the term is not exact")
             out[tuple(a - b for a, b in zip(e, vec))] = c // coeff
-        return IntPoly.of(self.variables, out)
+        return IntPoly._normalized(self.variables, out)
 
     def exact_div_int(self, n: int) -> "IntPoly":
+        if not _integer(n, "a divisor"):
+            raise ValidationError("division by zero")
         if any(c % n for _, c in self.terms):
             raise ContractError(f"coefficients are not all divisible by {n}")
-        return IntPoly.of(self.variables, {e: c // n for e, c in self.terms})
+        return self._map_coeffs(lambda c: c // n)
 
     def mod_int(self, p: int) -> "IntPoly":
-        if p == 0:
+        if _integer(p, "a modulus") == 0:
             return self
-        return IntPoly.of(self.variables, {e: c % p for e, c in self.terms})
+        return self._map_coeffs(lambda c: c % p)
 
     def divisible_by_int(self, n: int) -> bool:
         return all(c % n == 0 for _, c in self.terms)
@@ -205,8 +287,9 @@ def psi(p: int, f: IntPoly) -> IntPoly:
     """The p-th Adams operation: substitute x -> x^p in every variable."""
     if not is_prime(p):
         raise ValidationError(f"{p} is not prime")
-    # exps -> p * exps is injective, so the terms stay distinct
-    return IntPoly._normalized(f.variables, {tuple(e * p for e in exps): c for exps, c in f.terms})
+    # p * key is the key of p * exps, at a width that fits degree p * deg(f)
+    w = (p * _degree(f)).bit_length()
+    return _unpack(f.variables, {key * p: c for key, c in _pack(f.terms, w)}, w)
 
 
 def delta(p: int, f: IntPoly) -> IntPoly | None:
@@ -224,46 +307,38 @@ def frobenius_lift_check(p: int, f: IntPoly) -> bool:
 
 # --- term-ideal membership ------------------------------------------------
 
-def _as_terms(gens) -> list[tuple[tuple[int, ...], int]]:
-    out = []
-    for g in gens:
-        if not g.is_term():
-            raise ValidationError("ideal generators must be single terms")
-        out.append(g.terms[0])
-    return out
-
-
-def _power_term_gens(term_gens, k: int):
-    if k == 0:
-        n = len(term_gens[0][0])
-        return [((0,) * n, 1)]
-    out = []
-    for combo in itertools.combinations_with_replacement(term_gens, k):
-        exps = tuple(sum(es) for es in zip(*(e for e, _ in combo)))
-        coeff = 1
-        for _, c in combo:
-            coeff *= c
-        out.append((exps, coeff))
-    return out
-
-
-def _term_ideal_contains(term_gens, f: IntPoly) -> bool:
-    for exps, c in f.terms:
-        eligible = [
-            gc for ge, gc in term_gens if all(a >= b for a, b in zip(exps, ge))
-        ]
-        if not eligible:
-            return False
-        if c % math.gcd(*eligible, 0):
-            return False
-    return True
+@functools.lru_cache(maxsize=1024)
+def _power_gens(gens: tuple["IntPoly", ...], k: int, w: int) -> tuple[tuple[int, int], ...]:
+    """(key, coefficient) of each k-fold product of the generator terms,
+    keys packed at width w: the generators of the k-th ideal power."""
+    packed = [_pack(g.terms, w)[0] for g in gens]
+    return tuple(
+        (sum(key for key, _ in combo), math.prod(c for _, c in combo))
+        for combo in itertools.combinations_with_replacement(packed, k)
+    )
 
 
 def ideal_power_contains(gens, k: int, f: IntPoly) -> bool:
     """Whether f lies in the k-th power of the ideal generated by terms."""
     if f.is_zero():
         return True
-    return _term_ideal_contains(_power_term_gens(_as_terms(gens), k), f)
+    gens = tuple(gens)
+    for g in gens:
+        if not g.is_term():
+            raise ValidationError("ideal generators must be single terms")
+        if g.variables != f.variables:
+            raise ValidationError("polynomials live over different variable lists")
+    # a spare top bit per field: no exponent reaches it
+    w = max([_degree(f)] + [k * _degree(g) for g in gens]).bit_length() + 1
+    guard = sum(1 << (w * i + w - 1) for i in range(len(f.variables)))
+    power = _power_gens(gens, k, w)
+    for key, c in _pack(f.terms, w):
+        # a generator divides the term iff no field of key - gk borrows its guard
+        key |= guard
+        eligible = [gc for gk, gc in power if (key - gk) & guard == guard]
+        if not eligible or c % math.gcd(*eligible):
+            return False
+    return True
 
 
 # --- Rees algebra lifts ---------------------------------------------------
@@ -276,7 +351,7 @@ class ReesElement:
 
     @staticmethod
     def of(parts: dict[int, IntPoly]) -> "ReesElement":
-        items = tuple(sorted((int(d), f) for d, f in parts.items() if not f.is_zero()))
+        items = tuple(sorted((_integer(d, "a Rees degree"), f) for d, f in parts.items() if not f.is_zero()))
         for d, _ in items:
             if d < 0:
                 raise ValidationError("Rees elements have non-negative degrees")
@@ -300,14 +375,14 @@ def rees_lift_check(p: int, gens, element: ReesElement) -> bool:
         if not ideal_power_contains(gens, d, f):
             raise InvalidElementError(f"degree-{d} part is not in the {d}-th ideal power")
     variables = element.parts[0][1].variables if element.parts else ()
-    graded = IntPoly.of(variables + ("t",), {e + (d,): c for d, f in element.parts for e, c in f.terms})
+    graded = IntPoly._normalized(variables + ("t",), {e + (d,): c for d, f in element.parts for e, c in f.terms})
     lifted = delta(p, graded)
     if lifted is None:
         return False
     parts: dict[int, dict] = {}
     for e, c in lifted.terms:
         parts.setdefault(e[-1], {})[e[:-1]] = c
-    return all(ideal_power_contains(gens, d, IntPoly.of(variables, coeffs)) for d, coeffs in parts.items())
+    return all(ideal_power_contains(gens, d, IntPoly._normalized(variables, coeffs)) for d, coeffs in parts.items())
 
 
 def normal_cone_flat_check(gens, k_max: int, primes, samples) -> bool:

@@ -55,6 +55,64 @@ class TestIntPoly:
         with pytest.raises(NonPermissibleError):
             f.exact_div_term({"y": 1})
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: IntPoly.of(("x",), {(1.5,): 2}),
+            lambda: IntPoly.of(("x",), {("1",): 1}),
+            lambda: IntPoly.of(("x",), {(True,): 1}),
+            lambda: IntPoly.of(("x",), {(1,): 2.7}),
+            lambda: IntPoly.of(("x",), {(1,): "2"}),
+            lambda: IntPoly.of(("x",), {(1,): True}),
+            lambda: IntPoly.monomial(("x",), {"x": 1.0}),
+            lambda: IntPoly.monomial(("x",), {"x": 1}, coeff=1.0),
+            lambda: IntPoly.constant(("x",), False),
+            lambda: xvar("x").scale(2.0),
+            lambda: xvar("x").exact_div_int(True),
+            lambda: xvar("x").mod_int("2"),
+            lambda: ReesElement.of({1.0: xvar("x")}),
+        ],
+    )
+    def test_refuses_non_integers(self, build):
+        # packed keys shift exponents, so nothing is truncated through int()
+        with pytest.raises(ValidationError, match="must be an integer"):
+            build()
+
+    def test_refuses_repeated_and_unknown_names(self):
+        with pytest.raises(ValidationError, match="named twice"):
+            IntPoly.of(("x", "x"), {(1, 0): 1})
+        with pytest.raises(ValidationError, match="named twice"):
+            IntPoly.var(("x", "x"), "x")
+        for build in (
+            lambda: IntPoly.var(VS, "w"),
+            lambda: IntPoly.monomial(VS, {"w": 1}),
+            lambda: xvar("x").exact_div_term({"w": 1}),
+        ):
+            with pytest.raises(ValidationError, match="^'w' is not one of the variables"):
+                build()
+        with pytest.raises(ValidationError, match="negative exponent"):
+            xvar("x").exact_div_term({"x": -1})
+
+    def test_refuses_division_by_zero(self):
+        with pytest.raises(ValidationError, match="^division by zero$"):
+            xvar("x").exact_div_int(0)
+        with pytest.raises(ValidationError, match="^division by the zero term$"):
+            xvar("x").exact_div_term({"x": 1}, coeff=0)
+
+    def test_wide_and_empty_keys(self):
+        big = IntPoly.of(("x", "y"), {(2**40, 1): -3, (0, 2): 1})
+        assert psi(13, big) == IntPoly.of(("x", "y"), {(13 * 2**40, 13): -3, (0, 26): 1})
+        assert big**2 == IntPoly.of(("x", "y"), {(2**41, 2): 9, (2**40, 3): -6, (0, 4): 1})
+        assert repr(big**0) == "1"
+        two = IntPoly.constant((), 2)
+        assert (two**3, delta(3, two), IntPoly.zero(()) ** 0) == (
+            IntPoly.constant((), 8),
+            IntPoly.constant((), -2),
+            IntPoly.constant((), 1),
+        )
+        assert ideal_power_contains([two], 3, IntPoly.constant((), 8))
+        assert not ideal_power_contains([two], 3, IntPoly.constant((), 4))
+
 
 class TestPsi:
     def test_sum_of_squares(self):

@@ -541,6 +541,27 @@ class TestCheckLambda:
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr.startswith("contract violation: prime 101 is above 13")
 
+    def test_largest_input_runs_within_its_budget(self):
+        # all six primes up to cli.MAX_PRIME took 0.9-1.3 s of child CPU
+        # (Python 3.11, 2 CPUs); the budget is about 3 times that
+        def three_cpu_seconds():
+            _limit_child()
+            resource.setrlimit(resource.RLIMIT_CPU, (3, 3))
+
+        src = str(Path(monored.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "monored.cli", "check-lambda", "--primes", "2,3,5,7,11,13", "--seed", "0"],
+            capture_output=True,
+            text=True,
+            env=env,
+            preexec_fn=three_cpu_seconds,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert len(lines) == 7 and all(line.endswith(": ok") for line in lines[2:])
+
     def test_repeated_prime_exits_at_once(self):
         # the budget bounds each prime and, with repeats refused, the list:
         # at most the six primes up to cli.MAX_PRIME
