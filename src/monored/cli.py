@@ -20,7 +20,7 @@ from .transform import blow_up_global
 HEADER = "monored report 1"
 # the largest prime check-lambda takes: its cost grows steeply with p
 # (rees_lift_check takes a p-fold product); all six primes up to 13 take
-# 0.9-1.3 s of child CPU (Python 3.11, 2 CPUs)
+# 0.7-1.3 s of child CPU (Python 3.11, 2 CPUs)
 MAX_PRIME = 13
 
 

@@ -542,7 +542,7 @@ class TestCheckLambda:
         assert proc.stderr.startswith("contract violation: prime 101 is above 13")
 
     def test_largest_input_runs_within_its_budget(self):
-        # all six primes up to cli.MAX_PRIME took 0.9-1.3 s of child CPU
+        # all six primes up to cli.MAX_PRIME took 0.7-1.3 s of child CPU
         # (Python 3.11, 2 CPUs); the budget is about 3 times that
         def three_cpu_seconds():
             _limit_child()
