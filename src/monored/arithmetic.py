@@ -45,20 +45,31 @@ from .errors import (
     InvalidSampleError,
     NonPermissibleError,
     ValidationError,
+    is_int,
 )
 
 DEFAULT_SAMPLES = 100
-DEFAULT_MAX_DEGREE = 5
-DEFAULT_MAX_EXPONENT = 8
-DEFAULT_MAX_COEFF = 9
 
 
 def _integer(value, what: str) -> int:
-    """`value` if it is an int that is not a bool (`core.is_int`, which this
-    module does not import)."""
-    if not isinstance(value, int) or isinstance(value, bool):
+    """`value` if it passes `is_int`."""
+    if not is_int(value):
         raise ValidationError(f"{what} must be an integer, not {value!r}")
     return value
+
+
+def _natural(value, what: str, negative: str) -> int:
+    """`value` if it is a count: an integer, refused with `negative` below 0."""
+    if _integer(value, what) < 0:
+        raise ValidationError(negative)
+    return value
+
+
+def _prime(p) -> int:
+    """`p` if it is a prime integer."""
+    if not is_prime(_integer(p, "a prime")):
+        raise ValidationError(f"{p} is not prime")
+    return p
 
 
 def _exponent_vector(variables: tuple[str, ...], exps: dict) -> tuple[int, ...]:
@@ -67,9 +78,7 @@ def _exponent_vector(variables: tuple[str, ...], exps: dict) -> tuple[int, ...]:
     for name, e in exps.items():
         if name not in variables:
             raise ValidationError(f"{name!r} is not one of the variables {variables}")
-        if _integer(e, "an exponent") < 0:
-            raise ValidationError("negative exponent in polynomial term")
-        vec[variables.index(name)] = e
+        vec[variables.index(name)] = _natural(e, "an exponent", "negative exponent in polynomial term")
     return tuple(vec)
 
 
@@ -139,8 +148,7 @@ class IntPoly:
             if len(exps) != len(variables):
                 raise ValidationError("exponent vector length mismatch")
             for e in exps:
-                if _integer(e, "an exponent") < 0:
-                    raise ValidationError("negative exponent in polynomial term")
+                _natural(e, "an exponent", "negative exponent in polynomial term")
             if _integer(c, "a coefficient"):
                 norm[exps] = norm.get(exps, 0) + c
         return IntPoly._normalized(variables, norm)
@@ -205,8 +213,7 @@ class IntPoly:
         return _unpack(self.variables, _times(_pack(self.terms, w), _pack(other.terms, w)), w)
 
     def __pow__(self, k: int) -> "IntPoly":
-        if k < 0:
-            raise ValidationError("negative polynomial power")
+        _natural(k, "a power", "negative polynomial power")
         w = (_degree(self) * k).bit_length()
         base = _pack(self.terms, w)
         # key 0 is the constant 1
@@ -285,8 +292,7 @@ def is_prime(p: int) -> bool:
 
 def psi(p: int, f: IntPoly) -> IntPoly:
     """The p-th Adams operation: substitute x -> x^p in every variable."""
-    if not is_prime(p):
-        raise ValidationError(f"{p} is not prime")
+    _prime(p)
     # p * key is the key of p * exps, at a width that fits degree p * deg(f)
     w = (p * _degree(f)).bit_length()
     return _unpack(f.variables, {key * p: c for key, c in _pack(f.terms, w)}, w)
@@ -320,6 +326,7 @@ def _power_gens(gens: tuple["IntPoly", ...], k: int, w: int) -> tuple[tuple[int,
 
 def ideal_power_contains(gens, k: int, f: IntPoly) -> bool:
     """Whether f lies in the k-th power of the ideal generated by terms."""
+    _natural(k, "an ideal power", "negative ideal power")
     if f.is_zero():
         return True
     gens = tuple(gens)
@@ -351,10 +358,8 @@ class ReesElement:
 
     @staticmethod
     def of(parts: dict[int, IntPoly]) -> "ReesElement":
-        items = tuple(sorted((_integer(d, "a Rees degree"), f) for d, f in parts.items() if not f.is_zero()))
-        for d, _ in items:
-            if d < 0:
-                raise ValidationError("Rees elements have non-negative degrees")
+        negative = "Rees elements have non-negative degrees"
+        items = tuple(sorted((_natural(d, "a Rees degree", negative), f) for d, f in parts.items() if not f.is_zero()))
         if len({f.variables for _, f in items}) > 1:
             raise ValidationError("polynomials live over different variable lists")
         return ReesElement(items)
@@ -369,8 +374,7 @@ def rees_lift_check(p: int, gens, element: ReesElement) -> bool:
     delta_p lies in I^d.  The image then lies in the Rees algebra as well,
     since psi_p(F) = F^p + p * delta_p(F), so it is not checked apart.
     """
-    if not is_prime(p):
-        raise ValidationError(f"{p} is not prime")
+    _prime(p)
     for d, f in element.parts:
         if not ideal_power_contains(gens, d, f):
             raise InvalidElementError(f"degree-{d} part is not in the {d}-th ideal power")
@@ -392,6 +396,8 @@ def normal_cone_flat_check(gens, k_max: int, primes, samples) -> bool:
     generator lists carrying integer constants (such as (2, x)) exhibit
     failures.
     """
+    _natural(k_max, "an ideal power", "negative ideal power")
+    primes = [_prime(p) for p in primes]
     for k in range(1, k_max + 1):
         for p in primes:
             for f in samples:
@@ -409,8 +415,8 @@ def proj_chart_frobenius_check(p: int, gens, a_i: IntPoly, x: IntPoly, n: int) -
     clearing denominators the lift property reduces to
     (psi_p(x) - x^p)/p lying in I^{pn}.
     """
-    if not is_prime(p):
-        raise ValidationError(f"{p} is not prime")
+    _prime(p)
+    _natural(n, "an ideal power", "negative ideal power")
     if a_i not in list(gens):
         raise ValidationError("the chart generator must be one of the ideal generators")
     if not ideal_power_contains(gens, n, x):
@@ -453,7 +459,7 @@ def fiber_order_check(gens, stratum, p: int, center=None, chart_var=None, mark=N
     with the integral one; optionally replays one blow-up both before and
     after reduction and compares the results.
     """
-    if p != 0 and not is_prime(p):
+    if _integer(p, "a characteristic") and not is_prime(p):
         raise ValidationError(f"{p} is neither 0 nor prime")
     reduced = [g.mod_int(p) for g in gens]
     reduced = [g for g in reduced if not g.is_zero()]
@@ -473,27 +479,19 @@ def fiber_order_check(gens, stratum, p: int, center=None, chart_var=None, mark=N
 
 # --- deterministic sampling ----------------------------------------------
 
-def random_poly(
-    rng: random.Random,
-    variables,
-    max_degree: int = DEFAULT_MAX_DEGREE,
-    max_terms: int = 4,
-    max_coeff: int = DEFAULT_MAX_COEFF,
-) -> IntPoly:
+def random_poly(rng: random.Random, variables) -> IntPoly:
+    """One to four terms of degree at most 5, coefficients in [-9, 9]."""
     variables = tuple(variables)
     coeffs = {}
-    for _ in range(rng.randint(1, max_terms)):
+    for _ in range(rng.randint(1, 4)):
         exps = [0] * len(variables)
-        budget = rng.randint(0, max_degree)
-        for _ in range(budget):
+        for _ in range(rng.randint(0, 5)):
             exps[rng.randrange(len(variables))] += 1
-        coeffs[tuple(exps)] = rng.randint(-max_coeff, max_coeff)
+        coeffs[tuple(exps)] = rng.randint(-9, 9)
     return IntPoly.of(variables, coeffs)
 
 
-def random_monomial(
-    rng: random.Random, variables, max_exponent: int = DEFAULT_MAX_EXPONENT
-) -> IntPoly:
+def random_monomial(rng: random.Random, variables, max_exponent: int) -> IntPoly:
     variables = tuple(variables)
     exps = tuple(rng.randint(0, max_exponent) for _ in variables)
     return IntPoly.of(variables, {exps: 1})
@@ -512,9 +510,10 @@ def random_power_element(rng: random.Random, gens, d: int) -> IntPoly:
     return acc
 
 
-def random_rees_element(rng: random.Random, gens, max_degree_index: int = 3) -> ReesElement:
+def random_rees_element(rng: random.Random, gens) -> ReesElement:
+    """Parts of degrees 0 to 3, each drawn with probability 1/2."""
     parts: dict[int, IntPoly] = {}
-    for d in range(0, max_degree_index + 1):
+    for d in range(4):
         if rng.random() < 0.5:
             continue
         acc = random_power_element(rng, gens, d)

@@ -44,14 +44,10 @@ from .errors import (
     InvalidStratumError,
     MarkOverflowError,
     ValidationError,
+    is_int,
 )
 
 MAX_MARK = 2**63 - 1
-
-
-def is_int(value) -> bool:
-    """Whether `value` is an int that is not a bool."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -125,8 +121,8 @@ class Monomial:
         return Monomial.of(out)
 
     def power(self, k: int) -> "Monomial":
-        if k < 0:
-            raise ValidationError("negative power")
+        if not is_int(k) or k < 0:
+            raise ValidationError(f"a power must be a non-negative integer, not {k!r}")
         return _derived(tuple([(c, e * k) for c, e in self.exps])) if k else UNIT
 
     def divides(self, other: "Monomial") -> bool:
@@ -400,17 +396,19 @@ class Configuration:
 
     The constructor is the one place that checks chart rules: non-empty
     `str` names and labels (checked before either is hashed), unique names,
-    `str` `n_vars` labels, strictly increasing, registered components holding
-    the P-cutting set, the generators and pullback excess, no generator on
-    a P-cutting component, at most `dim_p` components off P in a chart
-    meeting P, registered components and no stage past `n_blowups` in a
-    path, one mark, one P-cutting set, and unique (label, path) keys.  A
-    path given as a tuple must hold (stage, component) pairs of ints with
-    stages strictly increasing from 1; the chart is held with its path
-    turned into a `PathNode`, and a chart whose path is one already is held
-    as it is.  That `n_vars` labels are no component names is a rule of
-    documents only (`load_config`): the engine names exceptional components
-    without reading `n_vars`.
+    the field types the engine relies on (a tuple of int components,
+    frozenset `p_components` and `n_vars`, a `MarkedIdeal`, a `Monomial`
+    pullback excess), `str` `n_vars` labels, strictly increasing, registered
+    components holding the P-cutting set, the generators and pullback
+    excess, no generator on a P-cutting component, at most `dim_p`
+    components off P in a chart meeting P, registered components and no
+    stage past `n_blowups` in a path, one mark, one P-cutting set, and
+    unique (label, path) keys.  A path given as a tuple must hold (stage,
+    component) pairs of ints with stages strictly increasing from 1; the
+    chart is held with its path turned into a `PathNode`, and a chart whose
+    path is one already is held as it is.  That `n_vars` labels are no
+    component names is a rule of documents only (`load_config`): the engine
+    names exceptional components without reading `n_vars`.
 
     The charts are held as a tuple (`charts`), in a `_ChartIndex`, or both.
     A blow-up (`grow`) moves the index on to the grown configuration and
@@ -454,9 +452,15 @@ class Configuration:
         for i, ch in enumerate(charts):
             if type(ch.label) is not str or not ch.label:
                 raise ValidationError("chart labels must be non-empty strings")
+            comps = ch.e_components
+            if not (isinstance(comps, tuple) and all(map(is_int, comps))):
+                raise ValidationError(f"chart {ch.label!r}: e_components must be a tuple of integers")
+            if not (isinstance(ch.p_components, frozenset) and isinstance(ch.n_vars, frozenset)):
+                raise ValidationError(f"chart {ch.label!r}: p_components and n_vars must be frozensets")
+            if not (isinstance(ch.ideal, MarkedIdeal) and isinstance(ch.pullback_excess, Monomial)):
+                raise ValidationError(f"chart {ch.label!r}: ideal must be a MarkedIdeal, pullback_excess a Monomial")
             if not set(map(type, ch.n_vars)) <= {str}:
                 raise ValidationError(f"chart {ch.label!r}: n_vars labels must be strings")
-            comps = ch.e_components
             if list(comps) != sorted(set(comps)):
                 raise ValidationError(f"chart {ch.label!r}: components must be strictly increasing")
             if comps and comps[-1] >= n_names:
@@ -831,8 +835,8 @@ def permissible_charts(cfg: Configuration, center) -> list[tuple[Chart, list[int
     if not center:
         raise ValidationError("the centre must be a non-empty component set")
     for c in center:
-        if not 0 <= c < len(cfg.registry):
-            raise ValidationError(f"centre references unregistered component id {c}")
+        if not (is_int(c) and 0 <= c < len(cfg.registry)):
+            raise ValidationError(f"centre references unregistered component id {c!r}")
     replaced = []
     for ch in cfg.charts_containing(center):
         if ch.p_empty or not ch.p_components <= center:

@@ -38,6 +38,7 @@ from .errors import (
     NotMaximalOrderError,
     NotMonomialError,
     ValidationError,
+    is_int,
 )
 from .transform import BlowUpRecord, blow_up_global
 
@@ -139,8 +140,8 @@ def monomial_derivative(ideal: MarkedIdeal, r: int) -> tuple[Monomial, ...]:
     0 <= beta <= a componentwise and |beta| <= r.  No divisibility pruning:
     the raw generator set is returned.
     """
-    if r < 0:
-        raise ValidationError("derivative order must be non-negative")
+    if not is_int(r) or r < 0:
+        raise ValidationError("derivative order must be a non-negative integer")
     out: set[Monomial] = set()
     for g in ideal.generators:
         ranges = [range(0, min(e, r) + 1) for _, e in g.exps]

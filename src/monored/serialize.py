@@ -36,8 +36,8 @@ from __future__ import annotations
 import hashlib
 import json
 
-from .core import Chart, Configuration, MarkedIdeal, Monomial, chart_name, is_int, max_order
-from .errors import ValidationError
+from .core import Chart, Configuration, MarkedIdeal, Monomial, chart_name, max_order
+from .errors import ValidationError, is_int
 from .transform import blow_up_global
 
 SUPERSCRIPTS = str.maketrans("0123456789", "⁰¹²³⁴⁵⁶⁷⁸⁹")
@@ -213,9 +213,9 @@ def config_to_obj(cfg: Configuration) -> dict:
     return obj
 
 
-def config_digest(cfg: Configuration) -> str:
-    data = canonical_json(config_to_obj(cfg)).encode("utf-8")
-    return "sha256:" + hashlib.sha256(data).hexdigest()
+def input_digest(document) -> str:
+    """The `input_digest` of a trace whose input is `document`."""
+    return "sha256:" + hashlib.sha256(canonical_json(document).encode("utf-8")).hexdigest()
 
 
 # --- rendering ------------------------------------------------------------
@@ -328,11 +328,12 @@ def trace_document(
     initial: Configuration, steps: StepRenderer, final: Configuration, records, extra=None
 ) -> dict:
     """The trace of `records` from `initial` to `final`, whose steps
-    `steps` rendered."""
+    `steps` rendered.  The input is encoded, and so read back, once."""
+    document = config_to_obj(initial)
     obj = {
         "format": TRACE_FORMAT,
-        "input_digest": config_digest(initial),
-        "input": config_to_obj(initial),
+        "input_digest": input_digest(document),
+        "input": document,
         "records": steps.objs,
         "final": final_state_obj(final, records),
     }
@@ -362,7 +363,7 @@ def replay_trace(initial: Configuration, trace_obj) -> tuple[Configuration, list
     _expect(
         trace_obj.get("format") in READABLE_TRACE_FORMATS, "format", "unsupported trace format"
     )
-    digest = config_digest(initial)
+    digest = input_digest(config_to_obj(initial))
     _expect(
         trace_obj.get("input_digest") == digest,
         "input_digest",

@@ -316,3 +316,38 @@ class TestFiberOrder:
         vs = ("x",)
         gens = [IntPoly.monomial(vs, {"x": 4}, coeff=7)]
         assert fiber_order_check(gens, {"x"}, 0)
+
+
+class TestKernelBoundary:
+    """Every entry that takes a prime refuses a non-prime through `_prime`,
+    and every one that takes a count refuses a non-integer or a negative
+    one through `_natural`, with `ValidationError`."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda x: ideal_power_contains([x], -1, x),
+            lambda x: ideal_power_contains([x], 1.0, x),
+            lambda x: normal_cone_flat_check([x], 2, [4], [x]),
+            lambda x: normal_cone_flat_check([x], -1, [2], [x]),
+            lambda x: x**2.0,
+            lambda x: x**True,
+            lambda x: psi(2.0, x),
+            lambda x: fiber_order_check([x], {"x"}, 2.0),
+            lambda x: proj_chart_frobenius_check(2, [x], x, x, -1),
+        ],
+        ids=[
+            "negative ideal power",
+            "fractional ideal power",
+            "non-prime flatness prime",
+            "negative flatness bound",
+            "fractional polynomial power",
+            "bool polynomial power",
+            "fractional Adams prime",
+            "fractional characteristic",
+            "negative chart power",
+        ],
+    )
+    def test_refuses_bad_primes_and_counts(self, call):
+        with pytest.raises(ValidationError):
+            call(xvar("x", ("x",)))

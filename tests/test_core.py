@@ -123,6 +123,11 @@ class TestMonomialBoundary:
             assert made == checked and hash(made) == hash(checked)
             assert type(made.exps) is tuple
 
+    @pytest.mark.parametrize("k", [2.0, True, "2", -1])
+    def test_power_refuses_a_non_count(self, k):
+        with pytest.raises(ValidationError, match="^a power must be a non-negative integer, not "):
+            mono({0: 2, 1: 3}).power(k)
+
     def test_exchanged_refuses_a_negative_exponent(self):
         with pytest.raises(ValidationError, match="^stored exponents must be positive$"):
             mono({0: 1}).exchanged(0, 1, -1)
@@ -219,6 +224,24 @@ class TestChartValidation:
         b = chart(2, [mono({1: 1})], 2, label="B")
         with pytest.raises(ValidationError):
             Configuration(("x", "y"), (a, b), 2)
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"e_components": [0, 1]}, "e_components must be a tuple of integers"),
+            ({"e_components": (False, True)}, "e_components must be a tuple of integers"),
+            ({"e_components": (0.0, 1.0)}, "e_components must be a tuple of integers"),
+            ({"p_components": []}, "p_components and n_vars must be frozensets"),
+            ({"n_vars": ["n"]}, "p_components and n_vars must be frozensets"),
+            ({"ideal": (mono({0: 1}),)}, "ideal must be a MarkedIdeal, pullback_excess a Monomial"),
+            ({"pullback_excess": {0: 1}}, "ideal must be a MarkedIdeal, pullback_excess a Monomial"),
+        ],
+        ids=["list components", "bool components", "float components", "list p", "list n_vars", "ideal", "excess"],
+    )
+    def test_field_types(self, fields, message):
+        ch = replace(chart(2, [mono({0: 1})], 1), **fields)
+        with pytest.raises(ValidationError, match=f"^chart 'U': {message}$"):
+            Configuration(("x", "y"), (ch,), 2)
 
 
 class TestDimPCoversTheComponentsOffP:
@@ -414,6 +437,13 @@ class TestIsPermissible:
     def test_empty_centre(self):
         with pytest.raises(ValidationError):
             is_permissible(golden_config(), set())
+
+    @pytest.mark.parametrize("center", [{"x"}, {0.0, 1}, {True, 0}], ids=["name", "float", "bool"])
+    def test_centre_ids_are_ints(self, center):
+        # a float or bool id would otherwise reach the children's paths
+        for check in (is_permissible, blow_up_global):
+            with pytest.raises(ValidationError, match="^centre references unregistered component id "):
+                check(golden_config(), center)
 
     def test_p_must_be_contained(self):
         ch = chart(3, [mono({1: 2, 2: 2})], 2, p={0})

@@ -9,7 +9,8 @@ and `cli`, which import it.  Outside `core` no module reads another
 object's private attributes, so the storage of charts has one home.
 `cli` takes from `arithmetic` only the primality test and the
 `check-lambda` battery, and inside `arithmetic` only the p-derivation
-`delta` applies the Adams operation `psi`.  `transform` has one public
+`delta` applies the Adams operation `psi` and only `_prime` refuses a
+non-prime.  `errors.is_int` is the one integer test of the package.  `transform` has one public
 function, `blow_up_global`, and it and the strict transform of
 `resolution` are the only callers of the exponent rule
 `Monomial.exchanged`.  No module concatenates or slices a chart path: a
@@ -401,3 +402,53 @@ def test_grow_alone_names_exceptional_components():
     sources = package_sources()
     assert exc_name_spellers(sources) == {("core", "grow")}
     assert registry_extenders(sources) == {("core", "grow")}
+
+
+def bool_tests(tree: ast.AST) -> list[int]:
+    """The lines of each `isinstance(..., bool)` or `isinstance(..., (..., bool))`."""
+
+    def names_bool(node) -> bool:
+        return any(isinstance(n, ast.Name) and n.id == "bool" for n in ast.walk(node))
+
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "isinstance"
+        and len(node.args) == 2
+        and names_bool(node.args[1])
+    ]
+
+
+def prime_refusers(tree: ast.AST) -> set[str]:
+    """The functions of a module whose own bodies raise a message saying
+    "is not prime"."""
+
+    def refuses(node) -> bool:
+        return isinstance(node, ast.Raise) and any(
+            isinstance(n, ast.Constant) and isinstance(n.value, str) and "is not prime" in n.value
+            for n in ast.walk(node)
+        )
+
+    return owners(tree, refuses)
+
+
+def test_rule_homes_are_seen():
+    tree = ast.parse(
+        "def f(v):\n    return isinstance(v, int) and not isinstance(v, bool)\n"
+        "def g(v):\n    return isinstance(v, (str, bool)), isinstance(v, int)\n"
+        "def h(p):\n    if p < 2:\n        raise ValueError(f'{p} is not prime')\n"
+        "def k(p):\n    raise ValueError(f'{p} is neither 0 nor prime')\n"
+    )
+    assert sorted(bool_tests(tree)) == [2, 4]
+    assert prime_refusers(tree) == {"h"}
+
+
+def test_one_home_per_input_rule():
+    """`errors.is_int` is the package's one integer test, and inside
+    `arithmetic` only `_prime` refuses a non-prime: every kernel entry
+    taking a prime goes through it."""
+    sources = package_sources()
+    assert {module for module, text in sources.items() if bool_tests(ast.parse(text))} == {"errors"}
+    assert prime_refusers(ast.parse(sources["arithmetic"])) == {"_prime"}

@@ -15,6 +15,7 @@ from monored.errors import (
     ContractError,
     NotMaximalOrderError,
     NotMonomialError,
+    ValidationError,
 )
 from monored.reduction import (
     balanced_companion,
@@ -219,6 +220,12 @@ class TestMonomialDerivative:
     def test_zeroth_unchanged(self):
         ideal = MarkedIdeal.of([mono({0: 2}), mono({1: 3})], 2)
         assert set(monomial_derivative(ideal, 0)) == set(ideal.generators)
+
+    @pytest.mark.parametrize("r", [1.0, True, "1"])
+    def test_order_must_be_an_integer(self, r):
+        ideal = MarkedIdeal.of([mono({0: 2, 1: 1})], 3)
+        with pytest.raises(ValidationError, match="^derivative order must be a non-negative integer$"):
+            monomial_derivative(ideal, r)
 
     def test_contact_vars_recovered(self):
         # a variable is a contact variable iff it survives as a degree-1
