@@ -67,7 +67,7 @@ def _natural(value, what: str, negative: str) -> int:
 
 def _prime(p) -> int:
     """`p` if it is a prime integer."""
-    if not is_prime(_integer(p, "a prime")):
+    if not is_prime(p):
         raise ValidationError(f"{p} is not prime")
     return p
 
@@ -258,11 +258,13 @@ class IntPoly:
         return self._map_coeffs(lambda c: c // n)
 
     def mod_int(self, p: int) -> "IntPoly":
-        if _integer(p, "a modulus") == 0:
+        if _natural(p, "a modulus", "negative modulus") == 0:
             return self
         return self._map_coeffs(lambda c: c % p)
 
     def divisible_by_int(self, n: int) -> bool:
+        if not _integer(n, "a divisor"):
+            raise ValidationError("division by zero")
         return all(c % n == 0 for _, c in self.terms)
 
     def degree_over(self, names) -> int:
@@ -282,7 +284,7 @@ class IntPoly:
 
 
 def is_prime(p: int) -> bool:
-    if p < 2:
+    if _integer(p, "a prime") < 2:
         return False
     for d in range(2, math.isqrt(p) + 1):
         if p % d == 0:

@@ -237,28 +237,32 @@ def reduce_maximal_order(
 
 
 class _StageTable:
-    """The table of one monomial stage s, kept as counts.
+    """The table of one monomial stage s: subset -> exponent sum.
 
-    Over the support-carrying charts, each of them principal, it maps every
-    s-subset of a generator's components whose exponent sum is at least
-    `floor` to [that sum, the number of charts giving it].  Charts agree on
-    the sum of a shared subset; `update` follows a blow-up by taking out the
-    charts it replaced and counting the support-carrying charts it added.
+    Over the support-carrying charts, each principal, `sums` maps every
+    s-subset of a generator's components with exponent sum at least `floor`
+    to that sum, on which the charts agree; `heap` holds (-sum, subset) per
+    entry, so `take` pops the largest sum, least subset on ties.  `update`
+    only counts a step's support-carrying children.  No chart counts are
+    kept, as a subset reaching the mark leaves only when it is the centre:
 
-    `heap` holds (-sum, subset) for every entry, so `best` reads the top
-    instead of scanning the table.  Deleting an entry leaves its item in
-    the heap, stale: `best` drops stale items it meets on top, and once
-    stale items outnumber live ones the heap is rebuilt from the entries.
+    - The blow-up at P with S replaces every support-carrying chart holding
+      S.  No child holds S, nor can a later chart: a child only loses one
+      component and gains the new exceptional one.
+    - Any other subset T of a replaced chart reaching the mark stays, with
+      its sum, in the child of some k in S outside T, and that child
+      carries support: its degree is at least sum(T).
+    - Stage 1 keeps entries below the mark too (floor 0), for the agreement
+      check.  One can lose every holder but never reaches `take`, nor
+      returns: support-carrying charts are born only of such charts.
+    - `reduce_monomial` checks that no support is left after the last stage.
     """
 
     def __init__(self, s: int, floor: int, charts) -> None:
         self.s = s
         self.floor = floor
-        self.entries: dict[tuple[int, ...], list[int]] = {}
+        self.sums: dict[tuple[int, ...], int] = {}
         self.heap: list[tuple[int, tuple[int, ...]]] = []
-        # id of a counted chart -> (that chart, its subsets); holding the
-        # chart keeps its id from being reused while it is counted
-        self.counted: dict[int, tuple[Chart, list]] = {}
         self.count(charts)
 
     def count(self, charts) -> None:
@@ -268,53 +272,31 @@ class _StageTable:
                     f"chart {ch.label!r} carries {len(ch.ideal.generators)} generators; "
                     "the monomial stage needs locally principal input"
                 )
-        for ch in charts:
-            subsets = []
             for combo in itertools.combinations(ch.ideal.generators[0].exps, self.s):
                 subset, exps = zip(*combo)
                 total = sum(exps)
                 if total < self.floor:
                     continue
-                entry = self.entries.get(subset)
-                if entry is None:
-                    self.entries[subset] = [total, 1]
+                if subset not in self.sums:
+                    self.sums[subset] = total
                     heapq.heappush(self.heap, (-total, subset))
-                elif entry[0] != total:
+                elif self.sums[subset] != total:
                     raise InternalLogicError(
                         f"component {subset[0] if self.s == 1 else subset} has "
                         "inconsistent exponents across charts"
                     )
-                else:
-                    entry[1] += 1
-                subsets.append(subset)
-            self.counted[id(ch)] = (ch, subsets)
-        if len(self.heap) > 2 * len(self.entries):
-            self.heap = [(-v, subset) for subset, (v, _) in self.entries.items()]
-            heapq.heapify(self.heap)
 
     def update(self, cfg: Configuration) -> None:
         """Follow the blow-up that made `cfg`, read from its `step`."""
-        added = []
-        for ch, kids in cfg.step:
-            for subset in self.counted.pop(id(ch), (ch, ()))[1]:
-                entry = self.entries[subset]
-                entry[1] -= 1
-                if not entry[1]:
-                    del self.entries[subset]
-            added.extend(kid for kid in kids if cfg.carries_support(kid))
-        self.count(added)
+        self.count([kid for _, kids in cfg.step for kid in kids if cfg.carries_support(kid)])
 
-    def best(self, mark: int):
-        """The subset of largest sum at least `mark` (least subset on
-        ties), or None."""
-        heap, entries = self.heap, self.entries
-        while heap:
-            neg, subset = heap[0]
-            entry = entries.get(subset)
-            if entry is not None and entry[0] == -neg:
-                return subset if -neg >= mark else None
-            heapq.heappop(heap)
-        return None
+    def take(self, mark: int):
+        """Pop the top subset if its sum reaches `mark`, else give None."""
+        if not self.heap or -self.heap[0][0] < mark:
+            return None
+        subset = heapq.heappop(self.heap)[1]
+        del self.sums[subset]
+        return subset
 
 
 def reduce_monomial(
@@ -324,26 +306,29 @@ def reduce_monomial(
 
     Stage 1 repeatedly blows up the P-locus extended by the single component
     of maximal exponent at least the mark (smallest id on ties); the
-    exceptional component re-enters with the exponent lowered by the mark.
-    Stage s then clears every s-subset of P-meeting components whose
-    exponent sum reaches the mark, largest sum first and lexicographically
-    smallest subset on ties.  After stage dim_p the support is empty.
+    exceptional component re-enters with the exponent lowered by the mark,
+    so stage 1 makes sum(v // mark) blow-ups over its table's sums v, as
+    checked.  Stage s then clears every s-subset of P-meeting components
+    whose exponent sum reaches the mark, largest sum first and
+    lexicographically smallest subset on ties.  After stage dim_p the
+    support is empty.
 
-    Each stage's table counts the support-carrying charts, so a step
-    re-tabulates only the charts its blow-up adds.  Stage 1 tabulates every
-    component (checking agreement on all of them); later stages only the
-    subsets reaching the mark.
+    Each stage's table holds sums only, so a step tabulates just the
+    support-carrying charts its blow-up adds.
 
     `on_step(grown, record)`, if given, is called after each blow-up with
     the configuration it grew and its record.
     """
     records: list[BlowUpRecord] = []
     m = cfg.mark
-    for s in (1, *range(2, cfg.dim_p + 1)):
+    for s in range(1, max(cfg.dim_p, 1) + 1):
         table = _StageTable(s, 0 if s == 1 else m, cfg.support_charts())
-        while (subset := table.best(m)) is not None:
+        predicted = sum(v // m for v in table.sums.values())
+        while (subset := table.take(m)) is not None:
             cfg = _apply(cfg, cfg.p_components | set(subset), records, on_step)
             table.update(cfg)
+        if s == 1 and len(records) != predicted:
+            raise InternalLogicError(f"stage 1 made {len(records)} blow-ups, {predicted} predicted")
     if cfg.support_charts():
         raise InternalLogicError("monomial stage terminated with support left")
     return cfg, records

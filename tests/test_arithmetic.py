@@ -320,8 +320,10 @@ class TestFiberOrder:
 
 class TestKernelBoundary:
     """Every entry that takes a prime refuses a non-prime through `_prime`,
-    and every one that takes a count refuses a non-integer or a negative
-    one through `_natural`, with `ValidationError`."""
+    every one that takes a count or a modulus refuses a non-integer or a
+    negative one through `_natural`, and every one that takes a divisor or
+    tests primality refuses a non-integer through `_integer`, each with
+    `ValidationError`."""
 
     @pytest.mark.parametrize(
         "call",
@@ -335,6 +337,11 @@ class TestKernelBoundary:
             lambda x: psi(2.0, x),
             lambda x: fiber_order_check([x], {"x"}, 2.0),
             lambda x: proj_chart_frobenius_check(2, [x], x, x, -1),
+            lambda x: x.divisible_by_int(0),
+            lambda x: x.divisible_by_int(2.0),
+            lambda x: is_prime(2.0),
+            lambda x: is_prime("7"),
+            lambda x: x.mod_int(-3),
         ],
         ids=[
             "negative ideal power",
@@ -346,6 +353,11 @@ class TestKernelBoundary:
             "fractional Adams prime",
             "fractional characteristic",
             "negative chart power",
+            "zero divisor",
+            "fractional divisor",
+            "fractional primality",
+            "string primality",
+            "negative modulus",
         ],
     )
     def test_refuses_bad_primes_and_counts(self, call):

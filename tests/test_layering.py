@@ -10,7 +10,9 @@ object's private attributes, so the storage of charts has one home.
 `cli` takes from `arithmetic` only the primality test and the
 `check-lambda` battery, and inside `arithmetic` only the p-derivation
 `delta` applies the Adams operation `psi` and only `_prime` refuses a
-non-prime.  `errors.is_int` is the one integer test of the package.  `transform` has one public
+non-prime.  `errors.is_int` is the one integer test of the package, and
+`reduction` never calls `id`, so the monomial stage keys nothing by chart
+identity.  `transform` has one public
 function, `blow_up_global`, and it and the strict transform of
 `resolution` are the only callers of the exponent rule
 `Monomial.exchanged`.  No module concatenates or slices a chart path: a
@@ -443,6 +445,26 @@ def test_rule_homes_are_seen():
     )
     assert sorted(bool_tests(tree)) == [2, 4]
     assert prime_refusers(tree) == {"h"}
+
+
+def id_callers(tree: ast.AST) -> set[str]:
+    """The functions of a module whose own bodies call the builtin `id`."""
+    return owners(tree, lambda n: isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "id")
+
+
+def test_id_callers_are_seen():
+    tree = ast.parse(
+        "def f(ch):\n    return id(ch)\n"
+        "class T:\n    def m(self, chs):\n        return {id(c): c for c in chs}\n"
+        "def g(ch):\n    return ch.id, ch.id(), ident(ch)\n"
+    )
+    assert id_callers(tree) == {"f", "m"}
+
+
+def test_reduction_keys_nothing_by_chart_identity():
+    """The monomial stage's table holds sums, not charts: `reduction` never
+    calls `id`, so no map keyed by chart identity comes back into it."""
+    assert id_callers(ast.parse((PACKAGE / "reduction.py").read_text(encoding="utf-8"))) == set()
 
 
 def test_one_home_per_input_rule():
