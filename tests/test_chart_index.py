@@ -4,7 +4,8 @@ A blow-up updates these for the charts it touches instead of rescanning the
 configuration; the tests here check each against what a from-scratch
 computation gives, also when a configuration is grown from twice.  The
 stage table is checked step by step in `test_stage_table_property.py`;
-here it must refuse charts that disagree on an exponent.
+here it must equal a rebuild after each step and refuse charts that
+disagree on an exponent.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from conftest import (
     mono,
     permissible_centers,
     random_config,
+    random_principal_config,
 )
 from monored import core, reduction, transform
 from monored.core import Configuration, chart_support, has_support, is_permissible
@@ -70,6 +72,26 @@ class TestCountedStageTable:
         message = "^component 0 has inconsistent exponents across charts$"
         with pytest.raises(InternalLogicError, match=message):
             reduction.reduce_monomial(cfg)
+
+    def test_random_principal_draws(self, monkeypatch):
+        """The table a stage keeps equals one rebuilt from the configuration
+        after each step, on the entries at or above the mark; the stage
+        ends with none of them left."""
+        update, steps = reduction._StageTable.update, []
+
+        def rebuilt_after(table, cfg):
+            update(table, cfg)
+            fresh = reduction._StageTable(table.s, table.floor, cfg.support_charts())
+            live = {subset: v for subset, v in table.sums.items() if v >= cfg.mark}
+            assert live == {subset: v for subset, v in fresh.sums.items() if v >= cfg.mark}
+            steps.append(table.s)
+
+        monkeypatch.setattr(reduction._StageTable, "update", rebuilt_after)
+        rng = random.Random(11)
+        for _ in range(200):
+            final, _ = reduction.reduce_monomial(random_principal_config(rng))
+            assert not final.support_charts()
+        assert len(set(steps)) == 3
 
 
 def test_children_take_their_parents_place():

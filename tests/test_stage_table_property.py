@@ -6,7 +6,9 @@ it out as the centre.  After every monomial-stage step, on principal draws
 whose seeds hypothesis picks and on the worked example, the entries at or
 above the mark must equal a tabulation of the support-carrying charts, the
 heap must hold one item per entry, and `take` must hand out what a scan of
-the entries gives.  Stage 1 must make the blow-ups its table predicts.
+the entries gives; off the engine, `take` is held to the scan on tables
+counted from drawn charts too.  Stage 1 must make the blow-ups its table
+predicts.
 """
 
 from __future__ import annotations
@@ -78,6 +80,36 @@ def checked_tables():
 def test_random_principal_draws(seed):
     with checked_tables():
         reduction.reduce_monomial(random_principal_config(random.Random(seed)))
+
+
+@hypothesis.settings(max_examples=150, database=None, derandomize=True, deadline=None)
+@hypothesis.given(seed=st.integers(0, 2**32 - 1))
+def test_heap_best_matches_a_scan(seed):
+    """The table alone, off the engine: charts agreeing on one exponent per
+    component, counted in batches, ties and entries below the mark
+    included.  Each `take` at a drawn mark must hand out what a scan of the
+    entries gives, and the heap must stay one item per entry."""
+    rng = random.Random(seed)
+    exps = {c: rng.randint(0, 6) for c in range(6)}
+
+    def drawn_charts():
+        out = []
+        for _ in range(rng.randint(1, 3)):
+            comps = rng.sample(sorted(exps), rng.randint(1, 6))
+            out.append(chart(6, [mono({c: exps[c] for c in comps})], 1, e=comps))
+        return out
+
+    s = rng.randint(1, 3)
+    table = reduction._StageTable(s, rng.randint(0, 4), drawn_charts())
+    for _ in range(12):
+        if rng.random() < 0.3:
+            table.count(drawn_charts())
+        mark = rng.randint(0, 12)
+        expected = scanned(table.sums, mark)
+        assert table.take(mark) == expected
+        assert expected is None or expected not in table.sums
+        assert sorted(table.heap) == sorted((-v, subset) for subset, v in table.sums.items())
+        assert all(len(subset) == s and v >= table.floor for subset, v in table.sums.items())
 
 
 def test_worked_example():
