@@ -28,7 +28,8 @@ list and name -> id map (`Registry`), where `grow` names each new component.
 A chart's path is a `PathNode` linked to its parent chart's, so a blow-up
 copies no path; a caller's tuple path becomes a node when a configuration
 is built.  Chart order, (root position, path), is kept by the chart index
-with integer order labels, so keeping it compares and walks no path.
+with one bit-string place per chart, which a blow-up extends for its
+children only, so keeping it compares no path and relabels no chart.
 """
 
 from __future__ import annotations
@@ -412,9 +413,10 @@ class Configuration:
 
     The charts are held as a tuple (`charts`), in a `_ChartIndex`, or both.
     A blow-up (`grow`) moves the index on to the grown configuration and
-    updates it there for the charts it replaces and adds, so a step costs
-    what it touches.  A configuration without an index builds one from its
-    chart tuple when asked; a copy or pickle rebuilds it.
+    updates it there for the charts it replaces and adds, each child placed
+    from its parent's place, so a step costs what it touches.  A
+    configuration without an index builds one from its chart tuple when
+    asked; a copy or pickle rebuilds it.
 
     One rule brings back the charts of a configuration that holds neither:
     it was grown from without a tuple, and kept a link to the configuration
@@ -611,31 +613,32 @@ class _ChartIndex:
     The maps go by `id(chart)`, and each holds the charts it names, so no id
     is reused while it is in the index: `charts` holds every chart;
     `by_component` the charts containing each component; `supporting` the
-    charts with non-empty support.  `span` gives each chart a range of
-    integer order labels, disjoint from every other chart's, and chart order
-    is the order of their starts.  The charts of a configuration built from
-    a tuple get equal spans in tuple order; a blow-up (`grow`) splits the
-    span of each chart it replaces among its children in centre-component
-    order, which keeps chart order that of (root position, path), as a
-    child's path extends its parent's by (stage, component).  A span too
-    narrow to split makes every chart take a fresh one in order (`relabel`).
+    charts with non-empty support.  `place` gives each chart a bit string
+    held as an int: a leading 1, the chart's root number, then one field
+    per blow-up that split its line into several charts.  Root n of the N
+    charts an index is built from gets `(1 << N.bit_length()) | n`; child n
+    of k children gets its parent's place followed by n in a field as wide
+    as k - 1 (`grow`), so a lone child keeps its parent's place.  Siblings'
+    fields are equally wide and in centre-component order, and no place is
+    a prefix of another chart's, so places aligned at the left (`ordered`)
+    sort in chart order, (root position, path).
     """
 
-    __slots__ = ("charts", "span", "by_component", "supporting")
+    __slots__ = ("charts", "place", "by_component", "supporting")
 
     def __init__(self, charts) -> None:
         self.charts: dict[int, Chart] = {}
-        self.span: dict[int, tuple[int, int]] = {}
+        self.place: dict[int, int] = {}
         self.by_component: dict[int, dict[int, Chart]] = {}
         self.supporting: dict[int, Chart] = {}
-        for ch in charts:
-            self.add(ch, None)
-        self.relabel(charts)
+        root = 1 << len(charts).bit_length()
+        for n, ch in enumerate(charts):
+            self.add(ch, root | n)
 
-    def add(self, ch: Chart, span: tuple[int, int]) -> None:
+    def add(self, ch: Chart, place: int) -> None:
         i = id(ch)
         self.charts[i] = ch
-        self.span[i] = span
+        self.place[i] = place
         for c in ch.e_components:
             self.by_component.setdefault(c, {})[i] = ch
         if has_support(ch):
@@ -650,23 +653,16 @@ class _ChartIndex:
             if not holders:
                 del self.by_component[c]
         self.supporting.pop(i, None)
-        del self.span[i]
-
-    # labels stay below 2**30, where splitting a span is small-int
-    # arithmetic, for up to 1024 charts; no span is given out narrower
-    RANGE, MIN_WIDTH = 1 << 30, 1 << 20
-
-    def relabel(self, charts) -> None:
-        """Give the charts, listed in chart order, equal spans in that
-        order."""
-        w = max(self.RANGE // len(charts), self.MIN_WIDTH)
-        span = self.span
-        for n, ch in enumerate(charts):
-            span[id(ch)] = (n * w, n * w + w)
+        del self.place[i]
 
     def ordered(self, charts) -> list[Chart]:
-        span = self.span
-        return sorted(charts, key=lambda ch: span[id(ch)])
+        """The charts, from this index, sorted by their places aligned at
+        the left to the longest, which is the largest: in chart order."""
+        if len(charts) < 2:
+            return list(charts)
+        place = self.place
+        top = max([place[id(ch)] for ch in charts]).bit_length()
+        return sorted(charts, key=lambda ch: (p := place[id(ch)]) << (top - p.bit_length()))
 
     def containing(self, center: frozenset[int]) -> list[Chart]:
         holders = [self.by_component.get(c, {}) for c in center]
@@ -692,28 +688,23 @@ def grow(cfg: Configuration, outcomes) -> Configuration:
     one is, they swap one component for another, keep the mark and drop
     out of P or keep its P-cutting set, and their paths end at stage
     `cfg.n_blowups + 1`, which no chart of `cfg` reaches, so their keys
-    are new.  The chart index of `cfg` moves to the result, each replaced
-    chart's span of order labels split among its children.  A `cfg`
-    without a chart tuple keeps a link to the result to undo it from.
+    are new.  The chart index of `cfg` moves to the result, each child
+    placed by the one split rule (`_ChartIndex`) and no other chart's
+    place changed.  A `cfg` without a chart tuple keeps a link to the
+    result to undo it from.
     """
     index = cfg._own_index()
     name = f"exc{cfg.n_blowups + 1}"
     while name in cfg.registry:
         name += "'"
     meeting = cfg._meeting
-    span = index.span
+    place = index.place
     for ch, kids in outcomes:
-        lo, hi = span[id(ch)]
-        width = (hi - lo) // len(kids)
-        if not width:
-            index.relabel(index.ordered(index.charts.values()))
-            lo, hi = span[id(ch)]
-            width = (hi - lo) // len(kids)
+        first = place[id(ch)] << (len(kids) - 1).bit_length()
         index.remove(ch)
         meeting -= not ch.p_empty
-        for kid in kids:
-            index.add(kid, (lo, lo + width))
-            lo += width
+        for n, kid in enumerate(kids):
+            index.add(kid, first | n)
             meeting += not kid.p_empty
     new = object.__new__(Configuration)
     new.registry, new.dim_p, new.mark = cfg.registry.extended(name), cfg.dim_p, cfg.mark

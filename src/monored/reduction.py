@@ -181,16 +181,13 @@ def _lex_first_active(cfg: Configuration):
     Support over the oldest components is attacked first; centres tailored
     to young exceptional components would otherwise keep carving overlap
     copies of old-component support out of sibling charts without ever
-    exhausting it.
+    exhausting it.  Ties go to the first such chart in chart order.
     """
-    best = None
-    best_key = None
-    for index, ch in enumerate(cfg.support_charts()):
-        strata = chart_support(ch)
-        key = (min(tuple(sorted(s)) for s in strata), index)
-        if best_key is None or key < best_key:
-            best, best_key = ch, key
-    return best
+    return min(
+        cfg.support_charts(),
+        key=lambda ch: min(tuple(sorted(s)) for s in chart_support(ch)),
+        default=None,
+    )
 
 
 def reduce_maximal_order(

@@ -104,8 +104,9 @@ def _expect(cond: bool, where: str, message: str) -> None:
 def load_config(obj) -> Configuration:
     """The configuration a JSON document describes, the one definition of
     an input.  This checks only what parsing needs: the shape, that names
-    resolve (only strings do), `n_vars` and integer exponents; the
-    constructors check every other rule, names and labels included."""
+    resolve (only strings do), that no chart lists a name twice, `n_vars`
+    and integer exponents; the constructors check every other rule, names
+    and labels included."""
     _expect(isinstance(obj, dict), "$", "configuration must be an object")
     components = obj.get("components")
     _expect(
@@ -124,6 +125,7 @@ def load_config(obj) -> Configuration:
             _expect(isinstance(names, list), field, "name list required")
             for n in names:
                 _expect(isinstance(n, str) and n in ids, field, f"unknown component {n!r}")
+                _expect(ids[n] not in out, field, f"component {n!r} listed twice")
                 out.append(ids[n])
             return out
 
@@ -135,6 +137,7 @@ def load_config(obj) -> Configuration:
             f"{where}.n_vars",
             "list of labels required",
         )
+        _expect(len(set(n_vars)) == len(n_vars), f"{where}.n_vars", "a label is listed twice")
         _expect(
             not ids.keys() & n_vars,
             f"{where}.n_vars",
@@ -159,7 +162,7 @@ def load_config(obj) -> Configuration:
         charts.append(
             Chart(
                 label=raw.get("name"),
-                e_components=tuple(sorted(set(e_comps))),
+                e_components=tuple(sorted(e_comps)),
                 n_vars=frozenset(n_vars),
                 p_components=frozenset(p_comps),
                 ideal=MarkedIdeal.of(gens, obj.get("mark")),

@@ -176,6 +176,27 @@ class TestValidation:
         assert main(["order", str(path)]) == 1
         assert capsys.readouterr().err == f"validation error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "field, names, message",
+        [
+            ("e_components", ["x", "y", "x", "u", "v"], "component 'x' listed twice"),
+            ("p_components", ["u", "u"], "component 'u' listed twice"),
+            ("n_vars", ["n", "m", "n"], "a label is listed twice"),
+        ],
+    )
+    def test_name_listed_twice_in_a_chart(self, tmp_path, capsys, field, names, message):
+        """A repeated name is refused, not collapsed: the trace's input
+        would otherwise differ from the file.  Listed once, each document
+        is an input."""
+        chart = dict(GOLDEN["charts"][0], generators=[{"x": 2, "y": 3}, {"x": 2, "v": 6}])
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(dict(GOLDEN, charts=[dict(chart, **{field: list(dict.fromkeys(names))})])))
+        assert main(["reduce", str(path)]) == 0
+        capsys.readouterr()
+        path.write_text(json.dumps(dict(GOLDEN, charts=[dict(chart, **{field: names})])))
+        assert main(["reduce", str(path)]) == 1
+        assert capsys.readouterr().err == f"validation error: charts[0].{field}: {message}\n"
+
     @pytest.mark.parametrize("exponent", [-1, -6, 2.0, "2"])
     def test_bad_exponent(self, tmp_path, capsys, exponent):
         """Exponents are checked where the document enters: the engine

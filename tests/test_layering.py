@@ -18,9 +18,11 @@ function, `blow_up_global`, and it and the strict transform of
 `Monomial.exchanged`.  No module concatenates or slices a chart path: a
 path is a linked node, and a child's step is read from its own node.
 `core.grow` alone spells an exceptional component's name (`exc<stage>`)
-and extends a registry.  `cli` imports only `core`, `errors` and
-`transform` when it loads, and each command the other modules it runs, so
-`check-lambda` loads no trace or engine module and `replay` no reduction.
+and extends a registry, and it visits only the charts a blow-up replaces
+and adds: it reads no chart list and sorts nothing.  `cli` imports only
+`core`, `errors` and `transform` when it loads, and each command the other
+modules it runs, so `check-lambda` loads no trace or engine module and
+`replay` no reduction.
 """
 
 from __future__ import annotations
@@ -474,3 +476,43 @@ def test_one_home_per_input_rule():
     sources = package_sources()
     assert {module for module, text in sources.items() if bool_tests(ast.parse(text))} == {"errors"}
     assert prime_refusers(ast.parse(sources["arithmetic"])) == {"_prime"}
+
+
+def whole_visits(tree: ast.AST, function: str) -> list[tuple[int, str]]:
+    """(line, what) of each read in the module-level `function` that visits
+    every chart: a `.charts` attribute, or a call of `.ordered`,
+    `._ordered`, `.sort` or `sorted`."""
+    (body,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == function]
+    found = []
+    for node in ast.walk(body):
+        if isinstance(node, ast.Attribute) and node.attr == "charts" and isinstance(node.ctx, ast.Load):
+            found.append((node.lineno, "charts"))
+        elif isinstance(node, ast.Call):
+            f = node.func
+            if isinstance(f, ast.Attribute) and f.attr in ("ordered", "_ordered", "sort"):
+                found.append((node.lineno, f.attr))
+            elif isinstance(f, ast.Name) and f.id == "sorted":
+                found.append((node.lineno, "sorted"))
+    return found
+
+
+def test_whole_visits_are_seen():
+    tree = ast.parse(
+        "def grow(cfg, index, kids):\n"
+        "    new._charts, n = None, cfg._charts is None\n"
+        "    a = index.charts.values()\n"
+        "    b = index.ordered(a), cfg._ordered()\n"
+        "    kids.sort()\n"
+        "    return sorted(kids), index.place[0], cfg.charts_containing(a)\n"
+        "def other(cfg):\n    return sorted(cfg.charts)\n"
+    )
+    assert sorted(whole_visits(tree, "grow")) == [
+        (3, "charts"), (4, "_ordered"), (4, "ordered"), (5, "sort"), (6, "sorted"),
+    ]
+
+
+def test_grow_visits_only_the_charts_it_touches():
+    """A blow-up places each child from its parent's place alone: `grow`
+    neither reads the chart list nor sorts, so a step never visits the
+    charts it does not replace."""
+    assert whole_visits(ast.parse(CORE.read_text(encoding="utf-8")), "grow") == []

@@ -1,12 +1,13 @@
-"""Chart paths held as linked nodes, and chart order from index labels.
+"""Chart paths held as linked nodes, and chart order from index places.
 
 A chart's path is a `PathNode`: its parent's node and its own (stage,
 component) pair.  It must behave as the tuple of its pairs wherever a
 caller looks, and the chart index must keep chart order that of (root
-position, path) although it never compares paths: it splits each replaced
-chart's span of order labels among its children, and gives every chart a
-fresh span when one is too narrow to split.  A caller's tuple path becomes a
-node when a configuration is built, and is checked there.
+position, path) although it never compares paths: each chart has a
+bit-string place, a child's being its parent's followed by its position
+among its siblings, and places aligned at the left sort in chart order,
+however many bits they grow past a machine word.  A caller's tuple path
+becomes a node when a configuration is built, and is checked there.
 """
 
 from __future__ import annotations
@@ -23,10 +24,12 @@ from conftest import chart, config, golden_config, mono
 from monored import core
 from monored.core import ROOT, Configuration, PathNode
 from monored.errors import ValidationError
+from monored.reduction import reduce
 from monored.resolution import principalize
 from monored.serialize import load_config
 from monored.transform import blow_up_global
 from test_digests import RUNS
+from test_lcm_marking import draw
 
 X, Y, U, V = 0, 1, 2, 3
 
@@ -59,9 +62,8 @@ ORDER_RUNS = {
 def order_checked(monkeypatch):
     """Check every chart list the runs read, `charts_containing`,
     `support_charts` and `charts`, against a sort by (root position,
-    path); returns the counts of lists checked and of relabels made by a
-    blow-up."""
-    counts = {"lists": 0, "relabels": 0}
+    path); returns the count of lists checked."""
+    counts = {"lists": 0}
     roots: dict[str, int] = {}
 
     def check(charts):
@@ -83,14 +85,6 @@ def order_checked(monkeypatch):
     monkeypatch.setattr(Configuration, "charts", property(lambda self: tuple(check(charts(self)))))
     for name in ("charts_containing", "support_charts"):
         monkeypatch.setattr(Configuration, name, checking(getattr(Configuration, name)))
-    relabel = core._ChartIndex.relabel
-
-    def counted(self, charts):
-        # an index being built gives its charts their first spans
-        counts["relabels"] += None not in self.span.values()
-        relabel(self, charts)
-
-    monkeypatch.setattr(core._ChartIndex, "relabel", counted)
     return counts
 
 
@@ -98,18 +92,21 @@ def order_checked(monkeypatch):
 def test_chart_order_is_root_position_then_path(name, order_checked):
     ORDER_RUNS[name]()
     assert order_checked["lists"] > 0
-    if name == "principalize tower100":
-        # its lineages outgrow the spans they start with
-        assert order_checked["relabels"] > 0
 
 
-@pytest.mark.parametrize("name", ["reduce worked", "principalize tower25", "principalize two roots"])
-def test_chart_order_when_every_split_relabels(name, order_checked, monkeypatch):
-    """With spans one label wide, every split first relabels every chart."""
-    monkeypatch.setattr(core._ChartIndex, "RANGE", 1)
-    monkeypatch.setattr(core._ChartIndex, "MIN_WIDTH", 1)
-    ORDER_RUNS[name]()
-    assert order_checked["relabels"] > 10
+def test_chart_order_past_a_machine_word(order_checked, monkeypatch):
+    """Reducing draw (2, 191) grows places to 551 bits over 3935 blow-ups;
+    they still sort in chart order, where keys cut to 64 bits would not."""
+    widest = [0]
+    add = core._ChartIndex.add
+
+    def widening(self, ch, place):
+        widest[0] = max(widest[0], place.bit_length())
+        add(self, ch, place)
+
+    monkeypatch.setattr(core._ChartIndex, "add", widening)
+    reduce(draw(2, 191))
+    assert widest[0] > 64 and order_checked["lists"] > 1000
 
 
 def run_paths(result) -> list[PathNode]:
