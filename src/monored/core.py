@@ -148,8 +148,8 @@ class Monomial:
     def exchanged(self, k: int, exceptional: int, e: int) -> "Monomial":
         """The substitution rule x_k = E, x_c = x_c' E (c in the centre) in
         the child chart of k: k drops out, and E gets exponent `e`, the
-        centre degree minus the mark for the birational transform, plus it
-        for the pullback multiplier, or as is for the literal pullback."""
+        centre degree minus the mark for the birational transform, or plus
+        it for the pullback multiplier."""
         if e < 0:
             raise ValidationError("stored exponents must be positive")
         exps = [x for x in self.exps if x[0] != k and x[0] != exceptional]
@@ -403,13 +403,14 @@ class Configuration:
     components holding the P-cutting set, the generators and pullback
     excess, no generator on a P-cutting component, at most `dim_p`
     components off P in a chart meeting P, registered components and no
-    stage past `n_blowups` in a path, one mark, one P-cutting set, and
-    unique (label, path) keys.  A path given as a tuple must hold (stage,
-    component) pairs of ints with stages strictly increasing from 1; the
-    chart is held with its path turned into a `PathNode`, and a chart whose
-    path is one already is held as it is.  That `n_vars` labels are no
-    component names is a rule of documents only (`load_config`): the engine
-    names exceptional components without reading `n_vars`.
+    stage past `n_blowups` in a path, one mark, one P-cutting set in the
+    charts meeting P (kept by them only), and unique (label, path) keys.
+    A path given as a tuple must hold (stage, component) pairs of ints with
+    stages strictly increasing from 1; the chart is held with its path
+    turned into a `PathNode`, and a chart whose path is one already is held
+    as it is.  That `n_vars` labels are no component names is a rule of
+    documents only (`load_config`): the engine names exceptional components
+    without reading `n_vars`.
 
     The charts are held as a tuple (`charts`), in a `_ChartIndex`, or both.
     A blow-up (`grow`) moves the index on to the grown configuration and
@@ -431,7 +432,7 @@ class Configuration:
 
     __slots__ = (
         "registry", "dim_p", "n_blowups", "mark", "step",
-        "_p", "_meeting", "_index", "_charts", "_grown",
+        "_index", "_charts", "_grown",
     )
 
     def __init__(self, registry, charts, dim_p: int, n_blowups: int = 0) -> None:
@@ -465,7 +466,7 @@ class Configuration:
                 raise ValidationError(f"chart {ch.label!r}: n_vars labels must be strings")
             if list(comps) != sorted(set(comps)):
                 raise ValidationError(f"chart {ch.label!r}: components must be strictly increasing")
-            if comps and comps[-1] >= n_names:
+            if comps and (comps[0] < 0 or comps[-1] >= n_names):
                 raise ValidationError(f"chart {ch.label!r} references an unregistered component")
             present = set(comps)
             if not ch.p_components <= present:
@@ -509,8 +510,6 @@ class Configuration:
         self.registry, self.dim_p, self.n_blowups = Registry(list(registry), ids, n_names), dim_p, n_blowups
         self.mark = marks.pop()
         self.step = ()
-        self._p = next(iter(p_sets), frozenset())
-        self._meeting = sum(not ch.p_empty for ch in charts)
         self._charts = tuple(charts)
         self._index = self._grown = None  # the index is built on first use
 
@@ -552,11 +551,6 @@ class Configuration:
         index costs a few hundred bytes, and rebuilds the index if asked."""
         self.charts
         return self
-
-    @property
-    def p_components(self) -> frozenset[int]:
-        """The components cutting P in the charts meeting P."""
-        return self._p if self._meeting else frozenset()
 
     def charts_containing(self, center) -> list[Chart]:
         """The charts in which every component of `center` is present, in
@@ -677,7 +671,7 @@ def grow(cfg: Configuration, outcomes) -> Configuration:
     """`cfg` after one blow-up: the registry gains the exceptional
     component, and each (chart, children) pair of `outcomes`, in chart
     order, puts its (one or more) children in the chart's place.  The
-    result keeps `outcomes` as its `step`.
+    result keeps `outcomes` as its `step`; no field of a chart is read.
 
     The component of stage s is named `exc<s>`, primed while the name is
     taken.  A lineage's registry length less `n_blowups` is fixed, so the
@@ -697,19 +691,15 @@ def grow(cfg: Configuration, outcomes) -> Configuration:
     name = f"exc{cfg.n_blowups + 1}"
     while name in cfg.registry:
         name += "'"
-    meeting = cfg._meeting
     place = index.place
     for ch, kids in outcomes:
         first = place[id(ch)] << (len(kids) - 1).bit_length()
         index.remove(ch)
-        meeting -= not ch.p_empty
         for n, kid in enumerate(kids):
             index.add(kid, first | n)
-            meeting += not kid.p_empty
     new = object.__new__(Configuration)
     new.registry, new.dim_p, new.mark = cfg.registry.extended(name), cfg.dim_p, cfg.mark
     new.n_blowups, new.step = cfg.n_blowups + 1, outcomes
-    new._p, new._meeting = cfg._p, meeting
     new._index, new._charts, new._grown = index, None, None
     cfg._index = None
     if cfg._charts is None:

@@ -311,7 +311,8 @@ def reduce_monomial(
     support is empty.
 
     Each stage's table holds sums only, so a step tabulates just the
-    support-carrying charts its blow-up adds.
+    support-carrying charts its blow-up adds.  A centre is the subset taken
+    and P, cut out as in the table's first chart (a child keeps it or leaves P).
 
     `on_step(grown, record)`, if given, is called after each blow-up with
     the configuration it grew and its record.
@@ -319,10 +320,11 @@ def reduce_monomial(
     records: list[BlowUpRecord] = []
     m = cfg.mark
     for s in range(1, max(cfg.dim_p, 1) + 1):
-        table = _StageTable(s, 0 if s == 1 else m, cfg.support_charts())
+        charts = cfg.support_charts()
+        table = _StageTable(s, 0 if s == 1 else m, charts)
         predicted = sum(v // m for v in table.sums.values())
         while (subset := table.take(m)) is not None:
-            cfg = _apply(cfg, cfg.p_components | set(subset), records, on_step)
+            cfg = _apply(cfg, charts[0].p_components | set(subset), records, on_step)
             table.update(cfg)
         if s == 1 and len(records) != predicted:
             raise InternalLogicError(f"stage 1 made {len(records)} blow-ups, {predicted} predicted")

@@ -80,14 +80,11 @@ def is_locally_principal(cfg: Configuration, trace: ResolutionTrace | None = Non
     return all(len(total_transform_generators(ch)) == 1 for ch in cfg.charts)
 
 
-def _strict_step(gens, center, chart_var, exceptional, original_count):
-    stripped = []
-    for g in gens:
-        pulled = g.exchanged(chart_var, exceptional, g.degree(center))
-        bare = pulled.restrict(range(original_count))
-        if not bare.is_unit():
-            stripped.append(bare)
-    return minimalize(stripped)
+def _strict_step(gens, chart_var):
+    """The strict transform in the child chart of `chart_var`: with the
+    exceptional factor divided out, each generator loses that component."""
+    bare = [g.drop((chart_var,)) for g in gens]
+    return minimalize([g for g in bare if not g.is_unit()])
 
 
 def _is_coordinate_subscheme(gens) -> bool:
@@ -115,7 +112,6 @@ def weak_resolve(cfg: Configuration, on_step=None) -> ResolutionTrace:
             "(its generators involve fewer than 2 components)"
         )
     trace = principalize(cfg, on_step)
-    original_count = len(trace.initial.registry)
     strict: dict[ChartKey, tuple[Monomial, ...]] = {
         (ch.label, ch.path): ch.ideal.generators for ch in trace.initial.charts
     }
@@ -124,9 +120,7 @@ def weak_resolve(cfg: Configuration, on_step=None) -> ResolutionTrace:
         for (label, parent), children in rec.outcomes:
             gens = strict.pop((label, parent))
             for child in children:
-                strict[(label, child)] = _strict_step(
-                    gens, rec.center, child.last[1], rec.exceptional, original_count
-                )
+                strict[(label, child)] = _strict_step(gens, child.last[1])
                 fresh.add((label, child))
         hits = sorted(key for key in fresh & strict.keys() if _is_coordinate_subscheme(strict[key]))
         if hits:

@@ -172,14 +172,26 @@ def load_config(obj) -> Configuration:
 
 
 def read_json_file(path: str):
-    """The JSON document in a UTF-8 file; an unreadable file is a validation error."""
+    """The JSON document in a UTF-8 file; an unreadable file, invalid JSON,
+    a key repeated in one object or nesting too deep is a validation error."""
+
+    def members(pairs):
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            keys = sorted(key for key, _ in pairs)
+            key = next(a for a, b in zip(keys, keys[1:]) if a == b)
+            raise ValidationError(f"{path}: invalid JSON: key {key!r} repeated in one object")
+        return obj
+
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=members)
     except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: invalid JSON: {exc}") from None
+    except RecursionError:
+        raise ValidationError(f"{path}: invalid JSON: nested too deeply to read") from None
 
 
 def load_config_file(path: str) -> Configuration:

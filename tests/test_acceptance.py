@@ -211,7 +211,8 @@ def test_c5_reduce_terminates_and_monomial_measure():
         state = cfg
         stages = []
         for rec in records:
-            size = len(rec.center - state.p_components)
+            p = next(ch for ch in state.charts if not ch.p_empty).p_components
+            size = len(rec.center - p)
             stages.append(size)
             before = stage_measure(state, size)
             state, _ = blow_up_global(state, rec.center)

@@ -226,6 +226,24 @@ class TestValidation:
         assert main(command + [str(path)]) == 1
         assert capsys.readouterr().err.startswith("validation error: ")
 
+    @pytest.mark.parametrize(
+        "old, new, key",
+        [('{"x": 1}', '{"x": 1, "x": 3}', "x"), ('"mark": 1', '"mark": 9, "mark": 2', "mark")],
+        ids=["generator", "mark"],
+    )
+    def test_repeated_key(self, tmp_path, capsys, old, new, key):
+        path = tmp_path / "repeated.json"
+        path.write_text(json.dumps(LINES).replace(old, new))
+        assert main(["reduce", str(path)]) == 1
+        assert capsys.readouterr().err == f"validation error: {path}: invalid JSON: key {key!r} repeated in one object\n"
+
+    @pytest.mark.parametrize("command", [["order"], ["replay", "--trace"]], ids=["order", "replay"])
+    def test_nesting_too_deep(self, tmp_path, capsys, command):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000)
+        assert main(command + [str(path)]) == 1
+        assert capsys.readouterr().err == f"validation error: {path}: invalid JSON: nested too deeply to read\n"
+
     @pytest.mark.parametrize("target", ["missing/trace.json", "directory"], ids=["no-parent", "directory"])
     def test_unwritable_out(self, golden_file, tmp_path, capsys, target):
         out_dir = tmp_path / "out"

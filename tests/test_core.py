@@ -148,6 +148,10 @@ class TestMarkedIdeal:
         ideal = MarkedIdeal.of([mono({}), mono({0: 5})], 1)
         assert ideal.is_unit()
 
+    def test_needs_a_generator(self):
+        with pytest.raises(ValidationError, match="^a marked ideal needs at least one generator$"):
+            MarkedIdeal.of([], 1)
+
     def test_mark_validation(self):
         with pytest.raises(ValidationError):
             MarkedIdeal.of([mono({0: 1})], 0)
@@ -218,6 +222,23 @@ class TestChartValidation:
         ch = chart(2, [mono({1: 1})], 1)
         with pytest.raises(ValidationError):
             Configuration(("x",), (ch,), 1)
+
+    def test_negative_component(self):
+        ch = chart(2, [mono({0: 2})], 1, e=(-1, 0))
+        with pytest.raises(ValidationError, match="^chart 'U' references an unregistered component$"):
+            Configuration(("x", "y"), (ch,), 2)
+
+    def test_needs_a_chart(self):
+        with pytest.raises(ValidationError, match="^a configuration needs at least one chart$"):
+            Configuration(("x",), (), 1)
+
+    def test_charts_meeting_p_agree_on_its_components(self):
+        """Every chart meeting P gives the configuration's one P-cutting set."""
+        a = chart(3, [mono({1: 2})], 1, p=(0,), label="A")
+        b = chart(3, [mono({1: 2})], 1, p=(2,), label="B")
+        with pytest.raises(ValidationError, match="^charts meeting P must agree on the components cutting P$"):
+            Configuration(("x", "y", "w"), (a, b), 2)
+        Configuration(("x", "y", "w"), (a, replace(b, p_empty=True)), 2)
 
     def test_marks_agree(self):
         a = chart(2, [mono({0: 1})], 1, label="A")

@@ -12,14 +12,13 @@ object's private attributes, so the storage of charts has one home.
 `delta` applies the Adams operation `psi` and only `_prime` refuses a
 non-prime.  `errors.is_int` is the one integer test of the package, and
 `reduction` never calls `id`, so the monomial stage keys nothing by chart
-identity.  `transform` has one public
-function, `blow_up_global`, and it and the strict transform of
-`resolution` are the only callers of the exponent rule
-`Monomial.exchanged`.  No module concatenates or slices a chart path: a
-path is a linked node, and a child's step is read from its own node.
-`core.grow` alone spells an exceptional component's name (`exc<stage>`)
-and extends a registry, and it visits only the charts a blow-up replaces
-and adds: it reads no chart list and sorts nothing.  `cli` imports only
+identity.  `transform` has one public function, `blow_up_global`, and it
+is the only caller of the exponent rule `Monomial.exchanged`.  No module
+concatenates or slices a chart path: a path is a linked node, and a
+child's step is read from its own node.  `core.grow` alone spells an
+exceptional component's name (`exc<stage>`) and extends a registry, and
+it visits only the charts a blow-up replaces and adds: it reads no chart
+list, sorts nothing and reads no field of a chart.  `cli` imports only
 `core`, `errors` and `transform` when it loads, and each command the other
 modules it runs, so `check-lambda` loads no trace or engine module and
 `replay` no reduction.
@@ -324,13 +323,10 @@ def test_method_callers_are_seen():
 
 
 def test_one_exponent_transform():
-    """The blow-up applies the substitution rule in one place, and the
-    strict transform of `weak_resolve` in the other; no second exponent
-    transform sits beside them."""
-    assert exchanged_callers(package_sources()) == {
-        ("transform", "blow_up_global"),
-        ("resolution", "_strict_step"),
-    }
+    """The blow-up applies the substitution rule in one place; the strict
+    transform of `weak_resolve` only drops a chart's defining component,
+    and no second exponent transform sits beside it."""
+    assert exchanged_callers(package_sources()) == {("transform", "blow_up_global")}
 
 
 def test_transform_has_one_public_function():
@@ -516,3 +512,33 @@ def test_grow_visits_only_the_charts_it_touches():
     neither reads the chart list nor sorts, so a step never visits the
     charts it does not replace."""
     assert whole_visits(ast.parse(CORE.read_text(encoding="utf-8")), "grow") == []
+
+
+def chart_field_reads(tree: ast.AST, function: str) -> list[tuple[int, str]]:
+    """(line, attribute) of each attribute the module-level `function`
+    reads from `ch` or `kid`, the charts `grow` loops over."""
+    (body,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == function]
+    return [
+        (node.lineno, node.attr)
+        for node in ast.walk(body)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in ("ch", "kid")
+    ]
+
+
+def test_chart_field_reads_are_seen():
+    tree = ast.parse(
+        "def grow(cfg, outcomes):\n"
+        "    for ch, kids in outcomes:\n"
+        "        index.remove(ch), id(ch), cfg.p_empty\n"
+        "        n = ch.p_empty\n"
+        "        for kid in kids:\n"
+        "            index.add(kid, kid.path.last)\n"
+        "def other(ch):\n    return ch.ideal\n"
+    )
+    assert sorted(chart_field_reads(tree, "grow")) == [(4, "p_empty"), (6, "path")]
+
+
+def test_grow_reads_no_chart_field():
+    """A blow-up step is index bookkeeping only: `grow` hands each chart it
+    replaces and adds to the index and reads no field of either itself."""
+    assert chart_field_reads(ast.parse(CORE.read_text(encoding="utf-8")), "grow") == []

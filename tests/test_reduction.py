@@ -360,7 +360,6 @@ class TestReduceMonomial:
 
     @staticmethod
     def _stage_measure(cfg, size):
-        p = cfg.p_components
         sums = {}
         for ch in cfg.charts:
             if ch.p_empty or len(ch.ideal.generators) != 1:
@@ -386,7 +385,8 @@ class TestReduceMonomial:
             state = cfg
             stages = []
             for rec in records:
-                size = len(rec.center - state.p_components)
+                p = next(ch for ch in state.charts if not ch.p_empty).p_components
+                size = len(rec.center - p)
                 stages.append(size)
                 before = self._stage_measure(state, size)
                 state, _ = blow_up_global(state, rec.center)
