@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Commands operate on a JSON configuration file; trace-emitting commands
-write a replayable JSON trace.  Exit codes: 0 success, 1 validation error,
-2 contract violation.
+write a replayable JSON trace.  `main` alone loads the configuration,
+writes the trace and prints, after the command has returned, so a command
+that fails prints nothing.  Exit codes: 0 success, 1 validation error (or
+a stdout closed early), 2 contract violation.
 """
 
 from __future__ import annotations
@@ -64,66 +66,52 @@ def _emit(out_path: str | None, obj) -> None:
                 raise
     except OSError as exc:
         raise ValidationError(f"cannot write {out_path}: {exc.strerror or exc}") from None
-    print(f"trace written to {out_path}")
 
 
-def cmd_order(args) -> int:
-    from .serialize import load_config_file
-
-    cfg = load_config_file(args.config)
-    print(HEADER)
-    print(f"max_order: {max_order(cfg)}")
-    for ch in cfg.charts:
-        print(f"chart {chart_name(cfg.registry, ch.label, ch.path)}: order {chart_order(ch)}")
-    return 0
+# Each command takes its arguments and the loaded configuration (None for
+# `replay` and `check-lambda`) and returns its report lines, its trace
+# document or None, and the contract violation its report ends with or None.
 
 
-def cmd_support(args) -> int:
-    from .serialize import component_names, load_config_file
+def cmd_order(args, cfg):
+    lines = [f"max_order: {max_order(cfg)}"]
+    lines += [f"chart {chart_name(cfg.registry, ch.label, ch.path)}: order {chart_order(ch)}" for ch in cfg.charts]
+    return lines, None, None
 
-    cfg = load_config_file(args.config)
-    print(HEADER)
+
+def cmd_support(args, cfg):
+    from .serialize import component_names
+
     strata = support(cfg)
-    if not strata:
-        print("support: empty")
-        return 0
-    for s in strata:
-        names = ",".join(component_names(cfg.registry, s.vanishing))
-        print(
-            f"chart {chart_name(cfg.registry, s.chart.label, s.chart.path)}: minimal stratum "
-            f"{{{names}}}"
-        )
-    return 0
+    lines = [
+        f"chart {chart_name(cfg.registry, s.chart.label, s.chart.path)}: minimal stratum "
+        f"{{{','.join(component_names(cfg.registry, s.vanishing))}}}"
+        for s in strata
+    ]
+    return lines or ["support: empty"], None, None
 
 
-def cmd_blowup(args) -> int:
-    from .serialize import StepRenderer, component_names, load_config_file, trace_document
+def cmd_blowup(args, cfg):
+    from .serialize import StepRenderer, component_names, trace_document
 
-    cfg = load_config_file(args.config)
     center = frozenset(cfg.component_id(n.strip()) for n in args.center.split(",") if n.strip())
     if not center:
         raise ValidationError("--center needs at least one component name")
     final, record = blow_up_global(cfg, center)
     steps = StepRenderer()
     steps(final, record)
-    print(HEADER)
     names = ",".join(sorted(component_names(cfg.registry, center)))
-    print(f"blow-up at {{{names}}}: stage {record.stage}")
-    _emit(args.out, trace_document(cfg, steps, final, [record]))
-    return 0
+    return [f"blow-up at {{{names}}}: stage {record.stage}"], trace_document(cfg, steps, final, [record]), None
 
 
-def cmd_reduce(args) -> int:
+def cmd_reduce(args, cfg):
     from .reduction import reduce
-    from .serialize import StepRenderer, load_config_file, trace_document
+    from .serialize import StepRenderer, trace_document
 
-    cfg = load_config_file(args.config)
     steps = StepRenderer()
     final, records = reduce(cfg, on_step=steps)
-    print(HEADER)
-    print(f"order reduction: {len(records)} blow-ups, final max_order {max_order(final)}")
-    _emit(args.out, trace_document(cfg, steps, final, records))
-    return 0
+    line = f"order reduction: {len(records)} blow-ups, final max_order {max_order(final)}"
+    return [line], trace_document(cfg, steps, final, records), None
 
 
 def _principal_extra(trace) -> dict:
@@ -140,40 +128,35 @@ def _principal_extra(trace) -> dict:
     }
 
 
-def cmd_principalize(args) -> int:
+def cmd_principalize(args, cfg):
     from .resolution import principalize, total_transform_generators
-    from .serialize import StepRenderer, load_config_file, monomial_obj, trace_document
+    from .serialize import StepRenderer, monomial_obj, trace_document
 
-    cfg = load_config_file(args.config)
     steps = StepRenderer()
     trace = principalize(cfg, on_step=steps)
-    print(HEADER)
     charts = trace.final.charts
     if args.prune:
         charts = tuple(ch for ch in charts if not ch.ideal.is_unit() or ch.path)
-    print(f"principalization: {len(trace.records)} blow-ups across {len(trace.final.charts)} charts")
-    for ch in charts:
-        gens = total_transform_generators(ch)
-        print(
-            f"chart {chart_name(trace.final.registry, ch.label, ch.path)}: total transform "
-            f"{[monomial_obj(trace.final.registry, g) for g in gens]}"
-        )
-    _emit(args.out, trace_document(trace.initial, steps, trace.final, trace.records, _principal_extra(trace)))
-    return 0
+    lines = [f"principalization: {len(trace.records)} blow-ups across {len(trace.final.charts)} charts"]
+    lines += [
+        f"chart {chart_name(trace.final.registry, ch.label, ch.path)}: total transform "
+        f"{[monomial_obj(trace.final.registry, g) for g in total_transform_generators(ch)]}"
+        for ch in charts
+    ]
+    doc = trace_document(trace.initial, steps, trace.final, trace.records, _principal_extra(trace))
+    return lines, doc, None
 
 
-def cmd_resolve(args) -> int:
+def cmd_resolve(args, cfg):
     from .resolution import weak_resolve
-    from .serialize import StepRenderer, load_config_file, monomial_obj, trace_document
+    from .serialize import StepRenderer, monomial_obj, trace_document
 
-    cfg = load_config_file(args.config)
     steps = StepRenderer()
     trace = weak_resolve(cfg, on_step=steps)
-    print(HEADER)
     if trace.separation_stage is None:
-        print("no separation stage found")
+        lines = ["no separation stage found"]
     else:
-        print(f"strict transform separates at stage {trace.separation_stage}")
+        lines = [f"strict transform separates at stage {trace.separation_stage}"]
     extra = _principal_extra(trace)
     extra["separation"] = {
         "stage": trace.separation_stage,
@@ -185,32 +168,23 @@ def cmd_resolve(args) -> int:
             for key, gens in trace.separated
         ],
     }
-    for entry in extra["separation"]["charts"]:
-        print(f"chart {entry['chart']}: strict transform {entry['strict']}")
-    _emit(args.out, trace_document(trace.initial, steps, trace.final, trace.records, extra))
-    return 0
+    lines += [f"chart {entry['chart']}: strict transform {entry['strict']}" for entry in extra["separation"]["charts"]]
+    return lines, trace_document(trace.initial, steps, trace.final, trace.records, extra), None
 
 
-def cmd_replay(args) -> int:
-    from .serialize import canonical_json, final_state_obj, load_config, read_json_file, replay_trace
+def cmd_replay(args, cfg):
+    from .serialize import canonical_json, final_state_obj, read_json_file, replay_trace
 
     obj = read_json_file(args.trace)
-    if not isinstance(obj, dict) or "input" not in obj:
-        raise ValidationError("trace file carries no input section")
+    final, records = replay_trace(obj)
     if not isinstance(obj.get("final"), dict):
         raise ValidationError("trace file carries no final section")
-    initial = load_config(obj["input"])
-    final, records = replay_trace(initial, obj)
-    replayed = canonical_json(final_state_obj(final, records))
-    recorded = canonical_json(obj["final"])
-    print(HEADER)
-    if replayed == recorded:
-        print("replay: final state identical")
-        return 0
-    raise ContractError("replay produced a different final state")
+    if canonical_json(final_state_obj(final, records)) == canonical_json(obj["final"]):
+        return ["replay: final state identical"], None, None
+    return [], None, ContractError("replay produced a different final state")
 
 
-def cmd_check_lambda(args) -> int:
+def cmd_check_lambda(args, cfg):
     from . import arithmetic
 
     try:
@@ -229,15 +203,12 @@ def cmd_check_lambda(args) -> int:
         raise ValidationError(f"--primes lists a prime twice: {primes}")
     if max(primes) > MAX_PRIME:
         raise ContractError(f"prime {max(primes)} is above {MAX_PRIME}, the largest check-lambda's budget allows")
-    print(HEADER)
-    print(f"seed {seed}, primes {primes}")
-    ok = True
-    for label, held in arithmetic.lambda_checks(primes, seed):
-        print(f"{label}: {'ok' if held else 'FAILED'}")
-        ok &= held
-    if not ok:
-        raise ContractError("a Frobenius-lift identity failed; the arithmetic kernel is broken")
-    return 0
+    results = arithmetic.lambda_checks(primes, seed)
+    lines = [f"seed {seed}, primes {primes}"]
+    lines += [f"{label}: {'ok' if held else 'FAILED'}" for label, held in results]
+    if all(held for _, held in results):
+        return lines, None, None
+    return lines, None, ContractError("a Frobenius-lift identity failed; the arithmetic kernel is broken")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -276,15 +247,38 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command: load its configuration, write its `--out` trace,
+    print its report, then write its trace to stdout without `--out`."""
     args = build_parser().parse_args(argv)
+    out = getattr(args, "out", None)
     try:
-        return args.fn(args)
+        cfg = None
+        if "config" in args:
+            from .serialize import load_config_file
+
+            cfg = load_config_file(args.config)
+        lines, trace, violation = args.fn(args, cfg)
+        if out:
+            _emit(out, trace)
+        print(HEADER, *lines, sep="\n")
+        if out:
+            print(f"trace written to {out}")
+        elif trace is not None:
+            _emit(None, trace)
+        if violation is not None:
+            raise violation
+        return 0
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 1
     except ContractError as exc:
         print(f"contract violation: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # stdout was closed early (`| head`): send the interpreter's final
+        # flush to devnull so it cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -34,7 +34,6 @@ children only, so keeping it compares no path and relabels no chart.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 import math
@@ -149,12 +148,15 @@ class Monomial:
         """The substitution rule x_k = E, x_c = x_c' E (c in the centre) in
         the child chart of k: k drops out, and E gets exponent `e`, the
         centre degree minus the mark for the birational transform, or plus
-        it for the pullback multiplier."""
+        it for the pullback multiplier.  E is the newest component, above
+        every component of the monomial, so it goes last."""
         if e < 0:
             raise ValidationError("stored exponents must be positive")
-        exps = [x for x in self.exps if x[0] != k and x[0] != exceptional]
+        if self.exps and self.exps[-1][0] >= exceptional:
+            raise ValidationError(f"exceptional component {exceptional} is not above every component of {self!r}")
+        exps = [x for x in self.exps if x[0] != k]
         if e:
-            bisect.insort(exps, (exceptional, e))
+            exps.append((exceptional, e))
         return _derived(tuple(exps))
 
     def sort_key(self):

@@ -372,13 +372,15 @@ def trace_to_obj(initial: Configuration, records, final: Configuration) -> dict:
     return trace_document(initial, steps, final, records)
 
 
-def replay_trace(initial: Configuration, trace_obj) -> tuple[Configuration, list]:
-    """Re-run the recorded centres from the initial configuration."""
-    _expect(isinstance(trace_obj, dict), "$", "trace must be an object")
+def replay_trace(trace_obj) -> tuple[Configuration, list]:
+    """Re-run the recorded centres from the input the trace carries."""
+    if not isinstance(trace_obj, dict) or "input" not in trace_obj:
+        raise ValidationError("trace file carries no input section")
+    cfg = load_config(trace_obj["input"])
     _expect(
         trace_obj.get("format") in READABLE_TRACE_FORMATS, "format", "unsupported trace format"
     )
-    digest = input_digest(config_to_obj(initial))
+    digest = input_digest(config_to_obj(cfg))
     _expect(
         trace_obj.get("input_digest") == digest,
         "input_digest",
@@ -386,7 +388,6 @@ def replay_trace(initial: Configuration, trace_obj) -> tuple[Configuration, list
     )
     raw_records = trace_obj.get("records", [])
     _expect(isinstance(raw_records, list), "records", "record list required")
-    cfg = initial
     records = []
     for i, rec in enumerate(raw_records):
         where = f"records[{i}]"

@@ -33,7 +33,6 @@ from monored.resolution import is_locally_principal, principalize
 from monored.serialize import (
     canonical_json,
     final_state_obj,
-    load_config,
     replay_trace,
     trace_to_obj,
 )
@@ -337,7 +336,7 @@ def test_c9_replay_determinism():
     emitted.append((tr.initial, list(tr.records), tr.final))
     for initial, records, final in emitted:
         obj = trace_to_obj(initial, records, final)
-        refinal, rerecords = replay_trace(load_config(obj["input"]), obj)
+        refinal, rerecords = replay_trace(obj)
         assert canonical_json(final_state_obj(refinal, rerecords)) == canonical_json(
             obj["final"]
         )

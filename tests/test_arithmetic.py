@@ -19,6 +19,7 @@ from monored.arithmetic import (
     rees_lift_check,
 )
 from monored.errors import (
+    ContractError,
     InvalidElementError,
     InvalidSampleError,
     NonPermissibleError,
@@ -363,3 +364,52 @@ class TestKernelBoundary:
     def test_refuses_bad_primes_and_counts(self, call):
         with pytest.raises(ValidationError):
             call(xvar("x", ("x",)))
+
+
+X, Y, Z = (xvar(name) for name in VS)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: IntPoly.of(("x",), {(1, 2): 1}), ValidationError, "^exponent vector length mismatch$"),
+        (lambda: ideal_power_contains([X + Y], 1, X), ValidationError, "^ideal generators must be single terms$"),
+        (
+            lambda: ideal_power_contains([xvar("x", ("x",))], 1, X),
+            ValidationError,
+            "^polynomials live over different variable lists$",
+        ),
+        (lambda: X + xvar("x", ("x",)), ValidationError, "^polynomials live over different variable lists$"),
+        (
+            lambda: proj_chart_frobenius_check(2, [X, Y], Z, X, 1),
+            ValidationError,
+            "^the chart generator must be one of the ideal generators$",
+        ),
+        (
+            lambda: oracle_transform([X], {"x", "y"}, "z", 1),
+            ValidationError,
+            "^the chart variable must belong to the centre$",
+        ),
+        (
+            lambda: oracle_transform([X + Y], {"x", "y"}, "x", 1),
+            ValidationError,
+            "^the oracle transforms monomial generators only$",
+        ),
+        (lambda: fiber_order_check([X], {"x"}, 4), ValidationError, "^4 is neither 0 nor prime$"),
+        (lambda: X.scale(3).exact_div_int(2), ContractError, "^coefficients are not all divisible by 2$"),
+    ],
+    ids=[
+        "short exponent vector",
+        "non-term generator",
+        "generators over other variables",
+        "sum over other variables",
+        "chart generator outside the ideal",
+        "chart variable outside the centre",
+        "non-monomial oracle input",
+        "composite characteristic",
+        "inexact integer division",
+    ],
+)
+def test_kernel_refusals(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

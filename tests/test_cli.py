@@ -123,6 +123,12 @@ class TestOrderSupport:
         assert main(["support", golden_file]) == 0
         assert "{x,y,u,v}" in capsys.readouterr().out
 
+    def test_empty_support(self, tmp_path, capsys):
+        path = tmp_path / "high_mark.json"
+        path.write_text(json.dumps(dict(GOLDEN, mark=50)))
+        assert main(["support", str(path)]) == 0
+        assert capsys.readouterr() == ("monored report 1\nsupport: empty\n", "")
+
 
 class TestValidation:
     def test_unknown_component(self, tmp_path, capsys):
@@ -249,7 +255,8 @@ class TestValidation:
         out_dir = tmp_path / "out"
         (out_dir / "directory").mkdir(parents=True)
         assert main(["reduce", golden_file, "--out", str(out_dir / target)]) == 1
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out == ""
         assert err.startswith("validation error: cannot write ")
         assert "Traceback" not in err
         assert [p.relative_to(out_dir) for p in out_dir.rglob("*")] == [Path("directory")]
@@ -338,6 +345,10 @@ class TestBlowup:
         assert main(["blowup", golden_file, "--center", center]) == 0
         assert capsys.readouterr().out.splitlines()[1] == "blow-up at {u,v,x,y}: stage 1"
 
+    def test_empty_center(self, golden_file, capsys):
+        assert main(["blowup", golden_file, "--center", ","]) == 1
+        assert capsys.readouterr() == ("", "validation error: --center needs at least one component name\n")
+
     def test_non_permissible_exit_code(self, golden_file, capsys):
         assert main(["blowup", golden_file, "--center", "x"]) == 2
         assert "not permissible" in capsys.readouterr().err
@@ -391,6 +402,12 @@ class TestReduceCommand:
         assert out == ""
         assert err.startswith("validation error: ")
         assert field in err
+
+    def test_replay_without_input(self, tmp_path, capsys):
+        path = tmp_path / "no_input.json"
+        path.write_text(json.dumps({"format": "monored-trace-2", "final": {}}))
+        assert main(["replay", "--trace", str(path)]) == 1
+        assert capsys.readouterr() == ("", "validation error: trace file carries no input section\n")
 
     def test_reduce_single_generator_companion_power(self, tmp_path, capsys):
         path = tmp_path / "huge.json"
@@ -510,6 +527,25 @@ class TestPrincipalizeResolve:
         assert trace["separation"]["stage"] == 3
         charts = {c["chart"]: c["strict"] for c in trace["separation"]["charts"]}
         assert charts["U/c/exc1/d"] == [{"b": 1}]
+
+    def test_closed_stdout_exits_1_quietly(self, tmp_path):
+        # the report and trace of tower(50), about 0.8 MB, outrun the pipe
+        # buffer, so writing goes on after the reader has gone
+        path = tmp_path / "tower50.json"
+        path.write_text(json.dumps(dict(LINES, charts=[dict(LINES["charts"][0], generators=[{"x": 50}, {"y": 3}])])))
+        src = str(Path(monored.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        with subprocess.Popen(
+            [sys.executable, "-m", "monored.cli", "principalize", str(path)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+            preexec_fn=_limit_child,
+        ) as proc:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read()
+        assert (first, proc.returncode, err) == (b"monored report 1\n", 1, b"")
 
     def test_resolve_codimension_one_rejected(self, tmp_path, capsys):
         obj = dict(LINES, charts=[dict(LINES["charts"][0], generators=[{"x": 2}])])

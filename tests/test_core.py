@@ -115,8 +115,8 @@ class TestMonomialBoundary:
             (g.restrict({1, 3}), {1: 3, 3: 6}),
             (g.restrict(range(2)), {0: 2, 1: 3}),
             (g.exchanged(1, 5, 4), {0: 2, 3: 6, 5: 4}),
-            (g.exchanged(0, 2, 0), {1: 3, 3: 6}),
-            (g.exchanged(3, 1, 7), {0: 2, 1: 7}),
+            (g.exchanged(0, 5, 0), {1: 3, 3: 6}),
+            (g.exchanged(3, 4, 7), {0: 2, 1: 3, 4: 7}),
         ]
         for made, expected in derived:
             checked = Monomial(tuple(sorted(expected.items())))
@@ -127,6 +127,13 @@ class TestMonomialBoundary:
     def test_power_refuses_a_non_count(self, k):
         with pytest.raises(ValidationError, match="^a power must be a non-negative integer, not "):
             mono({0: 2, 1: 3}).power(k)
+
+    @pytest.mark.parametrize("k, exceptional, e", [(0, 2, 0), (3, 1, 7), (1, 3, 2)])
+    def test_exchanged_refuses_an_exceptional_below_a_component(self, k, exceptional, e):
+        # the exceptional component is the newest: it tops every component present
+        message = f"^exceptional component {exceptional} is not above every component of c0\\^2\\*c1\\^3\\*c3\\^6$"
+        with pytest.raises(ValidationError, match=message):
+            mono({0: 2, 1: 3, 3: 6}).exchanged(k, exceptional, e)
 
     def test_exchanged_refuses_a_negative_exponent(self):
         with pytest.raises(ValidationError, match="^stored exponents must be positive$"):
@@ -546,3 +553,20 @@ def test_dataclass_type_hints_resolve(module):
     assert classes
     for cls in classes:
         assert set(typing.get_type_hints(cls)) >= {f.name for f in dataclasses.fields(cls)}
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: sum_marked([]), ValidationError, "^sum_marked needs at least one summand$"),
+        (
+            lambda: order_at(chart(2, [mono({0: 1})], 1), Stratum(chart(2, [mono({1: 1})], 1), frozenset({0}))),
+            InvalidStratumError,
+            "^stratum belongs to a different chart$",
+        ),
+    ],
+    ids=["empty sum", "stratum of another chart"],
+)
+def test_core_refusals(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

@@ -18,10 +18,10 @@ concatenates or slices a chart path: a path is a linked node, and a
 child's step is read from its own node.  `core.grow` alone spells an
 exceptional component's name (`exc<stage>`) and extends a registry, and
 it visits only the charts a blow-up replaces and adds: it reads no chart
-list, sorts nothing and reads no field of a chart.  `cli` imports only
-`core`, `errors` and `transform` when it loads, and each command the other
-modules it runs, so `check-lambda` loads no trace or engine module and
-`replay` no reduction.
+list, sorts nothing and reads no field of a chart.  In `cli` only `main`
+prints.  `cli` imports only `core`, `errors` and `transform` when it
+loads, and each command the other modules it runs, so `check-lambda` loads
+no trace or engine module and `replay` no reduction.
 """
 
 from __future__ import annotations
@@ -293,6 +293,26 @@ def test_only_delta_calls_psi():
     `arithmetic`, only `delta` uses the Adams operation."""
     tree = ast.parse((PACKAGE / "arithmetic.py").read_text(encoding="utf-8"))
     assert referrers(tree, "psi") == {"delta"}
+
+
+def test_print_readers_are_seen():
+    tree = ast.parse(
+        "def main():\n    print('a', file=err)\n"
+        "def cmd_x(args, cfg):\n    def inner():\n        return print\n    return [], None, None\n"
+        "class C:\n    def m(self):\n        print(self)\n"
+        "def _emit(path, obj):\n    sys.stdout.write(path)\n"
+        "say = print\n"
+    )
+    assert referrers(tree, "print") == {"main", "inner", "m", "<module>"}
+    planted = (PACKAGE / "cli.py").read_text(encoding="utf-8") + "\n\ndef cmd_planted(args, cfg):\n    print(args)\n"
+    assert referrers(ast.parse(planted), "print") == {"main", "cmd_planted"}
+
+
+def test_cli_prints_from_main_alone():
+    """Commands return their report, trace and violation, and `main` loads
+    the input, writes the trace and prints: a command that fails has
+    printed nothing."""
+    assert referrers(ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8")), "print") == {"main"}
 
 
 def exchanged_callers(sources: dict[str, str]) -> set[tuple[str, str]]:

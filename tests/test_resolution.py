@@ -20,7 +20,6 @@ from monored.resolution import (
 from monored.serialize import (
     canonical_json,
     final_state_obj,
-    load_config,
     replay_trace,
     trace_to_obj,
 )
@@ -134,7 +133,7 @@ class TestTraceReplay:
             (c.initial, c.records, c.final) for c in cases
         ] + [(golden_config(), records, final)]:
             obj = trace_to_obj(initial, records, final)
-            refinal, rerecords = replay_trace(load_config(obj["input"]), obj)
+            refinal, rerecords = replay_trace(obj)
             assert canonical_json(final_state_obj(refinal, rerecords)) == canonical_json(
                 obj["final"]
             )
@@ -150,7 +149,7 @@ class TestTraceReplay:
             if len(records) > 120:
                 continue
             obj = trace_to_obj(cfg, records, final)
-            refinal, rerecords = replay_trace(load_config(obj["input"]), obj)
+            refinal, rerecords = replay_trace(obj)
             assert canonical_json(final_state_obj(refinal, rerecords)) == canonical_json(
                 obj["final"]
             )
