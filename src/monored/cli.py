@@ -99,7 +99,7 @@ def cmd_blowup(args, cfg):
         raise ValidationError("--center needs at least one component name")
     final, record = blow_up_global(cfg, center)
     steps = StepRenderer()
-    steps(final, record)
+    steps(final.registry, final.step, record)
     names = ",".join(sorted(component_names(cfg.registry, center)))
     return [f"blow-up at {{{names}}}: stage {record.stage}"], trace_document(cfg, steps, final, [record]), None
 

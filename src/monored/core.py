@@ -17,13 +17,14 @@ Within a chart every stratum is non-empty, and the full stratum, the
 chart's distinguished point, is its largest point of P.
 
 A configuration validates its charts once, when it is built; a chart
-checks nothing itself.  A blow-up (`grow`) adds only children that meet
-every rule by construction, and checks none: their paths end at a stage no
-chart reached before, so their keys are new.  The grown configuration
-carries that blow-up's (chart, children) pairs as its `step`, so whoever
-follows a run finds each child by identity.  Monomials too are checked where
+checks nothing itself.  A run of one or more blow-ups (`Growth`) adds
+only children that meet every rule by construction, and checks none: their
+paths end at a stage no chart reached before, so their keys are new.  The
+grown configuration carries, as its `step`, each chart the run replaced
+paired with the charts that replaced it.  Monomials too are checked where
 they enter, not where the engine derives them, and a lineage shares one name
-list and name -> id map (`Registry`), where `grow` names each new component.
+list and name -> id map (`Registry`), where `Growth` names each new
+component.
 
 A chart's path is a `PathNode` linked to its parent chart's, so a blow-up
 copies no path; a caller's tuple path becomes a node when a configuration
@@ -311,7 +312,7 @@ class Chart:
 class Registry(Sequence):
     """A configuration's component names in id order: the first `len(self)`
     of an append-only list its lineage shares, with the lineage's one map
-    from name to id, which `in` reads (see `grow`).  It equals, and hashes
+    from name to id, which `in` reads (see `Growth`).  It equals, and hashes
     as, the tuple of its names."""
 
     __slots__ = ("_names", "_ids", "_n")
@@ -321,7 +322,7 @@ class Registry(Sequence):
 
     def extended(self, name: str) -> "Registry":
         """This registry with `name` appended, to the shared list and map
-        unless another branch put it there (`grow` names each position)."""
+        unless another branch put it there (`Growth` names each position)."""
         if len(self._names) == self._n:
             self._ids[name] = self._n
             self._names.append(name)
@@ -394,8 +395,10 @@ class Configuration:
     `Registry`, equal to the tuple of its names, whose map answers name
     lookups.  All charts carry one mark, `mark`.  `n_blowups` counts the
     blow-ups made so far; no chart's path goes past that stage.  `step`
-    holds the (chart, children) pairs of the blow-up that made this
-    configuration (`grow`), in chart order, and is `()` for one built here.
+    pairs each chart that the run of blow-ups making this configuration
+    replaced (`Growth`) with the charts that replaced it in the end, in
+    chart order; for one blow-up, its (chart, children) pairs in chart
+    order.  It is `()` for one built here.
 
     The constructor is the one place that checks chart rules: non-empty
     `str` names and labels (checked before either is hashed), unique names,
@@ -415,17 +418,17 @@ class Configuration:
     without reading `n_vars`.
 
     The charts are held as a tuple (`charts`), in a `_ChartIndex`, or both.
-    A blow-up (`grow`) moves the index on to the grown configuration and
-    updates it there for the charts it replaces and adds, each child placed
-    from its parent's place, so a step costs what it touches.  A
-    configuration without an index builds one from its chart tuple when
-    asked; a copy or pickle rebuilds it.
+    A run of blow-ups (`Growth`) moves the index on to the grown
+    configuration and updates it there for the charts it replaces and keeps,
+    each child placed from its parent's place, so a run costs what it
+    touches.  A configuration without an index builds one from its chart
+    tuple when asked; a copy or pickle rebuilds it.
 
     One rule brings back the charts of a configuration that holds neither:
     it was grown from without a tuple, and kept a link to the configuration
-    it grew into (`_grown`), whose `step` has that blow-up's pairs.  It
-    follows such links to the first configuration holding a tuple or an
-    index and undoes the blow-ups from there back to itself.  The links are
+    it grew into (`_grown`), whose `step` has that run's pairs.  It follows
+    such links to the first configuration holding a tuple or an index and
+    undoes the runs from there back to itself.  The links are
     strong, so a kept grown-from configuration keeps alive every later
     configuration it would undo from, until it makes its tuple.  Making the
     tuple lets the index and the link go, as the tuple rebuilds the index.
@@ -614,7 +617,7 @@ class _ChartIndex:
     per blow-up that split its line into several charts.  Root n of the N
     charts an index is built from gets `(1 << N.bit_length()) | n`; child n
     of k children gets its parent's place followed by n in a field as wide
-    as k - 1 (`grow`), so a lone child keeps its parent's place.  Siblings'
+    as k - 1 (`Growth`), so a lone child keeps its parent's place.  Siblings'
     fields are equally wide and in centre-component order, and no place is
     a prefix of another chart's, so places aligned at the left (`ordered`)
     sort in chart order, (root position, path).
@@ -669,44 +672,98 @@ class _ChartIndex:
         return self.ordered(self.supporting.values())
 
 
-def grow(cfg: Configuration, outcomes) -> Configuration:
-    """`cfg` after one blow-up: the registry gains the exceptional
-    component, and each (chart, children) pair of `outcomes`, in chart
-    order, puts its (one or more) children in the chart's place.  The
-    result keeps `outcomes` as its `step`; no field of a chart is read.
+class Growth:
+    """A run of blow-ups of one configuration, whose chart index moves
+    once, at the end (`grown`).
 
-    The component of stage s is named `exc<s>`, primed while the name is
-    taken.  A lineage's registry length less `n_blowups` is fixed, so the
-    name depends only on the names before it: branches name a position
-    alike and share one name list and map.  Nothing is re-checked.  The
-    children of a blow-up of `cfg` meet every rule of the constructor by
-    construction: their components are registered once the exceptional
-    one is, they swap one component for another, keep the mark and drop
-    out of P or keep its P-cutting set, and their paths end at stage
-    `cfg.n_blowups + 1`, which no chart of `cfg` reaches, so their keys
-    are new.  The chart index of `cfg` moves to the result, each child
-    placed by the one split rule (`_ChartIndex`) and no other chart's
-    place changed.  A `cfg` without a chart tuple keeps a link to the
-    result to undo it from.
+    `apply` takes each blow-up's (chart, children) pairs, in chart order,
+    and gives the registry after it.  The component of stage s is named
+    `exc<s>`, primed while the name is taken.  A lineage's registry length
+    less `n_blowups` is fixed, so the name depends only on the names before
+    it: branches name a position alike and share one name list and map.
+    Each child is placed by the one split rule (`_ChartIndex`) from its
+    parent's place; a child that a later blow-up replaces is dropped then,
+    its entry in its parent's list of children becoming its own children.
+
+    `grown` moves the index of `cfg` to the configuration the run made,
+    visiting only the charts the run replaced and kept.  Its `step` pairs
+    each chart of `cfg` the run replaced with the charts that replaced it in
+    the end, in chart order.  A `cfg` without a chart tuple keeps a link to
+    the result to undo it from; until `grown`, `cfg` is as it was.
+
+    Nothing is re-checked, and no field of a chart is read.  The children
+    of a blow-up meet every rule of the constructor by construction: their
+    components are registered once the exceptional one is, they swap one
+    component for another, keep the mark and drop out of P or keep its
+    P-cutting set, and their paths end at a stage no earlier chart reaches,
+    so their keys are new.
     """
-    index = cfg._own_index()
-    name = f"exc{cfg.n_blowups + 1}"
-    while name in cfg.registry:
-        name += "'"
-    place = index.place
-    for ch, kids in outcomes:
-        first = place[id(ch)] << (len(kids) - 1).bit_length()
-        index.remove(ch)
-        for n, kid in enumerate(kids):
-            index.add(kid, first | n)
-    new = object.__new__(Configuration)
-    new.registry, new.dim_p, new.mark = cfg.registry.extended(name), cfg.dim_p, cfg.mark
-    new.n_blowups, new.step = cfg.n_blowups + 1, outcomes
-    new._index, new._charts, new._grown = index, None, None
-    cfg._index = None
-    if cfg._charts is None:
-        cfg._grown = new
-    return new
+
+    __slots__ = ("cfg", "registry", "n_blowups", "_index", "_made", "_replaced")
+
+    def __init__(self, cfg: Configuration) -> None:
+        self.cfg, self.registry, self.n_blowups = cfg, cfg.registry, cfg.n_blowups
+        self._index = cfg._own_index()
+        # id(child) -> (child, place, list holding it, its position there)
+        self._made: dict[int, tuple] = {}
+        self._replaced: list[tuple[Chart, list]] = []
+
+    def apply(self, outcomes) -> Registry:
+        """Take one blow-up's (chart, children) pairs; give the registry
+        naming its exceptional component."""
+        self.n_blowups += 1
+        name = f"exc{self.n_blowups}"
+        while name in self.registry:
+            name += "'"
+        self.registry = self.registry.extended(name)
+        place, made = self._index.place, self._made
+        for ch, kids in outcomes:
+            i = id(ch)
+            if i in made:
+                _, first, holder, at = made.pop(i)
+            else:
+                first, holder, at = place[i], [ch], 0
+                self._replaced.append((ch, holder))
+            if len(kids) == 1:
+                holder[at] = kids[0]
+                made[id(kids[0])] = (kids[0], first, holder, at)
+                continue
+            holder[at] = branch = list(kids)
+            first <<= (len(kids) - 1).bit_length()
+            for n, kid in enumerate(kids):
+                made[id(kid)] = (kid, first | n, branch, n)
+        return self.registry
+
+    def grown(self) -> Configuration:
+        """The configuration the run made, holding the chart index of `cfg`."""
+        cfg, index = self.cfg, self._index
+        for ch, _ in self._replaced:
+            index.remove(ch)
+        for kid, place, _, _ in self._made.values():
+            index.add(kid, place)
+        new = object.__new__(Configuration)
+        new.registry, new.dim_p, new.mark = self.registry, cfg.dim_p, cfg.mark
+        new.n_blowups = self.n_blowups
+        new.step = [(ch, _leaves(holder)) for ch, holder in self._replaced]
+        new._index, new._charts, new._grown = index, None, None
+        cfg._index = None
+        if cfg._charts is None:
+            cfg._grown = new
+        return new
+
+
+def _leaves(nested: list) -> list:
+    """The charts of a nested list, in order, nesting undone."""
+    out, stack = [], [iter(nested)]
+    while stack:
+        for item in stack[-1]:
+            if type(item) is list:
+                stack.append(iter(item))
+                break
+            out.append(item)
+        else:
+            stack.pop()
+    return out
 
 
 def min_degree(gens, vanishing) -> int:
@@ -847,6 +904,14 @@ def sum_marked(ideals) -> MarkedIdeal:
     total = math.lcm(*(ideal.mark for ideal in ideals))
     gens = [g.power(total // ideal.mark) for ideal in ideals for g in ideal.generators]
     return MarkedIdeal.of(gens, total)
+
+
+def on_locus(cfg: Configuration, chart: Chart, locus, ideal: MarkedIdeal, dim_p: int) -> Configuration:
+    """`chart` alone, meeting the smaller P that `locus` cuts out, with
+    `ideal` and relative dimension `dim_p`: where a companion ideal of the
+    chart is reduced."""
+    sub = replace(chart, p_components=frozenset(locus), ideal=ideal, p_empty=False)
+    return Configuration(cfg.registry, (sub,), dim_p, cfg.n_blowups)
 
 
 def map_ideals(cfg: Configuration, ideal_of) -> Configuration:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .core import (
     Chart,
@@ -30,6 +30,7 @@ from .core import (
     chart_support,
     distinguished_order,
     map_ideals,
+    on_locus,
     sum_marked,
 )
 from .errors import (
@@ -40,7 +41,7 @@ from .errors import (
     ValidationError,
     is_int,
 )
-from .transform import BlowUpRecord, blow_up_global
+from .transform import BlowUpRecord, blow_up_each, blow_up_global
 
 _MAX_PASSES = 4096
 
@@ -171,7 +172,7 @@ def _apply(cfg: Configuration, center, records: list[BlowUpRecord], on_step=None
     cfg, rec = blow_up_global(cfg, center)
     records.append(rec)
     if on_step is not None:
-        on_step(cfg, rec)
+        on_step(cfg.registry, cfg.step, rec)
     return cfg
 
 
@@ -219,10 +220,7 @@ def reduce_maximal_order(
         sub_dim = cfg.dim_p - len(split.contact_vars)
         if not 0 <= sub_dim < cfg.dim_p:
             raise InternalLogicError("contact locus does not drop the dimension")
-        sub_chart = replace(
-            target, p_components=locus, ideal=companion, p_empty=False
-        )
-        sub = Configuration(cfg.registry, (sub_chart,), sub_dim, cfg.n_blowups)
+        sub = on_locus(cfg, target, locus, companion, sub_dim)
         _, sub_records = reduce(sub, _depth=_depth + 1)
         if not sub_records:
             raise InternalLogicError(
@@ -240,8 +238,9 @@ class _StageTable:
     s-subset of a generator's components with exponent sum at least `floor`
     to that sum, on which the charts agree; `heap` holds (-sum, subset) per
     entry, so `take` pops the largest sum, least subset on ties.  `update`
-    only counts a step's support-carrying children.  No chart counts are
-    kept, as a subset reaching the mark leaves only when it is the centre:
+    only counts a step's support-carrying children; stage 1 needs no step
+    at all (`stage_one`).  No chart counts are kept, as a subset reaching
+    the mark leaves only when it is the centre:
 
     - The blow-up at P with S replaces every support-carrying chart holding
       S.  No child holds S, nor can a later chart: a child only loses one
@@ -275,13 +274,34 @@ class _StageTable:
                 if total < self.floor:
                     continue
                 if subset not in self.sums:
-                    self.sums[subset] = total
-                    heapq.heappush(self.heap, (-total, subset))
+                    self.put(subset, total)
                 elif self.sums[subset] != total:
                     raise InternalLogicError(
                         f"component {subset[0] if self.s == 1 else subset} has "
                         "inconsistent exponents across charts"
                     )
+
+    def put(self, subset: tuple[int, ...], total: int) -> None:
+        self.sums[subset] = total
+        heapq.heappush(self.heap, (-total, subset))
+
+    def stage_one(self, mark: int, exceptional: int) -> list[int]:
+        """Stage 1's centre components, from its table alone (s = 1).
+
+        The step at c, of sum v >= mark, gives each chart holding c the
+        step's exceptional component in c's place, with exponent v - mark,
+        and changes nothing else (`transform.blow_up_each`).  So each take
+        puts that component in at v - mark, the ids counting up from
+        `exceptional`, and stage 1 makes sum(v // mark) blow-ups over the
+        table's sums v."""
+        taken = []
+        while self.heap and (v := -self.heap[0][0]) >= mark:
+            (c,) = self.take(mark)
+            taken.append(c)
+            if v > mark:
+                self.put((exceptional,), v - mark)
+            exceptional += 1
+        return taken
 
     def update(self, cfg: Configuration) -> None:
         """Follow the blow-up that made `cfg`, read from its `step`."""
@@ -305,29 +325,36 @@ def reduce_monomial(
     of maximal exponent at least the mark (smallest id on ties); the
     exceptional component re-enters with the exponent lowered by the mark,
     so stage 1 makes sum(v // mark) blow-ups over its table's sums v, as
-    checked.  Stage s then clears every s-subset of P-meeting components
-    whose exponent sum reaches the mark, largest sum first and
-    lexicographically smallest subset on ties.  After stage dim_p the
-    support is empty.
+    checked.  Its centres follow from its table alone (`_StageTable.stage_one`),
+    and one `blow_up_each` makes them all.  Stage s then clears every
+    s-subset of P-meeting components whose exponent sum reaches the mark,
+    largest sum first and lexicographically smallest subset on ties.  After
+    stage dim_p the support is empty.
 
-    Each stage's table holds sums only, so a step tabulates just the
-    support-carrying charts its blow-up adds.  A centre is the subset taken
-    and P, cut out as in the table's first chart (a child keeps it or leaves P).
+    Each stage's table holds sums only, so a step of stage s >= 2
+    tabulates just the support-carrying charts its blow-up adds.  A centre
+    is the subset taken and P, cut out as in the table's first chart (a
+    child keeps it or leaves P).
 
-    `on_step(grown, record)`, if given, is called after each blow-up with
-    the configuration it grew and its record.
+    `on_step(registry, outcomes, record)`, if given, is called after each
+    blow-up with the registry naming its exceptional component, its (chart,
+    children) pairs and its record.
     """
-    records: list[BlowUpRecord] = []
     m = cfg.mark
-    for s in range(1, max(cfg.dim_p, 1) + 1):
+    charts = cfg.support_charts()
+    table = _StageTable(1, 0, charts)
+    predicted = sum(v // m for v in table.sums.values())
+    p = charts[0].p_components if charts else frozenset()
+    centres = table.stage_one(m, len(cfg.registry))
+    cfg, records = blow_up_each(cfg, p, centres, on_step)
+    if len(records) != predicted:
+        raise InternalLogicError(f"stage 1 made {len(records)} blow-ups, {predicted} predicted")
+    for s in range(2, cfg.dim_p + 1):
         charts = cfg.support_charts()
-        table = _StageTable(s, 0 if s == 1 else m, charts)
-        predicted = sum(v // m for v in table.sums.values())
+        table = _StageTable(s, m, charts)
         while (subset := table.take(m)) is not None:
             cfg = _apply(cfg, charts[0].p_components | set(subset), records, on_step)
             table.update(cfg)
-        if s == 1 and len(records) != predicted:
-            raise InternalLogicError(f"stage 1 made {len(records)} blow-ups, {predicted} predicted")
     if cfg.support_charts():
         raise InternalLogicError("monomial stage terminated with support left")
     return cfg, records
@@ -338,11 +365,12 @@ def reduce(
 ) -> tuple[Configuration, list[BlowUpRecord]]:
     """Full order reduction; the returned sequence empties the support.
 
-    `on_step(grown, record)`, if given, is called after each blow-up of the
-    returned sequence, in order, with the configuration that blow-up grew
-    and its record (the very object returned).  It sees top-level blow-ups
-    only: those made on companion and residual sub-configurations to find
-    the centres never reach it.
+    `on_step(registry, outcomes, record)`, if given, is called after each
+    blow-up of the returned sequence, in order, with the registry naming its
+    exceptional component, its (chart, children) pairs and its record (the
+    very object returned).  It sees top-level blow-ups only: those made on
+    companion and residual sub-configurations to find the centres never
+    reach it.
     """
     if _depth > 64:
         raise InternalLogicError("order-reduction recursion exceeded the dimension bound")

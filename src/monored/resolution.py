@@ -56,8 +56,9 @@ def total_transform_generators(chart: Chart) -> tuple[Monomial, ...]:
 def principalize(cfg: Configuration, on_step=None) -> ResolutionTrace:
     """Blow up until the pullback ideal is everywhere generated by one monomial.
 
-    `on_step(grown, record)`, if given, is called after each blow-up of the
-    returned sequence, as `reduce` calls it: top-level blow-ups only.
+    `on_step(registry, outcomes, record)`, if given, is called after each
+    blow-up of the returned sequence, as `reduce` calls it: top-level
+    blow-ups only.
     """
     initial = map_ideals(cfg, lambda ch: MarkedIdeal.of(ch.ideal.generators, 1))
     cosupport = _cosupport(initial)

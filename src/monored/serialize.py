@@ -293,9 +293,10 @@ def final_state_obj(cfg: Configuration, records) -> dict:
 class StepRenderer:
     """Renders the steps of a permissible sequence as trace records.
 
-    Called as `on_step(grown, record)` after each blow-up, in order: it
-    appends the step's record object (centre, exceptional name, and each
-    replaced chart with its children, read from `grown.step`) to `objs`.
+    Called as `on_step(registry, outcomes, record)` after each blow-up, in
+    order, with the registry naming its exceptional component and its
+    (chart, children) pairs: it appends the step's record object (centre,
+    exceptional name, and each replaced chart with its children) to `objs`.
     It keeps the name and display map of every live chart a step added,
     under the chart's id and with the chart, and makes a child's from its
     parent's; a chart it never saw added (a root chart, or one of a grown
@@ -306,11 +307,10 @@ class StepRenderer:
         self.objs: list[dict] = []
         self._charts: dict[int, tuple[Chart, str, dict[int, int]]] = {}
 
-    def __call__(self, grown: Configuration, rec) -> None:
-        registry = grown.registry
+    def __call__(self, registry, outcomes, rec) -> None:
         live = self._charts
-        outcomes = []
-        for parent, children in grown.step:
+        rendered = []
+        for parent, children in outcomes:
             _, name, display = live.pop(id(parent), None) or (
                 parent, chart_name(registry, parent.label, parent.path), {}
             )
@@ -328,13 +328,13 @@ class StepRenderer:
                         "rendered": render_ideal(registry, child, child_display),
                     }
                 )
-            outcomes.append({"chart": name, "children": kids})
+            rendered.append({"chart": name, "children": kids})
         self.objs.append(
             {
                 "stage": rec.stage,
                 "center": component_names(registry, rec.center),
                 "exceptional": registry[rec.exceptional],
-                "outcomes": outcomes,
+                "outcomes": rendered,
             }
         )
 
@@ -366,7 +366,7 @@ def trace_to_obj(initial: Configuration, records, final: Configuration) -> dict:
         cfg, check = blow_up_global(cfg, rec.center)
         if check != rec:
             raise ValidationError("trace records do not replay deterministically")
-        steps(cfg, rec)
+        steps(cfg.registry, cfg.step, rec)
     if cfg != final:
         raise ValidationError("records do not reproduce the final configuration")
     return trace_document(initial, steps, final, records)

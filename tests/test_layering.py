@@ -12,14 +12,15 @@ object's private attributes, so the storage of charts has one home.
 `delta` applies the Adams operation `psi` and only `_prime` refuses a
 non-prime.  `errors.is_int` is the one integer test of the package, and
 `reduction` never calls `id`, so the monomial stage keys nothing by chart
-identity.  `transform` has one public function, `blow_up_global`, and it
-is the only caller of the exponent rule `Monomial.exchanged`.  No module
-concatenates or slices a chart path: a path is a linked node, and a
-child's step is read from its own node.  `core.grow` alone spells an
-exceptional component's name (`exc<stage>`) and extends a registry, and
-it visits only the charts a blow-up replaces and adds: it reads no chart
-list, sorts nothing and reads no field of a chart.  In `cli` only `main`
-prints.  `cli` imports only `core`, `errors` and `transform` when it
+identity, nor builds a chart: `transform` makes every child.  `transform`
+has two public functions, `blow_up_global` and `blow_up_each`, and its
+`_children` is the only caller of the exponent rule `Monomial.exchanged`.
+No module concatenates or slices a chart path: a path is a linked node,
+and a child's step is read from its own node.  `core.Growth.apply` alone
+spells an exceptional component's name (`exc<stage>`) and extends a
+registry, and `Growth` visits only the charts a run of blow-ups replaces
+and keeps: it reads no chart list, sorts nothing and reads no field of a
+chart.  In `cli` only `main` prints.  `cli` imports only `core`, `errors` and `transform` when it
 loads, and each command the other modules it runs, so `check-lambda` loads
 no trace or engine module and `replay` no reduction.
 """
@@ -343,17 +344,20 @@ def test_method_callers_are_seen():
 
 
 def test_one_exponent_transform():
-    """The blow-up applies the substitution rule in one place; the strict
+    """The blow-ups apply the substitution rule in one place, the child
+    rule both `blow_up_global` and `blow_up_each` build with; the strict
     transform of `weak_resolve` only drops a chart's defining component,
     and no second exponent transform sits beside it."""
-    assert exchanged_callers(package_sources()) == {("transform", "blow_up_global")}
+    assert exchanged_callers(package_sources()) == {("transform", "_children")}
 
 
-def test_transform_has_one_public_function():
+def test_transform_exposes_its_two_blow_ups():
+    """One blow-up along any centre, and a run along P and one component
+    each, for the first monomial stage."""
     tree = ast.parse((PACKAGE / "transform.py").read_text(encoding="utf-8"))
     functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     public = {n.name for n in tree.body if isinstance(n, functions) and not n.name.startswith("_")}
-    assert public == {"blow_up_global"}
+    assert public == {"blow_up_global", "blow_up_each"}
 
 
 def path_copies(tree: ast.AST) -> list[tuple[int, str]]:
@@ -417,11 +421,11 @@ def test_naming_rules_are_seen():
 
 
 def test_grow_alone_names_exceptional_components():
-    """The naming rule has one home: no function but `core.grow` spells an
-    exceptional name, and none but it extends a registry."""
+    """The naming rule has one home: no function but `core.Growth.apply`
+    spells an exceptional name, and none but it extends a registry."""
     sources = package_sources()
-    assert exc_name_spellers(sources) == {("core", "grow")}
-    assert registry_extenders(sources) == {("core", "grow")}
+    assert exc_name_spellers(sources) == {("core", "apply")}
+    assert registry_extenders(sources) == {("core", "apply")}
 
 
 def bool_tests(tree: ast.AST) -> list[int]:
@@ -485,6 +489,36 @@ def test_reduction_keys_nothing_by_chart_identity():
     assert id_callers(ast.parse((PACKAGE / "reduction.py").read_text(encoding="utf-8"))) == set()
 
 
+def chart_builders(tree: ast.AST) -> set[str]:
+    """The functions of a module whose own bodies call `Chart` or
+    `replace`, the dataclass copy a chart is rebuilt by."""
+
+    def builds(node) -> bool:
+        if not isinstance(node, ast.Call):
+            return False
+        f = node.func
+        name = f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
+        return name in ("Chart", "replace")
+
+    return owners(tree, builds)
+
+
+def test_chart_builders_are_seen():
+    tree = ast.parse(
+        "def f(ch):\n    return Chart(ch.label, (), frozenset(), frozenset(), ch.ideal)\n"
+        "def g(ch):\n    return dataclasses.replace(ch, p_empty=True)\n"
+        "def h(ch):\n    return ch.ideal.replace, str.replace('a', 'b', 'c')\n"
+    )
+    assert chart_builders(tree) == {"f", "g", "h"}
+    assert chart_builders(ast.parse("def k(ch):\n    return ch.label\n")) == set()
+
+
+def test_reduction_builds_no_chart():
+    """The monomial stage picks centres; every chart it ends with is built
+    by `transform`, and a companion's chart by `core.on_locus`."""
+    assert chart_builders(ast.parse((PACKAGE / "reduction.py").read_text(encoding="utf-8"))) == set()
+
+
 def test_one_home_per_input_rule():
     """`errors.is_int` is the package's one integer test, and inside
     `arithmetic` only `_prime` refuses a non-prime: every kernel entry
@@ -494,11 +528,17 @@ def test_one_home_per_input_rule():
     assert prime_refusers(ast.parse(sources["arithmetic"])) == {"_prime"}
 
 
+def top_level(tree: ast.AST, name: str) -> ast.AST:
+    """The module-level function or class `name`."""
+    (body,) = [n for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef)) and n.name == name]
+    return body
+
+
 def whole_visits(tree: ast.AST, function: str) -> list[tuple[int, str]]:
-    """(line, what) of each read in the module-level `function` that visits
-    every chart: a `.charts` attribute, or a call of `.ordered`,
-    `._ordered`, `.sort` or `sorted`."""
-    (body,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == function]
+    """(line, what) of each read in the module-level `function` (or class)
+    that visits every chart: a `.charts` attribute, or a call of
+    `.ordered`, `._ordered`, `.sort` or `sorted`."""
+    body = top_level(tree, function)
     found = []
     for node in ast.walk(body):
         if isinstance(node, ast.Attribute) and node.attr == "charts" and isinstance(node.ctx, ast.Load):
@@ -528,16 +568,16 @@ def test_whole_visits_are_seen():
 
 
 def test_grow_visits_only_the_charts_it_touches():
-    """A blow-up places each child from its parent's place alone: `grow`
-    neither reads the chart list nor sorts, so a step never visits the
+    """A blow-up places each child from its parent's place alone: `Growth`
+    neither reads the chart list nor sorts, so a run never visits the
     charts it does not replace."""
-    assert whole_visits(ast.parse(CORE.read_text(encoding="utf-8")), "grow") == []
+    assert whole_visits(ast.parse(CORE.read_text(encoding="utf-8")), "Growth") == []
 
 
 def chart_field_reads(tree: ast.AST, function: str) -> list[tuple[int, str]]:
-    """(line, attribute) of each attribute the module-level `function`
-    reads from `ch` or `kid`, the charts `grow` loops over."""
-    (body,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == function]
+    """(line, attribute) of each attribute the module-level `function` (or
+    class) reads from `ch` or `kid`, the charts `Growth` loops over."""
+    body = top_level(tree, function)
     return [
         (node.lineno, node.attr)
         for node in ast.walk(body)
@@ -559,6 +599,7 @@ def test_chart_field_reads_are_seen():
 
 
 def test_grow_reads_no_chart_field():
-    """A blow-up step is index bookkeeping only: `grow` hands each chart it
-    replaces and adds to the index and reads no field of either itself."""
-    assert chart_field_reads(ast.parse(CORE.read_text(encoding="utf-8")), "grow") == []
+    """A blow-up step is index bookkeeping only: `Growth` hands each chart
+    a run replaces and keeps to the index and reads no field of either
+    itself."""
+    assert chart_field_reads(ast.parse(CORE.read_text(encoding="utf-8")), "Growth") == []

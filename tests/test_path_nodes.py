@@ -96,7 +96,10 @@ def test_chart_order_is_root_position_then_path(name, order_checked):
 
 def test_chart_order_past_a_machine_word(order_checked, monkeypatch):
     """Reducing draw (2, 191) grows places to 551 bits over 3935 blow-ups;
-    they still sort in chart order, where keys cut to 64 bits would not."""
+    they still sort in chart order, where keys cut to 64 bits would not.
+    Each record lists the charts its step replaced in chart order too,
+    those of the first monomial stage's run included, which reads no
+    chart list."""
     widest = [0]
     add = core._ChartIndex.add
 
@@ -105,8 +108,13 @@ def test_chart_order_past_a_machine_word(order_checked, monkeypatch):
         add(self, ch, place)
 
     monkeypatch.setattr(core._ChartIndex, "add", widening)
-    reduce(draw(2, 191))
-    assert widest[0] > 64 and order_checked["lists"] > 1000
+    cfg = draw(2, 191)
+    roots = {ch.label: n for n, ch in enumerate(cfg.charts)}
+    _, records = reduce(cfg)
+    for rec in records:
+        keys = [key for key, _ in rec.outcomes]
+        assert keys == sorted(keys, key=lambda key: (roots[key[0]], tuple(key[1])))
+    assert widest[0] > 64 and order_checked["lists"] > 500 and len(records) > 3000
 
 
 def run_paths(result) -> list[PathNode]:

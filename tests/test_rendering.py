@@ -88,7 +88,7 @@ def test_trace_from_a_grown_input(name, share):
     cfg = grown
     for rec in rest:
         cfg, _ = blow_up_global(cfg, rec.center)
-        steps(cfg, rec)
+        steps(cfg.registry, cfg.step, rec)
     assert cfg == final
     check_records(grown, rest, steps.objs, final)
     with pytest.raises(ValidationError, match="^chart '[^']*/[^']*' is not a root chart"):

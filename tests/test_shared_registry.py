@@ -2,7 +2,7 @@
 and one map from name to id.
 
 Each registry reads the list up to its own length and equals the tuple of
-its names.  `grow` names each new component by the names before it, so a
+its names.  `Growth` names each new component by the names before it, so a
 configuration grown from a second time names it as the first branch did,
 and no branch copies the list or the map.  No blow-up step reads a
 registry whole.
@@ -13,7 +13,7 @@ from __future__ import annotations
 import pytest
 
 from conftest import chart, config, golden_config, mono, permissible_centers
-from monored.core import Configuration, Registry, grow
+from monored.core import Configuration, Growth, Registry
 from monored.resolution import principalize
 from monored.serialize import StepRenderer
 from monored.transform import blow_up_global
@@ -63,7 +63,7 @@ class TestSharedRegistry:
         its own does, under the id after the parent's names."""
         n = len(parent.registry)
         alone = Configuration(parent.registry, parent.charts, parent.dim_p, parent.n_blowups)
-        name = grow(alone, []).registry[n]
+        name = Growth(alone).apply([])[n]
         for branch in branches:
             assert branch.registry._names is parent.registry._names
             assert branch.registry._ids is parent.registry._ids
@@ -115,6 +115,6 @@ class TestSharedRegistry:
         renderer = StepRenderer()
         for rec in records:
             cfg, again = blow_up_global(cfg, rec.center)
-            renderer(cfg, again)
+            renderer(cfg.registry, cfg.step, again)
         assert reads == []
         assert len(renderer.objs) == len(records) > 100

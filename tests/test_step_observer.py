@@ -1,7 +1,8 @@
 """The step observer against the replaying writer.
 
-`reduce`, `principalize` and `weak_resolve` call `on_step(grown, record)`
-after each blow-up of the sequence they return.  A document rendered from
+`reduce`, `principalize` and `weak_resolve` call
+`on_step(registry, outcomes, record)` after each blow-up of the sequence
+they return.  A document rendered from
 those calls must equal the one `trace_to_obj` renders by replaying the
 records (which also checks that they replay and reproduce the final
 configuration), and the observer must see exactly the returned records, in
@@ -60,9 +61,9 @@ class Recorder:
         self.steps = steps
         self.seen: list = []
 
-    def __call__(self, grown, rec) -> None:
-        self.seen.append((grown, rec))
-        self.steps(grown, rec)
+    def __call__(self, registry, outcomes, rec) -> None:
+        self.seen.append((registry, rec))
+        self.steps(registry, outcomes, rec)
 
 
 @pytest.mark.parametrize("name", list(OBSERVED))
@@ -74,12 +75,12 @@ def test_observer_document_is_the_replayed_document(name):
     assert canonical_json(observed) == canonical_json(trace_to_obj(initial, records, final))
     assert len(recorder.seen) == len(records)
     assert all(rec is returned for (_, rec), returned in zip(recorder.seen, records))
-    grown = [cfg for cfg, _ in recorder.seen]
-    assert [cfg.n_blowups for cfg in grown] == [
-        initial.n_blowups + i for i in range(1, len(records) + 1)
+    registries = [registry for registry, _ in recorder.seen]
+    assert [len(registry) for registry in registries] == [
+        len(initial.registry) + i for i in range(1, len(records) + 1)
     ]
-    if grown:
-        assert grown[-1] == final
+    if registries:
+        assert registries[-1] == final.registry
 
 
 def test_companion_blowups_do_not_reach_the_observer(monkeypatch):
@@ -92,7 +93,7 @@ def test_companion_blowups_do_not_reach_the_observer(monkeypatch):
 
     monkeypatch.setattr(monored.reduction, "blow_up_global", counted)
     seen = []
-    _, records = reduce(draw(*COMPANION_DRAW), on_step=lambda grown, rec: seen.append(rec))
+    _, records = reduce(draw(*COMPANION_DRAW), on_step=lambda registry, outcomes, rec: seen.append(rec))
     # the run blows up sub-configurations too, and only its own steps are seen
     assert len(calls) > len(records)
     assert len(seen) == len(records)

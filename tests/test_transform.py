@@ -10,14 +10,14 @@ from monored.core import (
     Chart,
     Configuration,
     MarkedIdeal,
+    Growth,
     Monomial,
-    grow,
     max_order,
     minimalize,
     sum_marked,
 )
 from monored.errors import NonPermissibleError, ValidationError
-from monored.transform import blow_up_global
+from monored.transform import blow_up_each, blow_up_global
 
 from conftest import (
     U,
@@ -247,21 +247,33 @@ class TestGrowthValidation:
     validation builds from the same parts."""
 
     def test_grown_equals_fully_validated(self, monkeypatch):
+        """One blow-up at a time, and the first monomial stage's runs."""
         grown = []
 
-        def checked(cfg, center):
-            new, rec = blow_up_global(cfg, center)
+        def validated(new):
             full = Configuration(new.registry, new.charts, new.dim_p, new.n_blowups)
             assert full == new
             assert index_answers(full) == index_answers(new)
             grown.append(new)
+
+        def checked(cfg, center):
+            new, rec = blow_up_global(cfg, center)
+            validated(new)
             return new, rec
 
+        def checked_run(cfg, *args):
+            new, records = blow_up_each(cfg, *args)
+            validated(new)
+            runs.append(len(records))
+            return new, records
+
+        runs = []
         monkeypatch.setattr(reduction, "blow_up_global", checked)
+        monkeypatch.setattr(reduction, "blow_up_each", checked_run)
         rng = random.Random(1)
         for _ in range(20):
             reduction.reduce(random_config(rng))
-        assert len(grown) > 20
+        assert len(grown) > 20 and sum(runs) > 50
 
     def test_key_a_blow_up_would_make_is_rejected(self):
         """A chart `U/x` of stage 1 before any blow-up holds the key the
@@ -286,15 +298,17 @@ class TestGrowthValidation:
             Configuration(("x", "y"), (kid, replace(kid)), 2, 1)
 
     def test_taken_names_get_primes(self):
-        """`grow` names the component of stage s `exc<s>`, primed past the
+        """`Growth` names the component of stage s `exc<s>`, primed past the
         names an input holds already, so no registered name is taken twice."""
         gens = [mono({X: 2, Y: 3}), mono({X: 2, V: 6}), mono({Y: 4, U: 5})]
         cfg = config(("x", "exc1", "exc1'", "v"), [chart(4, gens, 5)], 4)
         ((_, kids),) = fresh_step(cfg, K)
-        grown = grow(cfg, [(cfg.charts[0], kids)])
-        assert grown.registry == ("x", "exc1", "exc1'", "v", "exc1''")
+        growth = Growth(cfg)
+        assert growth.apply([(cfg.charts[0], kids)]) == ("x", "exc1", "exc1'", "v", "exc1''")
+        assert growth.apply([]) == ("x", "exc1", "exc1'", "v", "exc1''", "exc2")
+        grown = growth.grown()
         assert grown.component_id("exc1''") == 4 and grown.component_id("exc1'") == 2
-        assert grow(grown, []).registry[5:] == ("exc2",)
+        assert grown.n_blowups == 2 and grown.step == [(cfg.charts[0], kids)]
 
 
 def oracle_children(parent, center, k, exceptional):
