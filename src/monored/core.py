@@ -21,10 +21,11 @@ checks nothing itself.  A run of one or more blow-ups (`Growth`) adds
 only children that meet every rule by construction, and checks none: their
 paths end at a stage no chart reached before, so their keys are new.  The
 grown configuration carries, as its `step`, each chart the run replaced
-paired with the charts that replaced it.  Monomials too are checked where
-they enter, not where the engine derives them, and a lineage shares one name
-list and name -> id map (`Registry`), where `Growth` names each new
-component.
+paired with the charts that replaced it.  Monomials and marked ideals too
+are checked where they enter, not where the engine derives them (`derived`,
+with the substitution rule `exchange` on pair maps), and a lineage
+shares one name list and name -> id map (`Registry`), where `Growth` names
+each new component.
 
 A chart's path is a `PathNode` linked to its parent chart's, so a blow-up
 copies no path; a caller's tuple path becomes a node when a configuration
@@ -56,7 +57,8 @@ class Monomial:
     """Finite map component id -> positive exponent; the empty map is 1.
 
     The constructor and `of` check their input; the monomials derived from
-    checked ones (`power`, `drop`, `restrict`, `exchanged`) skip the check.
+    checked ones (`power`, `drop`, `restrict`, `exchanged`, `derived`)
+    skip the check.
     """
 
     exps: tuple[tuple[int, int], ...] = ()
@@ -155,10 +157,21 @@ class Monomial:
             raise ValidationError("stored exponents must be positive")
         if self.exps and self.exps[-1][0] >= exceptional:
             raise ValidationError(f"exceptional component {exceptional} is not above every component of {self!r}")
-        exps = [x for x in self.exps if x[0] != k]
-        if e:
-            exps.append((exceptional, e))
-        return _derived(tuple(exps))
+        pairs = self.pairs()
+        exchange(pairs, k, exceptional, e)
+        return Monomial.derived(pairs)
+
+    def pairs(self) -> dict:
+        """The monomial as a pair map: each component to its (component,
+        exponent) pair, this monomial's own, in component order."""
+        return {x[0]: x for x in self.exps}
+
+    @staticmethod
+    def derived(pairs: dict) -> "Monomial":
+        """The monomial of a pair map in component order with positive
+        exponents, as `exchange` keeps one, unchecked: it holds the map's
+        pairs, so monomials derived from one another share them."""
+        return _derived(tuple(pairs.values()))
 
     def sort_key(self):
         return (self.degree(), self.exps)
@@ -179,6 +192,16 @@ def _derived(exps) -> Monomial:
     return m
 
 
+def exchange(pairs: dict, k: int, exceptional: int, e: int) -> None:
+    """The substitution rule of `Monomial.exchanged` on a pair map
+    (`Monomial.pairs`), in place: k drops out and E gets exponent `e` (none
+    if 0).  E is above every component of the map, so a map in component
+    order stays so."""
+    pairs.pop(k, None)
+    if e:
+        pairs[exceptional] = (exceptional, e)
+
+
 def minimalize(gens) -> tuple[Monomial, ...]:
     """Minimal generating set: drop duplicates and divisible generators."""
     uniq = sorted(set(gens), key=Monomial.sort_key)
@@ -192,7 +215,10 @@ def minimalize(gens) -> tuple[Monomial, ...]:
 @dataclass(frozen=True)
 class MarkedIdeal:
     """A monomial ideal with a positive mark; `generators` holds the
-    minimal generating set (`minimalize`) of the monomials given."""
+    minimal generating set (`minimalize`) of the monomials given.
+
+    The constructor and `of` check the mark; `derived`, which a blow-up
+    builds its children's ideals with, keeps its parent's."""
 
     generators: tuple[Monomial, ...]
     mark: int
@@ -211,6 +237,15 @@ class MarkedIdeal:
     @staticmethod
     def of(gens, mark: int) -> "MarkedIdeal":
         return MarkedIdeal(gens, mark)
+
+    @staticmethod
+    def derived(gens, mark: int) -> "MarkedIdeal":
+        """The ideal of monomials a blow-up derives from a checked ideal's
+        generators, with its mark: minimalized, and not checked again."""
+        ideal = object.__new__(MarkedIdeal)
+        object.__setattr__(ideal, "generators", tuple(gens) if len(gens) == 1 else minimalize(gens))
+        object.__setattr__(ideal, "mark", mark)
+        return ideal
 
     def is_unit(self) -> bool:
         return len(self.generators) == 1 and self.generators[0].is_unit()
@@ -684,6 +719,8 @@ class Growth:
     Each child is placed by the one split rule (`_ChartIndex`) from its
     parent's place; a child that a later blow-up replaces is dropped then,
     its entry in its parent's list of children becoming its own children.
+    A child is placed by identity only, so a run may hand `apply` a stand-in
+    for a chart it builds once the run is over, and `settle` it then.
 
     `grown` moves the index of `cfg` to the configuration the run made,
     visiting only the charts the run replaced and kept.  Its `step` pairs
@@ -733,6 +770,14 @@ class Growth:
             for n, kid in enumerate(kids):
                 made[id(kid)] = (kid, first | n, branch, n)
         return self.registry
+
+    def settle(self, stand_in, chart: Chart) -> None:
+        """Put `chart` in the place of `stand_in`, a child of a blow-up that
+        no later one replaced: a run may hand `apply` any object as a
+        child, and build the chart for the ones that leave it only."""
+        _, place, holder, at = self._made.pop(id(stand_in))
+        holder[at] = chart
+        self._made[id(chart)] = (chart, place, holder, at)
 
     def grown(self) -> Configuration:
         """The configuration the run made, holding the chart index of `cfg`."""

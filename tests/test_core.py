@@ -15,6 +15,7 @@ from monored.core import (
     Stratum,
     UNIT,
     chart_support,
+    exchange,
     is_permissible,
     max_order,
     order_at,
@@ -179,6 +180,30 @@ class TestMarkedIdeal:
             ideal = MarkedIdeal.of(gens, 1)
             for g, h in itertools.permutations(ideal.generators, 2):
                 assert not g.divides(h)
+
+
+    def test_derived_ideal_equals_the_checked_one(self):
+        """A blow-up's derived ideal skips the mark check and keeps
+        `minimalize`: on the same monomials and mark it equals, and hashes
+        as, the ideal the checked constructor makes."""
+        rng = random.Random(11)
+        for _ in range(200):
+            gens = [mono({c: rng.randint(0, 4) for c in range(3)}) for _ in range(rng.randint(1, 4))]
+            mark = rng.randint(1, 6)
+            checked, derived = MarkedIdeal.of(gens, mark), MarkedIdeal.derived(gens, mark)
+            assert derived == checked and hash(derived) == hash(checked)
+            assert type(derived.generators) is tuple
+
+    def test_derived_monomial_equals_the_checked_one(self):
+        """The substitution rule on a pair map keeps the monomial's own
+        pairs, and the monomial derived from the map equals the checked one."""
+        g = mono({0: 2, 1: 3, 3: 6})
+        pairs = g.pairs()
+        exchange(pairs, 1, 5, 4)
+        derived = Monomial.derived(pairs)
+        assert derived == Monomial.of({0: 2, 3: 6, 5: 4}) and hash(derived) == hash(Monomial.of({0: 2, 3: 6, 5: 4}))
+        assert derived.exps[0] is g.exps[0] and derived.exps[1] is g.exps[2]
+        assert Monomial.derived(UNIT.pairs()) == UNIT
 
 
 class TestChartValidation:

@@ -13,8 +13,10 @@ object's private attributes, so the storage of charts has one home.
 non-prime.  `errors.is_int` is the one integer test of the package, and
 `reduction` never calls `id`, so the monomial stage keys nothing by chart
 identity, nor builds a chart: `transform` makes every child.  `transform`
-has two public functions, `blow_up_global` and `blow_up_each`, and its
-`_children` is the only caller of the exponent rule `Monomial.exchanged`.
+has two public functions, `blow_up_global` and `blow_up_each`; its child
+rule `_Line.advance` is, beside `Monomial.exchanged`, the only caller of the
+exponent rule `core.exchange`, and `_Line.chart` the one place it builds a
+chart.
 No module concatenates or slices a chart path: a path is a linked node,
 and a child's step is read from its own node.  `core.Growth.apply` alone
 spells an exceptional component's name (`exc<stage>`) and extends a
@@ -344,11 +346,16 @@ def test_method_callers_are_seen():
 
 
 def test_one_exponent_transform():
-    """The blow-ups apply the substitution rule in one place, the child
-    rule both `blow_up_global` and `blow_up_each` build with; the strict
-    transform of `weak_resolve` only drops a chart's defining component,
-    and no second exponent transform sits beside it."""
-    assert exchanged_callers(package_sources()) == {("transform", "_children")}
+    """The blow-ups apply the substitution rule in one place, `core.exchange`
+    on pair maps, through the child rule both `blow_up_global` and
+    `blow_up_each` build with (`transform._Line.advance`); `Monomial.exchanged`
+    is the rule on a monomial, and no module of the package calls it.  The
+    strict transform of `weak_resolve` only drops a chart's defining
+    component, and no second exponent transform sits beside it."""
+    sources = package_sources()
+    assert exchanged_callers(sources) == set()
+    rule_callers = {(m, f) for m, text in sources.items() for f in referrers(ast.parse(text), "exchange")}
+    assert rule_callers == {("core", "exchanged"), ("transform", "advance")}
 
 
 def test_transform_exposes_its_two_blow_ups():
@@ -517,6 +524,11 @@ def test_reduction_builds_no_chart():
     """The monomial stage picks centres; every chart it ends with is built
     by `transform`, and a companion's chart by `core.on_locus`."""
     assert chart_builders(ast.parse((PACKAGE / "reduction.py").read_text(encoding="utf-8"))) == set()
+
+
+def test_transform_builds_charts_in_one_place():
+    """Both blow-ups build every chart through `_Line.chart`."""
+    assert chart_builders(ast.parse((PACKAGE / "transform.py").read_text(encoding="utf-8"))) == {"chart"}
 
 
 def test_one_home_per_input_rule():

@@ -6,7 +6,9 @@ blow-ups in one call.  Every record a run returns must be the record
 time, and the replay must end on the returned configuration, chart order
 included.  Where a stage-1 centre is not permissible, the run must refuse
 at that step with the error `blow_up_global` raises, after the observer
-has seen exactly the steps before it.
+has seen exactly the steps before it.  Each run goes with an observer,
+which gets every step's children built, and without one, when a chart is
+built only for each chart that leaves the run: both must give the same.
 """
 
 from __future__ import annotations
@@ -16,12 +18,16 @@ import random
 import pytest
 
 from conftest import chart, config, mono, random_config
+from monored import reduction, transform
 from monored.errors import MonoredError, NonPermissibleError
 from monored.reduction import reduce, reduce_monomial
 from monored.resolution import principalize
 from monored.transform import blow_up_each, blow_up_global
+from test_path_nodes import tower
 
 X, Y = 0, 1
+
+observed = pytest.mark.parametrize("observe", [True, False], ids=["with observer", "without observer"])
 
 
 def seeded_draws():
@@ -65,18 +71,19 @@ REFUSAL = (
 )
 
 
+@observed
 @pytest.mark.parametrize(
     "b_components,refused,seen",
     [((Y,), "y", 1), ((X, Y), "x", 0)],
     ids=["refused at the second step", "refused at the first step"],
 )
-def test_stage_one_refuses_where_one_step_refuses(b_components, refused, seen):
+def test_stage_one_refuses_where_one_step_refuses(b_components, refused, seen, observe):
     """Stage 1 takes x (sum 3), then y (sum 2).  B holds y at order 1, so
     {y} is refused; when B holds x too, {x} is refused first."""
     calls = []
     with pytest.raises(NonPermissibleError, match=REFUSAL % refused):
-        reduce_monomial(two_roots(b_components), on_step=lambda *args: calls.append(args))
-    assert len(calls) == seen
+        reduce_monomial(two_roots(b_components), on_step=(lambda *args: calls.append(args)) if observe else None)
+    assert len(calls) == (seen if observe else 0)
     cfg = two_roots(b_components)
     if seen:
         cfg, _ = blow_up_global(cfg, {X})
@@ -132,11 +139,12 @@ def one_at_a_time(cfg, p, components):
     return steps, cfg, None
 
 
-def test_a_run_is_one_blow_up_at_a_time():
+@observed
+def test_a_run_is_one_blow_up_at_a_time(observe):
     """Along drawn components, the charts of the start and the components
-    the run makes among them, `blow_up_each` makes the steps, records and
-    configuration that `blow_up_global` makes one at a time, and refuses
-    at the same step with the same error."""
+    the run makes among them, `blow_up_each` makes the steps, records,
+    registry and configuration that `blow_up_global` makes one at a time,
+    and refuses at the same step with the same error."""
     rng = random.Random(31)
     refused = ran = 0
     for _ in range(400):
@@ -145,17 +153,53 @@ def test_a_run_is_one_blow_up_at_a_time():
         expected, last, error = one_at_a_time(cfg, p, components)
         seen = []
         try:
-            final, records = blow_up_each(cfg, p, components, lambda *step: seen.append(step))
+            final, records = blow_up_each(cfg, p, components, (lambda *step: seen.append(step)) if observe else None)
         except MonoredError as exc:
             assert (type(exc), str(exc)) == error
             refused += 1
         else:
             assert error is None
             assert records == [rec for _, rec in expected]
+            assert final.registry == last.registry
             assert final == last and final.charts == last.charts
             ran += 1
         assert [(registry, list(outcomes), rec) for registry, outcomes, rec in seen] == [
             (tuple(last.registry)[: len(cfg.registry) + n], step, rec)
             for n, (step, rec) in enumerate(expected, 1)
-        ]
+        ] * observe
     assert refused > 50 and ran > 50
+
+
+@observed
+def test_a_chart_is_built_once_it_leaves_the_run(monkeypatch, observe):
+    """Without an observer, stage 1 builds one `Chart` per chart that
+    leaves its run, the children off P at their step and each line's last
+    descendant at the end: none that the same run replaces.  With one, it
+    builds every step's children, which the observer sees.  The runs
+    inside companion reductions go without one either way."""
+    built = []
+    chart_type = transform.Chart
+
+    def counted_chart(*fields):
+        built.append(fields)
+        return chart_type(*fields)
+
+    runs = []
+
+    def counted_run(cfg, p, components, on_step=None):
+        before = len(built)
+        final, records = blow_up_each(cfg, p, components, on_step)
+        runs.append((len(built) - before, final.step, records, on_step is not None))
+        return final, records
+
+    monkeypatch.setattr(transform, "Chart", counted_chart)
+    monkeypatch.setattr(reduction, "blow_up_each", counted_run)
+    principalize(tower(100), on_step=(lambda *step: None) if observe else None)
+    assert runs[-1][3] == observe
+    steps = made_total = left_total = 0
+    for n, step, records, observed in runs:
+        made = sum(len(kids) for rec in records for _, kids in rec.outcomes)
+        left = sum(len(kids) for _, kids in step)
+        assert n == (made if observed else left)
+        steps, made_total, left_total = steps + len(records), made_total + made, left_total + left
+    assert steps > 1000 and left_total * 10 < made_total
