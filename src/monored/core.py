@@ -41,6 +41,7 @@ import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
+from operator import itemgetter
 
 from .errors import (
     InvalidStratumError,
@@ -207,7 +208,14 @@ def minimalize(gens) -> tuple[Monomial, ...]:
     uniq = sorted(set(gens), key=Monomial.sort_key)
     kept: list[Monomial] = []
     for g in uniq:
-        if not any(h.divides(g) for h in kept):
+        exps = dict(g.exps)
+        for h in kept:
+            for c, e in h.exps:
+                if exps.get(c, 0) < e:
+                    break
+            else:  # h divides g
+                break
+        else:
             kept.append(g)
     return tuple(kept)
 
@@ -366,6 +374,11 @@ class Registry(Sequence):
     def __contains__(self, name) -> bool:
         return self._ids.get(name, self._n) < self._n
 
+    def component_id(self, name: str) -> int:
+        if name not in self:
+            raise ValidationError(f"unknown component name {name!r}")
+        return self._ids[name]
+
     def __len__(self) -> int:
         return self._n
 
@@ -432,8 +445,9 @@ class Configuration:
     blow-ups made so far; no chart's path goes past that stage.  `step`
     pairs each chart that the run of blow-ups making this configuration
     replaced (`Growth`) with the charts that replaced it in the end, in
-    chart order; for one blow-up, its (chart, children) pairs in chart
-    order.  It is `()` for one built here.
+    chart order, the replaced charts in the order the run first replaced
+    them; for one blow-up, its (chart, children) pairs in chart order.  It
+    is `()` for one built here.
 
     The constructor is the one place that checks chart rules: non-empty
     `str` names and labels (checked before either is hashed), unique names,
@@ -610,9 +624,7 @@ class Configuration:
         return name in self.registry
 
     def component_id(self, name: str) -> int:
-        if name not in self.registry:
-            raise ValidationError(f"unknown component name {name!r}")
-        return self.registry._ids[name]
+        return self.registry.component_id(name)
 
     def _own_index(self) -> "_ChartIndex":
         if self._index is None:
@@ -690,13 +702,8 @@ class _ChartIndex:
         del self.place[i]
 
     def ordered(self, charts) -> list[Chart]:
-        """The charts, from this index, sorted by their places aligned at
-        the left to the longest, which is the largest: in chart order."""
-        if len(charts) < 2:
-            return list(charts)
-        place = self.place
-        top = max([place[id(ch)] for ch in charts]).bit_length()
-        return sorted(charts, key=lambda ch: (p := place[id(ch)]) << (top - p.bit_length()))
+        """The charts, from this index, in chart order (`by_place`)."""
+        return by_place(charts, [self.place[id(ch)] for ch in charts])
 
     def containing(self, center: frozenset[int]) -> list[Chart]:
         holders = [self.by_component.get(c, {}) for c in center]
@@ -705,6 +712,19 @@ class _ChartIndex:
 
     def supported(self) -> list[Chart]:
         return self.ordered(self.supporting.values())
+
+
+_first = itemgetter(0)
+
+
+def by_place(items, places: list[int]) -> list:
+    """`items` sorted by their `places` (`_ChartIndex`) aligned at the left
+    to the longest, which is the largest: in chart order."""
+    if len(places) < 2:
+        return list(items)
+    top = max(places).bit_length()
+    keyed = sorted(zip([p << (top - p.bit_length()) for p in places], items), key=_first)
+    return [item for _, item in keyed]
 
 
 class Growth:
@@ -724,9 +744,10 @@ class Growth:
 
     `grown` moves the index of `cfg` to the configuration the run made,
     visiting only the charts the run replaced and kept.  Its `step` pairs
-    each chart of `cfg` the run replaced with the charts that replaced it in
-    the end, in chart order.  A `cfg` without a chart tuple keeps a link to
-    the result to undo it from; until `grown`, `cfg` is as it was.
+    each chart of `cfg` the run replaced, in the order it first replaced
+    them, with the charts that replaced it in the end, in chart order.  A
+    `cfg` without a chart tuple keeps a link to the result to undo it from;
+    until `grown`, `cfg` is as it was.
 
     Nothing is re-checked, and no field of a chart is read.  The children
     of a blow-up meet every rule of the constructor by construction: their
@@ -770,6 +791,12 @@ class Growth:
             for n, kid in enumerate(kids):
                 made[id(kid)] = (kid, first | n, branch, n)
         return self.registry
+
+    def place(self, item) -> int:
+        """The place of `item`, a chart of `cfg` or a child `apply` took,
+        that no blow-up of the run has replaced since (`_ChartIndex`)."""
+        made = self._made.get(id(item))
+        return self._index.place[id(item)] if made is None else made[1]
 
     def settle(self, stand_in, chart: Chart) -> None:
         """Put `chart` in the place of `stand_in`, a child of a blow-up that
@@ -894,6 +921,18 @@ def support(cfg: Configuration) -> list[Stratum]:
     return out
 
 
+def centre(registry, center) -> frozenset[int]:
+    """`center` as a component set: non-empty, and of ids `registry`
+    holds; anything else is refused."""
+    center = frozenset(center)
+    if not center:
+        raise ValidationError("the centre must be a non-empty component set")
+    for c in center:
+        if not (is_int(c) and 0 <= c < len(registry)):
+            raise ValidationError(f"centre references unregistered component id {c!r}")
+    return center
+
+
 def is_permissible(cfg: Configuration, center) -> bool:
     """Whether blowing up the intersection of the given components is allowed.
 
@@ -902,35 +941,14 @@ def is_permissible(cfg: Configuration, center) -> bool:
     contain every P-cutting component and have order at least the mark along
     its stratum; a P-empty chart fully meeting the centre refutes
     permissibility outright, since the centre's trace on N there cannot lie
-    in the support.
+    in the support.  A blow-up applies the same rule to the state it
+    follows charts in (`transform._degrees`).
     """
-    return permissible_charts(cfg, center) is not None
-
-
-def permissible_charts(cfg: Configuration, center) -> list[tuple[Chart, list[int]]] | None:
-    """The charts containing `center`, in chart order, each with its
-    generators' degrees along the centre, if it is permissible
-    (`is_permissible`), else None: the charts a blow-up replaces.
-
-    This is the one permissibility check of a blow-up.  It takes each
-    degree once, and a blow-up reuses them: the centre is non-empty and
-    lies in every chart returned, and no degree is below the mark.
-    """
-    center = frozenset(center)
-    if not center:
-        raise ValidationError("the centre must be a non-empty component set")
-    for c in center:
-        if not (is_int(c) and 0 <= c < len(cfg.registry)):
-            raise ValidationError(f"centre references unregistered component id {c!r}")
-    replaced = []
-    for ch in cfg.charts_containing(center):
-        if ch.p_empty or not ch.p_components <= center:
-            return None
-        degrees = [g.degree(center) for g in ch.ideal.generators]
-        if min(degrees) < ch.mark:
-            return None
-        replaced.append((ch, degrees))
-    return replaced
+    center = centre(cfg.registry, center)
+    return all(
+        not ch.p_empty and ch.p_components <= center and min_degree(ch.ideal.generators, center) >= ch.mark
+        for ch in cfg.charts_containing(center)
+    )
 
 
 def sum_marked(ideals) -> MarkedIdeal:

@@ -14,6 +14,11 @@ dimensional subvariety Y carrying a companion ideal with the same support;
 reducing the companion by induction and replaying its centres reduces the
 chart.  When every generator has full contact degree there is no companion
 and blowing up Y itself empties the chart's support in one step.
+
+Every sequence of centres is made as one run of blow-ups
+(`transform.BlowUpRun`): each replay, each pass of maximal-order
+reduction, each monomial stage.  The module builds no chart and keys
+nothing by chart identity; the stage tables read exponents only.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ from .errors import (
     ValidationError,
     is_int,
 )
-from .transform import BlowUpRecord, blow_up_each, blow_up_global
+from .transform import BlowUpRecord, BlowUpRun, blow_up_each, blow_up_sequence
 
 _MAX_PASSES = 4096
 
@@ -168,14 +173,6 @@ def residual_order(cfg: Configuration) -> int:
     )
 
 
-def _apply(cfg: Configuration, center, records: list[BlowUpRecord], on_step=None) -> Configuration:
-    cfg, rec = blow_up_global(cfg, center)
-    records.append(rec)
-    if on_step is not None:
-        on_step(cfg.registry, cfg.step, rec)
-    return cfg
-
-
 def _lex_first_active(cfg: Configuration):
     """The support-carrying chart with the lexicographically least stratum.
 
@@ -201,6 +198,7 @@ def reduce_maximal_order(
     degenerate no-companion case, otherwise the replayed reduction of the
     lower-dimensional companion), though its centres may split sibling
     lineages into new support-carrying charts that later passes pick up.
+    A pass makes its blow-ups in one run (`blow_up_sequence`).
     """
     records: list[BlowUpRecord] = []
     passes = 0
@@ -215,19 +213,20 @@ def reduce_maximal_order(
         locus, companion = companion_ideal(target, split)
         if companion is None:
             # The support equals the contact locus; one blow-up clears it.
-            cfg = _apply(cfg, locus, records)
-            continue
-        sub_dim = cfg.dim_p - len(split.contact_vars)
-        if not 0 <= sub_dim < cfg.dim_p:
-            raise InternalLogicError("contact locus does not drop the dimension")
-        sub = on_locus(cfg, target, locus, companion, sub_dim)
-        _, sub_records = reduce(sub, _depth=_depth + 1)
-        if not sub_records:
-            raise InternalLogicError(
-                "companion with non-empty support emitted no blow-ups"
-            )
-        for rec in sub_records:
-            cfg = _apply(cfg, rec.center, records)
+            centres = [locus]
+        else:
+            sub_dim = cfg.dim_p - len(split.contact_vars)
+            if not 0 <= sub_dim < cfg.dim_p:
+                raise InternalLogicError("contact locus does not drop the dimension")
+            sub = on_locus(cfg, target, locus, companion, sub_dim)
+            _, sub_records = reduce(sub, _depth=_depth + 1)
+            if not sub_records:
+                raise InternalLogicError(
+                    "companion with non-empty support emitted no blow-ups"
+                )
+            centres = [rec.center for rec in sub_records]
+        cfg, recs = blow_up_sequence(cfg, centres)
+        records += recs
     return cfg, records
 
 
@@ -237,10 +236,14 @@ class _StageTable:
     Over the support-carrying charts, each principal, `sums` maps every
     s-subset of a generator's components with exponent sum at least `floor`
     to that sum, on which the charts agree; `heap` holds (-sum, subset) per
-    entry, so `take` pops the largest sum, least subset on ties.  `update`
-    only counts a step's support-carrying children; stage 1 needs no step
-    at all (`stage_one`).  No chart counts are kept, as a subset reaching
-    the mark leaves only when it is the centre:
+    entry, so `take` pops the largest sum, least subset on ties.  `count`
+    is the one counting rule, on one chart's generator as exponent data:
+    the table counts the charts it starts from, and then each step's
+    support-carrying children as the stage's run gives them
+    (`BlowUpRun.supported`), which are principal, as children of principal
+    charts; stage 1 needs no step at all (`stage_one`).  No chart counts
+    are kept, as a subset reaching the mark leaves only when it is the
+    centre:
 
     - The blow-up at P with S replaces every support-carrying chart holding
       S.  No child holds S, nor can a later chart: a child only loses one
@@ -259,27 +262,29 @@ class _StageTable:
         self.floor = floor
         self.sums: dict[tuple[int, ...], int] = {}
         self.heap: list[tuple[int, tuple[int, ...]]] = []
-        self.count(charts)
-
-    def count(self, charts) -> None:
         for ch in charts:
             if len(ch.ideal.generators) != 1:
                 raise NotMonomialError(
                     f"chart {ch.label!r} carries {len(ch.ideal.generators)} generators; "
                     "the monomial stage needs locally principal input"
                 )
-            for combo in itertools.combinations(ch.ideal.generators[0].exps, self.s):
-                subset, exps = zip(*combo)
-                total = sum(exps)
-                if total < self.floor:
-                    continue
-                if subset not in self.sums:
-                    self.put(subset, total)
-                elif self.sums[subset] != total:
-                    raise InternalLogicError(
-                        f"component {subset[0] if self.s == 1 else subset} has "
-                        "inconsistent exponents across charts"
-                    )
+            self.count(ch.ideal.generators[0].exps)
+
+    def count(self, exps) -> None:
+        """Count one support-carrying chart's generator, given as its
+        (component, exponent) pairs in component order."""
+        for combo in itertools.combinations(exps, self.s):
+            subset, values = zip(*combo)
+            total = sum(values)
+            if total < self.floor:
+                continue
+            if subset not in self.sums:
+                self.put(subset, total)
+            elif self.sums[subset] != total:
+                raise InternalLogicError(
+                    f"component {subset[0] if self.s == 1 else subset} has "
+                    "inconsistent exponents across charts"
+                )
 
     def put(self, subset: tuple[int, ...], total: int) -> None:
         self.sums[subset] = total
@@ -302,10 +307,6 @@ class _StageTable:
                 self.put((exceptional,), v - mark)
             exceptional += 1
         return taken
-
-    def update(self, cfg: Configuration) -> None:
-        """Follow the blow-up that made `cfg`, read from its `step`."""
-        self.count([kid for _, kids in cfg.step for kid in kids if cfg.carries_support(kid)])
 
     def take(self, mark: int):
         """Pop the top subset if its sum reaches `mark`, else give None."""
@@ -332,9 +333,11 @@ def reduce_monomial(
     stage dim_p the support is empty.
 
     Each stage's table holds sums only, so a step of stage s >= 2
-    tabulates just the support-carrying charts its blow-up adds.  A centre
-    is the subset taken and P, cut out as in the table's first chart (a
-    child keeps it or leaves P).
+    tabulates just the support-carrying children its blow-up makes, which
+    the stage's run (`BlowUpRun`) gives as exponent data: a stage s >= 2
+    is one run too, and builds a chart only for each chart that leaves it.
+    A centre is the subset taken and P, cut out as in the table's first
+    chart (a child keeps it or leaves P).
 
     `on_step(registry, outcomes, record)`, if given, is called after each
     blow-up with the registry naming its exceptional component, its (chart,
@@ -352,9 +355,12 @@ def reduce_monomial(
     for s in range(2, cfg.dim_p + 1):
         charts = cfg.support_charts()
         table = _StageTable(s, m, charts)
+        run = BlowUpRun(cfg, on_step)
         while (subset := table.take(m)) is not None:
-            cfg = _apply(cfg, charts[0].p_components | set(subset), records, on_step)
-            table.update(cfg)
+            records.append(run.blow_up(charts[0].p_components | set(subset)))
+            for exps in run.supported():
+                table.count(exps)
+        cfg = run.grown()
     if cfg.support_charts():
         raise InternalLogicError("monomial stage terminated with support left")
     return cfg, records
@@ -370,7 +376,8 @@ def reduce(
     exceptional component, its (chart, children) pairs and its record (the
     very object returned).  It sees top-level blow-ups only: those made on
     companion and residual sub-configurations to find the centres never
-    reach it.
+    reach it.  The centres found on a sub-configuration are replayed on
+    `cfg` in one run (`blow_up_sequence`).
     """
     if _depth > 64:
         raise InternalLogicError("order-reduction recursion exceeded the dimension bound")
@@ -400,8 +407,8 @@ def reduce(
             cfg = final
             break
         _, recs = reduce_maximal_order(sub, _depth=_depth + 1)
-        for rec in recs:
-            cfg = _apply(cfg, rec.center, records, on_step)
+        cfg, recs = blow_up_sequence(cfg, [rec.center for rec in recs], on_step)
+        records += recs
         previous_nu = nu
     if cfg.support_charts():
         raise InternalLogicError("order reduction failed to empty the support")

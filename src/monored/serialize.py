@@ -15,6 +15,9 @@ observer, so each step is rendered as the engine makes it and nothing is
 blown up twice; `trace_to_obj` renders a finished sequence by replaying
 it, checking that the records replay and reproduce the final
 configuration.  `replay_trace` (`monored replay`) re-runs a written trace.
+Both replay a sequence as one run of blow-ups (`transform.BlowUpRun`),
+whose chart index moves once; the replay resolves each record's centre
+names in the run's registry as it goes.
 A trace is written in its canonical form (`canonical_json`), streamed in
 pieces by `write_canonical`; replay reads JSON, so traces written in any
 layout, the indented one the CLI once wrote included, replay alike.
@@ -38,7 +41,7 @@ import json
 
 from .core import Chart, Configuration, MarkedIdeal, Monomial, chart_name, max_order
 from .errors import ValidationError, is_int
-from .transform import blow_up_global
+from .transform import BlowUpRun, blow_up_sequence
 
 SUPERSCRIPTS = str.maketrans("0123456789", "⁰¹²³⁴⁵⁶⁷⁸⁹")
 TRACE_FORMAT = "monored-trace-2"
@@ -361,12 +364,14 @@ def trace_to_obj(initial: Configuration, records, final: Configuration) -> dict:
     """Serialize a permissible sequence, replaying it to check the records
     and render each step."""
     steps = StepRenderer()
-    cfg = initial
-    for rec in records:
-        cfg, check = blow_up_global(cfg, rec.center)
-        if check != rec:
+    given = iter(records)
+
+    def render(registry, outcomes, rec) -> None:
+        if rec != next(given):
             raise ValidationError("trace records do not replay deterministically")
-        steps(cfg.registry, cfg.step, rec)
+        steps(registry, outcomes, rec)
+
+    cfg, _ = blow_up_sequence(initial, [rec.center for rec in records], render)
     if cfg != final:
         raise ValidationError("records do not reproduce the final configuration")
     return trace_document(initial, steps, final, records)
@@ -388,6 +393,7 @@ def replay_trace(trace_obj) -> tuple[Configuration, list]:
     )
     raw_records = trace_obj.get("records", [])
     _expect(isinstance(raw_records, list), "records", "record list required")
+    run = BlowUpRun(cfg)
     records = []
     for i, rec in enumerate(raw_records):
         where = f"records[{i}]"
@@ -400,12 +406,11 @@ def replay_trace(trace_obj) -> tuple[Configuration, list]:
             where,
             "center required as a non-empty list of component names",
         )
-        center = frozenset(cfg.component_id(n) for n in center_names)
-        cfg, record = blow_up_global(cfg, center)
+        record = run.blow_up([run.registry.component_id(n) for n in center_names])
         _expect(
-            cfg.registry[record.exceptional] == rec.get("exceptional"),
+            run.registry[record.exceptional] == rec.get("exceptional"),
             where,
             "exceptional component name mismatch",
         )
         records.append(record)
-    return cfg, records
+    return run.grown(), records

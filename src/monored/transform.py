@@ -5,13 +5,20 @@ containing all of K by one child chart per k in K.  Generators move by the
 substitution rule for blow-up coordinates followed by division by the m-th
 power of the exceptional coordinate; on exponent vectors that is pure
 integer arithmetic (`core.exchange`), verified independently by the
-polynomial oracle in `arithmetic`.  `_Line.advance` is the one place the
-rule is applied to a chart, and `_Line.chart` the one place a child chart
-is built.  `blow_up_global` makes one blow-up along any centre, checked by
-`core.permissible_charts`, and builds every child; `blow_up_each` makes a
-run of them along P and one more component each, as the first monomial
-stage does, refuses where that check would, and builds a chart only for
-each chart that leaves the run.
+polynomial oracle in `arithmetic`.  A chart being blown up is followed as
+light state (`_Line`): `_Line.advance` is the one place the rule is applied
+to it, `_Line.chart` the one place a child chart is built, and `_degrees`
+the one permissibility rule.
+
+Every sequence of blow-ups is one run, whose chart index moves once and
+which builds a chart only for each chart that leaves it.  `BlowUpRun` takes
+any centres, one at a time, so the next centre may depend on the last step:
+the replays of order reduction, the later monomial stages and trace replay
+go through it, `blow_up_sequence` for a list of centres and
+`blow_up_global` for one.  `blow_up_each` makes the first monomial stage's
+run, along P and one more component each, where each chart of the start
+has one descendant holding P: it keeps one line per chart and needs no
+index of its lines.
 """
 
 from __future__ import annotations
@@ -25,8 +32,9 @@ from .core import (
     MarkedIdeal,
     Monomial,
     PathNode,
+    by_place,
+    centre,
     exchange,
-    permissible_charts,
 )
 from .errors import NonPermissibleError, ValidationError, is_int
 
@@ -126,35 +134,162 @@ def _degree(pairs: dict, center) -> int:
     return sum([pairs[c][1] for c in center if c in pairs])
 
 
-def blow_up_global(cfg: Configuration, center) -> tuple[Configuration, BlowUpRecord]:
-    """Blow the whole configuration up along a permissible centre.
+def _degrees(line: _Line, center: frozenset, registry, mark: int) -> list[int]:
+    """The degree of each generator of a line holding `center` along it,
+    if a blow-up along `center` may replace the line; otherwise the
+    refusal.  This is the one permissibility rule of a blow-up: a chart
+    meeting the centre must meet P, the centre must hold its P-cutting set,
+    and every generator needs degree at least the mark along it."""
+    if not line.p_empty and line.p_comps <= center:
+        if len(center) == 1:
+            # along {c} a degree is c's exponent
+            (c,) = center
+            degrees = [g[c][1] if c in g else 0 for g in line.gens]
+        else:
+            degrees = [sum([g[c][1] for c in center if c in g]) for g in line.gens]
+        if min(degrees) >= mark:
+            return degrees
+    raise _refusal(registry, center, mark)
 
-    Appends one exceptional component to the registry, replaces every chart
-    containing the centre by its children (one per centre component k, in
-    component order), and keeps every other chart as it is.  Only the
-    charts containing the centre are visited.  The grown configuration's
-    `step` pairs each replaced chart with its children; the record names
-    them by path.  Each child's path is one new node on its parent's.
 
-    `permissible_charts` finds those charts, in one scan of the chart
-    index, and hands on each generator's degree along the centre.
+_NONE: dict = {}
+
+
+class BlowUpRun:
+    """A permissible sequence of blow-ups of one configuration, made one
+    centre at a time (`blow_up`); `grown` gives the configuration it made.
+
+    One `Growth` moves the chart index once, for the run.  Each chart the
+    run replaces is followed as a `_Line`: a chart of `cfg`, from the step
+    whose centre first meets it, and every child the run makes.  A step's
+    charts are the charts of `cfg` holding its centre that the run has not
+    replaced (`Configuration.charts_containing`) and the lines holding it
+    that the run made and has not replaced, found through the run's own
+    map from each component to those lines; they are put in chart order by
+    their places in `Growth`.  A step refuses where `_degrees` does, before
+    it changes anything, after the centre passes `core.centre`.
+
+    A `Chart` is built for each chart that leaves the run, once it is
+    over, the line standing in for it in `Growth` until then.  With
+    `on_step`, each step's children are built at that step instead, as the
+    observer sees every step: `on_step(registry, outcomes, record)` is
+    called after each step with the registry naming its exceptional
+    component, its (chart, children) pairs and its record.  A run of no
+    blow-up gives `cfg` itself.
     """
-    center = frozenset(center)
-    replaced = permissible_charts(cfg, center)
-    if replaced is None:
-        raise _refusal(cfg.registry, center, cfg.mark)
-    stage = cfg.n_blowups + 1
-    exceptional = len(cfg.registry)
-    steps = [(stage, k) for k in sorted(center)]
-    outcomes, entries = [], []
-    for ch, degrees in replaced:
-        excess_degree = ch.pullback_excess.degree(center)
-        kids = [_Line.of(ch).advance(step, exceptional, degrees, excess_degree).chart() for step in steps]
-        outcomes.append((ch, kids))
-        entries.append(((ch.label, ch.path), tuple([kid.path for kid in kids])))
-    growth = Growth(cfg)
-    growth.apply(outcomes)
-    return growth.grown(), BlowUpRecord(stage, center, exceptional, tuple(entries))
+
+    __slots__ = ("cfg", "on_step", "growth", "_taken", "_holding", "_lines", "_children")
+
+    def __init__(self, cfg: Configuration, on_step=None) -> None:
+        self.cfg, self.on_step, self.growth = cfg, on_step, Growth(cfg)
+        # ids of the charts of `cfg` the run replaced
+        self._taken: set[int] = set()
+        # the lines the run made and has not replaced: by id, and under
+        # each component they hold
+        self._lines: dict[int, _Line] = {}
+        self._holding: dict[int, dict[int, _Line]] = {}
+        # the children of the last blow-up
+        self._children: list[_Line] = []
+
+    def _hold(self, line: _Line) -> None:
+        i = id(line)
+        self._lines[i] = line
+        for c in line.comps:
+            self._holding.setdefault(c, {})[i] = line
+
+    @property
+    def registry(self):
+        """The registry naming every component made so far."""
+        return self.growth.registry
+
+    def blow_up(self, center) -> BlowUpRecord:
+        """Blow up along `center`, a set of component ids the registry
+        holds; give the step's record.  Every chart holding the centre is
+        replaced by its children, one per centre component k, in component
+        order; each child's path is one new node on its parent's."""
+        growth, mark, on_step = self.growth, self.cfg.mark, self.on_step
+        registry = growth.registry
+        center = centre(registry, center)
+        taken, holding, lines = self._taken, self._holding, self._lines
+        held = [_Line.of(ch) for ch in self.cfg.charts_containing(center) if id(ch) not in taken]
+        holders = [holding.get(c, _NONE) for c in center]
+        made = [line for i, line in min(holders, key=len).items() if all([i in h for h in holders])]
+        if made:
+            held += made
+            held = by_place(held, [growth.place(line.current or line) for line in held])
+        checked = [(line, _degrees(line, center, registry, mark)) for line in held]
+        stage = growth.n_blowups + 1
+        exceptional = len(registry)
+        steps = [(stage, k) for k in sorted(center)]
+        last = steps.pop()
+        holding[exceptional] = {}
+        outcomes, entries, children = [], [], []
+        for line, degrees in checked:
+            excess_degree = _degree(line.excess, center)
+            key = (line.start.label, line.path)
+            parent = line.current or line
+            kids = [line.copy().advance(step, exceptional, degrees, excess_degree) for step in steps]
+            for kid in kids:
+                self._hold(kid)
+            # the last child is the line itself
+            if id(line) in lines:
+                del holding[last[1]][id(line)]
+                holding[exceptional][id(line)] = line.advance(last, exceptional, degrees, excess_degree)
+            else:
+                taken.add(id(parent))
+                self._hold(line.advance(last, exceptional, degrees, excess_degree))
+            kids.append(line)
+            for kid in kids:
+                kid.current = kid.chart() if on_step else None
+            outcomes.append((parent, [kid.current or kid for kid in kids]))
+            entries.append((key, tuple([kid.path for kid in kids])))
+            children += kids
+        registry = growth.apply(outcomes)
+        self._children = children
+        rec = BlowUpRecord(stage, center, exceptional, tuple(entries))
+        if on_step is not None:
+            on_step(registry, outcomes, rec)
+        return rec
+
+    def supported(self) -> list[tuple]:
+        """The generators of the last blow-up's support-carrying children,
+        as (component, exponent) pairs in component order
+        (`Monomial.exps`): one for each generator of each child meeting P
+        whose least generator degree reaches the mark."""
+        mark = self.cfg.mark
+        return [
+            tuple(g.values())
+            for kid in self._children
+            if not kid.p_empty and min([sum([e for _, e in g.values()]) for g in kid.gens]) >= mark
+            for g in kid.gens
+        ]
+
+    def grown(self) -> Configuration:
+        """The configuration the run made."""
+        growth = self.growth
+        if growth.n_blowups == self.cfg.n_blowups:
+            return self.cfg
+        for line in self._lines.values():
+            if line.current is None:
+                growth.settle(line, line.chart())
+        return growth.grown()
+
+
+def blow_up_global(cfg: Configuration, center) -> tuple[Configuration, BlowUpRecord]:
+    """Blow the whole configuration up along a permissible centre: the run
+    of that one blow-up.  The grown configuration's `step` pairs each
+    replaced chart with its children, in chart order."""
+    run = BlowUpRun(cfg)
+    rec = run.blow_up(center)
+    return run.grown(), rec
+
+
+def blow_up_sequence(cfg: Configuration, centres, on_step=None) -> tuple[Configuration, list[BlowUpRecord]]:
+    """Blow up along each centre of `centres` in turn, in one run; give the
+    grown configuration and the records, in order."""
+    run = BlowUpRun(cfg, on_step)
+    records = [run.blow_up(center) for center in centres]
+    return run.grown(), records
 
 
 def blow_up_each(
@@ -165,8 +300,8 @@ def blow_up_each(
     configuration and the records, in order.
 
     Each step is the blow-up `blow_up_global` makes along that centre: it
-    refuses where `permissible_charts` would, with the same error, and
-    makes the children by the same rule.  Of a replaced chart's children
+    refuses by the same rule (`_degrees`), with the same error, and makes
+    the children by the same rule.  Of a replaced chart's children
     only the child of c holds all of P, with the step's exceptional
     component E in c's place; the others lack a component of P, so no
     later centre of the run meets them.  So the charts holding P and c are, for each chart
@@ -214,12 +349,7 @@ def blow_up_each(
         at = steps.index((stage, c))
         outcomes, entries = [], []
         for line in held:
-            if line.p_empty or not line.p_comps <= center:
-                raise _refusal(registry, center, mark)
-            # along {c} alone a degree is c's exponent
-            degrees = [_degree(g, center) for g in line.gens] if p else [g[c][1] if c in g else 0 for g in line.gens]
-            if min(degrees) < mark:
-                raise _refusal(registry, center, mark)
+            degrees = _degrees(line, center, registry, mark)
             excess_degree = _degree(line.excess, center)
             key = (line.start.label, line.path)
             kids = [

@@ -7,9 +7,13 @@ tests act as oracles for the code paths they check.
 
 from __future__ import annotations
 
+import contextlib
+import copy
 import itertools
 import math
 import random
+
+import pytest
 
 from monored.core import (
     Chart,
@@ -174,6 +178,48 @@ def index_answers(cfg: Configuration) -> tuple:
         cfg.support_charts(),
         [cfg.charts_containing({c}) for c in range(len(cfg.registry))],
     )
+
+
+@contextlib.contextmanager
+def stage_tables_by_step(check):
+    """Call `check(table, cfg)` on every table of a monomial stage s >= 2
+    each time it is read for a centre, so after each of its steps: with a
+    copy of the table and the configuration that its steps so far made,
+    got by replaying the records of its `reduce_monomial` one blow-up at a
+    time.  The stage's run holds no configuration between its steps."""
+    from monored import reduction
+
+    take, reduce_monomial = reduction._StageTable.take, reduction.reduce_monomial
+    reads = []
+
+    def read(table, mark):
+        seen = copy.copy(table)
+        seen.sums, seen.heap = dict(table.sums), list(table.heap)
+        taken = take(table, mark)
+        if table.s >= 2:
+            reads.append((seen, taken is not None))
+        return taken
+
+    def replayed(cfg, **kwargs):
+        start = len(reads)
+        final, records = reduce_monomial(cfg, **kwargs)
+        steps = reads[start:]
+        del reads[start:]
+        n = len(records) - sum(took for _, took in steps)  # stage 1's blow-ups
+        for rec in records[:n]:
+            cfg, _ = blow_up_global(cfg, rec.center)
+        for table, took in steps:
+            check(table, cfg)
+            if took:
+                cfg, _ = blow_up_global(cfg, records[n].center)
+                n += 1
+        assert cfg == final
+        return final, records
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(reduction._StageTable, "take", read)
+        patch.setattr(reduction, "reduce_monomial", replayed)
+        yield
 
 
 def permissible_centers(cfg: Configuration):

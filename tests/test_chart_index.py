@@ -26,6 +26,7 @@ from conftest import (
     permissible_centers,
     random_config,
     random_principal_config,
+    stage_tables_by_step,
 )
 from monored import core, reduction
 from monored.core import Configuration, chart_support, has_support, is_permissible
@@ -78,20 +79,19 @@ class TestCountedStageTable:
         configuration after each step, on the entries at or above the mark;
         the stage ends with none of them left.  Stage 1 takes its centres
         from its table alone and updates nothing."""
-        update, steps = reduction._StageTable.update, []
+        steps = []
 
         def rebuilt_after(table, cfg):
-            update(table, cfg)
             fresh = reduction._StageTable(table.s, table.floor, cfg.support_charts())
             live = {subset: v for subset, v in table.sums.items() if v >= cfg.mark}
             assert live == {subset: v for subset, v in fresh.sums.items() if v >= cfg.mark}
             steps.append(table.s)
 
-        monkeypatch.setattr(reduction._StageTable, "update", rebuilt_after)
         rng = random.Random(11)
-        for _ in range(200):
-            final, _ = reduction.reduce_monomial(random_principal_config(rng))
-            assert not final.support_charts()
+        with stage_tables_by_step(rebuilt_after):
+            for _ in range(200):
+                final, _ = reduction.reduce_monomial(random_principal_config(rng))
+                assert not final.support_charts()
         assert set(steps) == {2, 3}
 
 
@@ -237,7 +237,7 @@ def test_name_lookups_build_no_index(monkeypatch):
 def test_runs_keep_no_undo_links(monkeypatch):
     """`principalize` holds no configuration it has grown from without a
     chart tuple, so no undo link keeps the later configurations alive.
-    Every index move, of one blow-up or of a stage-1 run, is checked."""
+    Every index move, at the end of a run of blow-ups, is checked."""
     grows = []
     grown = core.Growth.grown
 
@@ -248,5 +248,5 @@ def test_runs_keep_no_undo_links(monkeypatch):
         return grown(growth)
 
     monkeypatch.setattr(core.Growth, "grown", counted)
-    principalize(config(("x", "y"), [chart(2, [mono({X: 20}), mono({Y: 3})], 1)], 2))
-    assert len(grows) > 10
+    principalize(golden_config())
+    assert len(grows) > 50

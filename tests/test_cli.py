@@ -685,19 +685,20 @@ class TestTracesFromTheRun:
         ],
     )
     def test_no_second_blowup_pass(self, command, doc, flags, tmp_path, monkeypatch, capsys):
-        blow_up = monored.transform.blow_up_global
+        """Every blow-up but stage 1's goes through `BlowUpRun.blow_up`:
+        the command makes as many as the library run does."""
+        blow_up = monored.transform.BlowUpRun.blow_up
         calls, written = [], []
 
-        def counted(cfg, center):
+        def counted(run, center):
             calls.append(center)
-            return blow_up(cfg, center)
+            return blow_up(run, center)
 
         def replaying_writer(*args, **kwargs):
             written.append(args)
             return trace_to_obj(*args, **kwargs)
 
-        for module in (monored.transform, monored.reduction, monored.serialize, monored.cli):
-            monkeypatch.setattr(module, "blow_up_global", counted)
+        monkeypatch.setattr(monored.transform.BlowUpRun, "blow_up", counted)
         for module in (monored.serialize, monored.cli):
             monkeypatch.setattr(module, "trace_to_obj", replaying_writer, raising=False)
         path = tmp_path / "in.json"

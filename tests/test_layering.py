@@ -13,8 +13,9 @@ object's private attributes, so the storage of charts has one home.
 non-prime.  `errors.is_int` is the one integer test of the package, and
 `reduction` never calls `id`, so the monomial stage keys nothing by chart
 identity, nor builds a chart: `transform` makes every child.  `transform`
-has two public functions, `blow_up_global` and `blow_up_each`; its child
-rule `_Line.advance` is, beside `Monomial.exchanged`, the only caller of the
+exposes its blow-ups only: the run `BlowUpRun`, `blow_up_global`,
+`blow_up_sequence` and `blow_up_each`, and no loop of `reduction` or
+`serialize` calls `blow_up_global`; its child rule `_Line.advance` is, beside `Monomial.exchanged`, the only caller of the
 exponent rule `core.exchange`, and `_Line.chart` the one place it builds a
 chart.
 No module concatenates or slices a chart path: a path is a linked node,
@@ -358,13 +359,51 @@ def test_one_exponent_transform():
     assert rule_callers == {("core", "exchanged"), ("transform", "advance")}
 
 
-def test_transform_exposes_its_two_blow_ups():
-    """One blow-up along any centre, and a run along P and one component
-    each, for the first monomial stage."""
+def test_transform_exposes_its_blow_ups():
+    """A run of blow-ups along any centres (`BlowUpRun`), the run of one
+    (`blow_up_global`) and of a given sequence (`blow_up_sequence`), and a
+    run along P and one component each, for the first monomial stage."""
     tree = ast.parse((PACKAGE / "transform.py").read_text(encoding="utf-8"))
-    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
-    public = {n.name for n in tree.body if isinstance(n, functions) and not n.name.startswith("_")}
-    assert public == {"blow_up_global", "blow_up_each"}
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    public = {n.name for n in tree.body if isinstance(n, kinds) and not n.name.startswith("_")}
+    assert public == {"BlowUpRecord", "BlowUpRun", "blow_up_global", "blow_up_sequence", "blow_up_each"}
+
+
+def looped_calls(tree: ast.AST, name: str) -> list[int]:
+    """The lines of each call of `name` (a name or an attribute) inside a
+    `for` or `while` loop or a comprehension."""
+    loops = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    found = set()
+    for loop in ast.walk(tree):
+        if not isinstance(loop, loops):
+            continue
+        for node in ast.walk(loop):
+            if isinstance(node, ast.Call):
+                f = node.func
+                if (isinstance(f, ast.Name) and f.id == name) or (isinstance(f, ast.Attribute) and f.attr == name):
+                    found.add(node.lineno)
+    return sorted(found)
+
+
+def test_looped_calls_are_seen():
+    tree = ast.parse(
+        "def f(cfg, recs):\n"
+        "    for rec in recs:\n"
+        "        cfg, _ = blow_up_global(cfg, rec.center)\n"
+        "    while cfg:\n"
+        "        cfg = transform.blow_up_global(cfg, {0})[0]\n"
+        "    return [blow_up_global(cfg, c) for c in recs], blow_up_global(cfg, {1})\n"
+    )
+    assert looped_calls(tree, "blow_up_global") == [3, 5, 6]
+
+
+@pytest.mark.parametrize("module", ["reduction", "serialize"])
+def test_no_loop_blows_up_one_centre_at_a_time(module):
+    """A sequence of centres is one run, which moves the chart index once:
+    no loop of the engine or the trace reader and writer makes its
+    blow-ups one `blow_up_global` at a time."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    assert looped_calls(tree, "blow_up_global") == []
 
 
 def path_copies(tree: ast.AST) -> list[tuple[int, str]]:

@@ -1,4 +1,4 @@
-"""Stage 1 of the monomial stage against the one-step blow-up.
+"""Runs of blow-ups against the one-step blow-up.
 
 Stage 1 takes its centre sequence from its table and makes all of its
 blow-ups in one call.  Every record a run returns must be the record
@@ -9,19 +9,25 @@ at that step with the error `blow_up_global` raises, after the observer
 has seen exactly the steps before it.  Each run goes with an observer,
 which gets every step's children built, and without one, when a chart is
 built only for each chart that leaves the run: both must give the same.
+The general run (`BlowUpRun`), which makes the replays, the later stages
+and trace replay, is held to the same one-step replay on whole reductions
+and written traces.
 """
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
 
 from conftest import chart, config, mono, random_config
 from monored import reduction, transform
+from monored.cli import main
 from monored.errors import MonoredError, NonPermissibleError
 from monored.reduction import reduce, reduce_monomial
 from monored.resolution import principalize
+from monored.serialize import config_to_obj, load_config, replay_trace
 from monored.transform import blow_up_each, blow_up_global
 from test_path_nodes import tower
 
@@ -46,15 +52,40 @@ def replayed(initial, records, final):
     assert cfg.charts == final.charts
 
 
-def test_seeded_draws_replay_one_step_at_a_time():
+@observed
+def test_seeded_draws_replay_one_step_at_a_time(observe):
+    """Every sequence is made in runs: stage 1's, and one `BlowUpRun` for
+    each replay and each later stage.  With an observer or without, the
+    records and final configuration must be those of one blow-up at a
+    time, and the observer must see exactly the records returned."""
     blowups = 0
     for cfg in seeded_draws():
-        final, records = reduce(cfg)
+        seen = []
+        on_step = (lambda registry, outcomes, rec: seen.append(rec)) if observe else None
+        final, records = reduce(cfg, on_step=on_step)
         replayed(cfg, records, final)
-        trace = principalize(cfg)
+        trace = principalize(cfg, on_step)
         replayed(trace.initial, trace.records, trace.final)
+        assert seen == (records + list(trace.records)) * observe
         blowups += len(records) + len(trace.records)
     assert blowups > 1000
+
+
+@pytest.mark.parametrize("command", ["principalize", "reduce"])
+def test_written_traces_replay_one_step_at_a_time(command, tmp_path):
+    """`replay_trace` makes a trace's blow-ups in one run: on the traces
+    the commands write for the seeded draws, it must give the records and
+    configuration of one blow-up at a time from the trace's input."""
+    blowups = 0
+    for n, cfg in enumerate(seeded_draws()[:40]):
+        path, out = tmp_path / f"{n}.json", tmp_path / f"{n}.trace.json"
+        path.write_text(json.dumps(config_to_obj(cfg)), encoding="utf-8")
+        assert main([command, str(path), "--out", str(out)]) == 0
+        trace = json.loads(out.read_text(encoding="utf-8"))
+        final, records = replay_trace(trace)
+        replayed(load_config(trace["input"]), records, final)
+        blowups += len(records)
+    assert blowups > 200
 
 
 def two_roots(b_components):

@@ -84,14 +84,14 @@ def test_observer_document_is_the_replayed_document(name):
 
 
 def test_companion_blowups_do_not_reach_the_observer(monkeypatch):
-    blow_up_global = monored.transform.blow_up_global
+    blow_up = monored.transform.BlowUpRun.blow_up
     calls = []
 
-    def counted(cfg, center):
+    def counted(run, center):
         calls.append(center)
-        return blow_up_global(cfg, center)
+        return blow_up(run, center)
 
-    monkeypatch.setattr(monored.reduction, "blow_up_global", counted)
+    monkeypatch.setattr(monored.transform.BlowUpRun, "blow_up", counted)
     seen = []
     _, records = reduce(draw(*COMPANION_DRAW), on_step=lambda registry, outcomes, rec: seen.append(rec))
     # the run blows up sub-configurations too, and only its own steps are seen

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from monored import core, reduction
+from monored import core, reduction, transform
 from monored.arithmetic import IntPoly, oracle_transform
 from monored.core import (
     Chart,
@@ -12,6 +12,7 @@ from monored.core import (
     MarkedIdeal,
     Growth,
     Monomial,
+    is_permissible,
     max_order,
     minimalize,
     sum_marked,
@@ -166,6 +167,19 @@ class TestBlowUpGlobal:
         with pytest.raises(NonPermissibleError):
             blow_up_global(golden_config(), {X})
 
+    @pytest.mark.parametrize("center", [{1}, {0, 1}], ids=["P-cutting component missing", "P held"])
+    def test_centre_must_hold_the_p_cutting_set(self, center):
+        """x^3 on a chart whose P is cut out by z: {x} meets the chart off
+        P, and only {z, x} may be blown up; the run and `is_permissible`
+        agree."""
+        cfg = config(("z", "x"), [chart(2, [mono({1: 3})], 1, p=(0,))], 1)
+        assert is_permissible(cfg, center) == (len(center) == 2)
+        if len(center) == 2:
+            assert len(blow_up_global(cfg, center)[1].outcomes) == 1
+        else:
+            with pytest.raises(NonPermissibleError, match=r"^centre \{x\} is not permissible"):
+                blow_up_global(cfg, center)
+
     def test_non_permissible_message(self):
         message = (
             "centre {x,v} is not permissible: its trace on N must lie in the "
@@ -199,15 +213,20 @@ class TestBlowUpGlobal:
         centre on to the blow-up: a step takes it once per generator of each
         chart it replaces, and once for that chart's pullback excess."""
         along = []
-        degree = core.Monomial.degree
+        degrees, degree = transform._degrees, transform._degree
 
-        def counted(g, comps=None):
-            if comps is not None:
-                along.append(comps)
-            return degree(g, comps)
+        def counted_generators(line, center, registry, mark):
+            taken = degrees(line, center, registry, mark)
+            along.extend([center] * len(taken))
+            return taken
+
+        def counted(pairs, center):
+            along.append(center)
+            return degree(pairs, center)
 
         cfg, records, _ = RUNS["reduce worked"]()
-        monkeypatch.setattr(core.Monomial, "degree", counted)
+        monkeypatch.setattr(transform, "_degrees", counted_generators)
+        monkeypatch.setattr(transform, "_degree", counted)
         widest = 0
         for rec in records:
             cfg, _ = blow_up_global(cfg, rec.center)
@@ -247,7 +266,7 @@ class TestGrowthValidation:
     validation builds from the same parts."""
 
     def test_grown_equals_fully_validated(self, monkeypatch):
-        """One blow-up at a time, and the first monomial stage's runs."""
+        """Every run of blow-ups, the first monomial stage's included."""
         grown = []
 
         def validated(new):
@@ -256,10 +275,10 @@ class TestGrowthValidation:
             assert index_answers(full) == index_answers(new)
             grown.append(new)
 
-        def checked(cfg, center):
-            new, rec = blow_up_global(cfg, center)
+        def checked(run):
+            new = end_run(run)
             validated(new)
-            return new, rec
+            return new
 
         def checked_run(cfg, *args):
             new, records = blow_up_each(cfg, *args)
@@ -268,7 +287,8 @@ class TestGrowthValidation:
             return new, records
 
         runs = []
-        monkeypatch.setattr(reduction, "blow_up_global", checked)
+        end_run = transform.BlowUpRun.grown
+        monkeypatch.setattr(transform.BlowUpRun, "grown", checked)
         monkeypatch.setattr(reduction, "blow_up_each", checked_run)
         rng = random.Random(1)
         for _ in range(20):
