@@ -74,7 +74,7 @@ class TestCountedStageTable:
         with pytest.raises(InternalLogicError, match=message):
             reduction.reduce_monomial(cfg)
 
-    def test_random_principal_draws(self, monkeypatch):
+    def test_random_principal_draws(self):
         """The table a stage s >= 2 keeps equals one rebuilt from the
         configuration after each step, on the entries at or above the mark;
         the stage ends with none of them left.  Stage 1 takes its centres
