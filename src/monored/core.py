@@ -615,11 +615,6 @@ class Configuration:
         """The charts with non-empty support, in chart order."""
         return self._own_index().supported()
 
-    def carries_support(self, chart: Chart) -> bool:
-        """Whether `chart`, one of this configuration's charts, has
-        non-empty support."""
-        return id(chart) in self._own_index().supporting
-
     def is_registered(self, name: str) -> bool:
         return name in self.registry
 

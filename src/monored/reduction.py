@@ -46,7 +46,7 @@ from .errors import (
     ValidationError,
     is_int,
 )
-from .transform import BlowUpRecord, BlowUpRun, blow_up_each, blow_up_sequence
+from .transform import BlowUpRecord, BlowUpRun, blow_up_sequence
 
 _MAX_PASSES = 4096
 
@@ -295,7 +295,7 @@ class _StageTable:
 
         The step at c, of sum v >= mark, gives each chart holding c the
         step's exceptional component in c's place, with exponent v - mark,
-        and changes nothing else (`transform.blow_up_each`).  So each take
+        and changes nothing else.  So each take
         puts that component in at v - mark, the ids counting up from
         `exceptional`, and stage 1 makes sum(v // mark) blow-ups over the
         table's sums v."""
@@ -307,6 +307,14 @@ class _StageTable:
                 self.put((exceptional,), v - mark)
             exceptional += 1
         return taken
+
+    def centres(self, run, p, mark: int):
+        """Each subset the table takes, with P (`p`); the table counts the
+        support-carrying children of each step of `run` (`supported`)."""
+        while (subset := self.take(mark)) is not None:
+            yield p | set(subset)
+            for exps in run.supported():
+                self.count(exps)
 
     def take(self, mark: int):
         """Pop the top subset if its sum reaches `mark`, else give None."""
@@ -327,7 +335,7 @@ def reduce_monomial(
     exceptional component re-enters with the exponent lowered by the mark,
     so stage 1 makes sum(v // mark) blow-ups over its table's sums v, as
     checked.  Its centres follow from its table alone (`_StageTable.stage_one`),
-    and one `blow_up_each` makes them all.  Stage s then clears every
+    and one run (`blow_up_sequence`) makes them all.  Stage s then clears every
     s-subset of P-meeting components whose exponent sum reaches the mark,
     largest sum first and lexicographically smallest subset on ties.  After
     stage dim_p the support is empty.
@@ -349,17 +357,13 @@ def reduce_monomial(
     predicted = sum(v // m for v in table.sums.values())
     p = charts[0].p_components if charts else frozenset()
     centres = table.stage_one(m, len(cfg.registry))
-    cfg, records = blow_up_each(cfg, p, centres, on_step)
+    cfg, records = blow_up_sequence(cfg, [p | {c} for c in centres], on_step)
     if len(records) != predicted:
         raise InternalLogicError(f"stage 1 made {len(records)} blow-ups, {predicted} predicted")
     for s in range(2, cfg.dim_p + 1):
-        charts = cfg.support_charts()
-        table = _StageTable(s, m, charts)
+        table = _StageTable(s, m, cfg.support_charts())
         run = BlowUpRun(cfg, on_step)
-        while (subset := table.take(m)) is not None:
-            records.append(run.blow_up(charts[0].p_components | set(subset)))
-            for exps in run.supported():
-                table.count(exps)
+        records += run.blow_up_along(table.centres(run, p, m))
         cfg = run.grown()
     if cfg.support_charts():
         raise InternalLogicError("monomial stage terminated with support left")

@@ -394,23 +394,22 @@ def replay_trace(trace_obj) -> tuple[Configuration, list]:
     raw_records = trace_obj.get("records", [])
     _expect(isinstance(raw_records, list), "records", "record list required")
     run = BlowUpRun(cfg)
-    records = []
-    for i, rec in enumerate(raw_records):
-        where = f"records[{i}]"
-        _expect(isinstance(rec, dict), where, "record must be an object")
-        center_names = rec.get("center")
-        _expect(
-            isinstance(center_names, list)
-            and center_names
-            and all(isinstance(n, str) for n in center_names),
-            where,
-            "center required as a non-empty list of component names",
-        )
-        record = run.blow_up([run.registry.component_id(n) for n in center_names])
-        _expect(
-            run.registry[record.exceptional] == rec.get("exceptional"),
-            where,
-            "exceptional component name mismatch",
-        )
-        records.append(record)
+
+    def centres():
+        for i, rec in enumerate(raw_records):
+            where = f"records[{i}]"
+            _expect(isinstance(rec, dict), where, "record must be an object")
+            center_names = rec.get("center")
+            _expect(
+                isinstance(center_names, list)
+                and center_names
+                and all(isinstance(n, str) for n in center_names),
+                where,
+                "center required as a non-empty list of component names",
+            )
+            yield [run.registry.component_id(n) for n in center_names]
+            # the last name is the step's exceptional component
+            _expect(run.registry[-1] == rec.get("exceptional"), where, "exceptional component name mismatch")
+
+    records = run.blow_up_along(centres())
     return run.grown(), records

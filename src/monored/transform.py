@@ -10,20 +10,18 @@ light state (`_Line`): `_Line.advance` is the one place the rule is applied
 to it, `_Line.chart` the one place a child chart is built, and `_degrees`
 the one permissibility rule.
 
-Every sequence of blow-ups is one run, whose chart index moves once and
-which builds a chart only for each chart that leaves it.  `BlowUpRun` takes
-any centres, one at a time, so the next centre may depend on the last step:
-the replays of order reduction, the later monomial stages and trace replay
-go through it, `blow_up_sequence` for a list of centres and
-`blow_up_global` for one.  `blow_up_each` makes the first monomial stage's
-run, along P and one more component each, where each chart of the start
-has one descendant holding P: it keeps one line per chart and needs no
-index of its lines.
+Every sequence of blow-ups is one run (`BlowUpRun`), whose chart index
+moves once and which builds a chart only for each chart that leaves it.  It
+takes its centres from an iterable, so the next centre may depend on the
+last step: the monomial stages, the replays of order reduction and trace
+replay go through it, `blow_up_sequence` for a list of centres and
+`blow_up_global` for one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .core import (
     Chart,
@@ -36,9 +34,11 @@ from .core import (
     centre,
     exchange,
 )
-from .errors import NonPermissibleError, ValidationError, is_int
+from .errors import NonPermissibleError
 
 ChartKey = tuple[str, PathNode]
+
+_path = attrgetter("path")
 
 
 @dataclass(frozen=True)
@@ -72,24 +72,25 @@ class _Line:
     started from (root label, `n_vars`, mark).  `advance` is the one child
     rule, applying the substitution rule `exchange`, and `chart` the one
     place a child `Chart` is built.  `current` is the chart the run's
-    `Growth` holds for it, or None where `Growth` holds the line itself.
+    `Growth` holds for it, or None where `Growth` holds the line itself: a
+    line copied from another is a child that `Growth` does not hold yet.
     """
 
     __slots__ = ("start", "comps", "p_comps", "p_empty", "gens", "excess", "path", "current")
 
-    def __init__(self, start: Chart, comps: dict, p_comps, p_empty: bool, gens: list, excess: dict, path) -> None:
+    def __init__(self, start: Chart, comps: dict, p_comps, p_empty: bool, gens: list, excess: dict, path, current) -> None:
         self.start, self.comps, self.p_comps, self.p_empty = start, comps, p_comps, p_empty
-        self.gens, self.excess, self.path, self.current = gens, excess, path, start
+        self.gens, self.excess, self.path, self.current = gens, excess, path, current
 
     @staticmethod
     def of(ch: Chart) -> "_Line":
         gens = [g.pairs() for g in ch.ideal.generators]
         excess = ch.pullback_excess.pairs()
-        return _Line(ch, dict.fromkeys(ch.e_components), ch.p_components, ch.p_empty, gens, excess, ch.path)
+        return _Line(ch, dict.fromkeys(ch.e_components), ch.p_components, ch.p_empty, gens, excess, ch.path, ch)
 
     def copy(self) -> "_Line":
         gens = [dict(g) for g in self.gens]
-        return _Line(self.start, dict(self.comps), self.p_comps, self.p_empty, gens, dict(self.excess), self.path)
+        return _Line(self.start, dict(self.comps), self.p_comps, self.p_empty, gens, dict(self.excess), self.path, None)
 
     def advance(self, step, exceptional: int, degrees, excess_degree: int) -> "_Line":
         """Become the child of k, of path step `step` = (stage, k), in a
@@ -152,115 +153,158 @@ def _degrees(line: _Line, center: frozenset, registry, mark: int) -> list[int]:
     raise _refusal(registry, center, mark)
 
 
-_NONE: dict = {}
-
-
 class BlowUpRun:
-    """A permissible sequence of blow-ups of one configuration, made one
-    centre at a time (`blow_up`); `grown` gives the configuration it made.
+    """A permissible sequence of blow-ups of one configuration, made along
+    the centres an iterable gives (`blow_up_along`); `grown` gives the
+    configuration it made.
 
     One `Growth` moves the chart index once, for the run.  Each chart the
     run replaces is followed as a `_Line`: a chart of `cfg`, from the step
     whose centre first meets it, and every child the run makes.  A step's
     charts are the charts of `cfg` holding its centre that the run has not
-    replaced (`Configuration.charts_containing`) and the lines holding it
-    that the run made and has not replaced, found through the run's own
-    map from each component to those lines; they are put in chart order by
-    their places in `Growth`.  A step refuses where `_degrees` does, before
-    it changes anything, after the centre passes `core.centre`.
+    replaced (`Configuration.charts_containing`) and the lines the run made
+    holding it.  Two facts keep a step from looking at other lines:
 
-    A `Chart` is built for each chart that leaves the run, once it is
-    over, the line standing in for it in `Growth` until then.  With
-    `on_step`, each step's children are built at that step instead, as the
-    observer sees every step: `on_step(registry, outcomes, record)` is
-    called after each step with the registry naming its exceptional
-    component, its (chart, children) pairs and its record.  A run of no
-    blow-up gives `cfg` itself.
+    - A child the run makes off P lacks a component of P, so no centre
+      holding P meets it: it is kept for settling only, and looked for
+      only by a centre not holding P, which any chart holding it refuses.
+    - Each line on P is listed under each component it holds.  A replaced
+      line goes on as its first child on P, and children keep their
+      parent's place in chart order, so a list filled by one step is in
+      chart order; only other lists are sorted (`by_place`), and the
+      charts of `cfg` merged with a list.
+
+    A step refuses where `_degrees` does, before it changes anything, after
+    the centre passes `core.centre`.  A `Chart` is built for each chart
+    that leaves the run, once it is over, the line standing in for it in
+    `Growth` until then.  With `on_step`, each step's children are built at
+    that step instead, as the observer sees every step: `on_step(registry,
+    outcomes, record)` is called after each step with the registry naming
+    its exceptional component, its (chart, children) pairs and its record.
+    A run of no blow-up gives `cfg` itself.
     """
 
-    __slots__ = ("cfg", "on_step", "growth", "_taken", "_holding", "_lines", "_children")
+    __slots__ = ("cfg", "on_step", "growth", "_taken", "_lines", "_holding", "_filled", "_p")
 
     def __init__(self, cfg: Configuration, on_step=None) -> None:
         self.cfg, self.on_step, self.growth = cfg, on_step, Growth(cfg)
         # ids of the charts of `cfg` the run replaced
         self._taken: set[int] = set()
-        # the lines the run made and has not replaced: by id, and under
-        # each component they hold
-        self._lines: dict[int, _Line] = {}
-        self._holding: dict[int, dict[int, _Line]] = {}
-        # the children of the last blow-up
-        self._children: list[_Line] = []
-
-    def _hold(self, line: _Line) -> None:
-        i = id(line)
-        self._lines[i] = line
-        for c in line.comps:
-            self._holding.setdefault(c, {})[i] = line
+        # every line the run made, each standing for a chart of its present
+        self._lines: list[_Line] = []
+        # component -> the lines on P holding it, in a dict, and the step
+        # that filled that list, or 0 once more than one has
+        self._holding: dict[int, dict[_Line, None]] = {}
+        self._filled: dict[int, int] = {}
+        # the P-cutting set of the lines replaced so far
+        self._p = frozenset()
 
     @property
     def registry(self):
         """The registry naming every component made so far."""
         return self.growth.registry
 
-    def blow_up(self, center) -> BlowUpRecord:
-        """Blow up along `center`, a set of component ids the registry
-        holds; give the step's record.  Every chart holding the centre is
-        replaced by its children, one per centre component k, in component
-        order; each child's path is one new node on its parent's."""
-        growth, mark, on_step = self.growth, self.cfg.mark, self.on_step
-        registry = growth.registry
-        center = centre(registry, center)
-        taken, holding, lines = self._taken, self._holding, self._lines
-        held = [_Line.of(ch) for ch in self.cfg.charts_containing(center) if id(ch) not in taken]
-        holders = [holding.get(c, _NONE) for c in center]
-        made = [line for i, line in min(holders, key=len).items() if all([i in h for h in holders])]
-        if made:
-            held += made
-            held = by_place(held, [growth.place(line.current or line) for line in held])
-        checked = [(line, _degrees(line, center, registry, mark)) for line in held]
-        stage = growth.n_blowups + 1
-        exceptional = len(registry)
-        steps = [(stage, k) for k in sorted(center)]
-        last = steps.pop()
-        holding[exceptional] = {}
-        outcomes, entries, children = [], [], []
-        for line, degrees in checked:
-            excess_degree = _degree(line.excess, center)
-            key = (line.start.label, line.path)
-            parent = line.current or line
-            kids = [line.copy().advance(step, exceptional, degrees, excess_degree) for step in steps]
-            for kid in kids:
-                self._hold(kid)
-            # the last child is the line itself
-            if id(line) in lines:
-                del holding[last[1]][id(line)]
-                holding[exceptional][id(line)] = line.advance(last, exceptional, degrees, excess_degree)
+    def blow_up_along(self, centres) -> list[BlowUpRecord]:
+        """Blow up along each centre of `centres` in turn, a set of
+        component ids the registry holds when it is taken; give the
+        records.  Every chart holding a centre is replaced by its children,
+        one per centre component k, in component order; each child's path
+        is one new node on its parent's.  `centres` may read the run
+        (`registry`, `supported`) between its steps."""
+        cfg, growth, on_step = self.cfg, self.growth, self.on_step
+        mark, n_start = cfg.mark, len(cfg.registry)
+        taken, lines, holding, filled = self._taken, self._lines, self._holding, self._filled
+        records = []
+        for center in centres:
+            registry = growth.registry
+            center = centre(registry, center)
+            p = self._p
+            if not p <= center and any([line.p_empty and center <= line.comps.keys() for line in lines]):
+                raise _refusal(registry, center, mark)
+            rest = center - p
+            if len(rest) == 1:
+                # each line listed under it is on P, so holds the centre
+                (rarest,) = rest
+                held = list(holding.get(rarest, ()))
             else:
-                taken.add(id(parent))
-                self._hold(line.advance(last, exceptional, degrees, excess_degree))
-            kids.append(line)
-            for kid in kids:
-                kid.current = kid.chart() if on_step else None
-            outcomes.append((parent, [kid.current or kid for kid in kids]))
-            entries.append((key, tuple([kid.path for kid in kids])))
-            children += kids
-        registry = growth.apply(outcomes)
-        self._children = children
-        rec = BlowUpRecord(stage, center, exceptional, tuple(entries))
-        if on_step is not None:
-            on_step(registry, outcomes, rec)
-        return rec
+                rarest = min(center, key=lambda c: len(holding.get(c, ())))
+                held = [line for line in holding.get(rarest, ()) if center <= line.comps.keys()]
+            in_order = not held or filled[rarest]
+            if max(center) < n_start:
+                fresh = [_Line.of(ch) for ch in cfg.charts_containing(center) if id(ch) not in taken]
+                if fresh:
+                    in_order, held = not held, fresh + held
+                    # the charts on P agree on P, and one off P is refused
+                    p = self._p = fresh[0].p_comps
+                    rest = center - p
+            if not in_order:
+                held = by_place(held, [growth.place(line.current or line) for line in held])
+            checked = [(line, _degrees(line, center, registry, mark)) for line in held]
+            stage, exceptional = growth.n_blowups + 1, len(registry)
+            ks = sorted(center)
+            # each line goes on as its first child on P, if it has one
+            k = min(rest) if rest else ks[0]
+            at, own = ks.index(k), (stage, k)
+            steps = [(stage, c) for c in ks if c != k]
+            on_e = holding[exceptional] = {}
+            filled[exceptional] = stage
+            outcomes, entries = [], []
+            for line, degrees in checked:
+                excess_degree = _degree(line.excess, center)
+                key = (line.start.label, line.path)
+                parent = line.current or line
+                kids = [line.copy().advance(step, exceptional, degrees, excess_degree) for step in steps] if steps else []
+                line.advance(own, exceptional, degrees, excess_degree)
+                if parent is line.start:
+                    line.current = None
+                    taken.add(id(parent))
+                    lines.append(line)
+                    if not line.p_empty:
+                        self._hold(line, stage)
+                elif line.p_empty:
+                    # the centre is P: the line leaves every list
+                    for c in (k, *line.comps):
+                        holding[c].pop(line, None)
+                else:
+                    del holding[k][line]
+                    on_e[line] = None
+                lines += kids
+                for kid in kids:
+                    if not kid.p_empty:
+                        self._hold(kid, stage)
+                kids.insert(at, line)
+                if on_step:
+                    for kid in kids:
+                        kid.current = kid.chart()
+                    outcomes.append((parent, [kid.current for kid in kids]))
+                else:
+                    outcomes.append((parent, kids))
+                entries.append((key, tuple(map(_path, kids))))
+            registry = growth.apply(outcomes)
+            rec = BlowUpRecord(stage, center, exceptional, tuple(entries))
+            records.append(rec)
+            if on_step is not None:
+                on_step(registry, outcomes, rec)
+        return records
+
+    def _hold(self, line: _Line, stage: int) -> None:
+        holding, filled = self._holding, self._filled
+        for c in line.comps:
+            listed = holding.setdefault(c, {})
+            filled[c] = stage if not listed or filled[c] == stage else 0
+            listed[line] = None
 
     def supported(self) -> list[tuple]:
         """The generators of the last blow-up's support-carrying children,
         as (component, exponent) pairs in component order
-        (`Monomial.exps`): one for each generator of each child meeting P
-        whose least generator degree reaches the mark."""
+        (`Monomial.exps`): one for each generator of each child whose least
+        generator degree reaches the mark, among its children on P, which
+        are the lines listed under its exceptional component."""
         mark = self.cfg.mark
         return [
             tuple(g.values())
-            for kid in self._children
-            if not kid.p_empty and min([sum([e for _, e in g.values()]) for g in kid.gens]) >= mark
+            for kid in self._holding.get(len(self.registry) - 1, ())
+            if min([sum([e for _, e in g.values()]) for g in kid.gens]) >= mark
             for g in kid.gens
         ]
 
@@ -269,7 +313,7 @@ class BlowUpRun:
         growth = self.growth
         if growth.n_blowups == self.cfg.n_blowups:
             return self.cfg
-        for line in self._lines.values():
+        for line in self._lines:
             if line.current is None:
                 growth.settle(line, line.chart())
         return growth.grown()
@@ -280,7 +324,7 @@ def blow_up_global(cfg: Configuration, center) -> tuple[Configuration, BlowUpRec
     of that one blow-up.  The grown configuration's `step` pairs each
     replaced chart with its children, in chart order."""
     run = BlowUpRun(cfg)
-    rec = run.blow_up(center)
+    (rec,) = run.blow_up_along([center])
     return run.grown(), rec
 
 
@@ -288,88 +332,5 @@ def blow_up_sequence(cfg: Configuration, centres, on_step=None) -> tuple[Configu
     """Blow up along each centre of `centres` in turn, in one run; give the
     grown configuration and the records, in order."""
     run = BlowUpRun(cfg, on_step)
-    records = [run.blow_up(center) for center in centres]
+    records = run.blow_up_along(centres)
     return run.grown(), records
-
-
-def blow_up_each(
-    cfg: Configuration, p_components, components, on_step=None
-) -> tuple[Configuration, list[BlowUpRecord]]:
-    """Blow up along P and c for each component c of `components` in turn,
-    P the P-cutting set `p_components` (which no c is in); give the grown
-    configuration and the records, in order.
-
-    Each step is the blow-up `blow_up_global` makes along that centre: it
-    refuses by the same rule (`_degrees`), with the same error, and makes
-    the children by the same rule.  Of a replaced chart's children
-    only the child of c holds all of P, with the step's exceptional
-    component E in c's place; the others lack a component of P, so no
-    later centre of the run meets them.  So the charts holding P and c are, for each chart
-    of `cfg` holding them, its one descendant holding P: its line
-    (`_Line`), which the run advances step by step.  Once c is taken none
-    holds it, and the charts holding P and E are those the step made in
-    c's place.  A chart's descendants keep its place in chart order, so a
-    step's charts come in the order of the charts of `cfg` they descend
-    from.  No chart list is scanned, and one `Growth` moves the chart index
-    once, for the run.
-
-    A `Chart` is built for each chart that leaves the run: a child off P at
-    its step, and a line's last descendant once the run is over, the line
-    standing in for it in `Growth` until then.  With `on_step`, each step's
-    children are built from the same state at that step instead, as the
-    observer sees every step.  `on_step(registry, outcomes, record)` is
-    called after each step with the registry naming its exceptional
-    component, its (chart, children) pairs and its record.
-    """
-    p = frozenset(p_components)
-    growth = Growth(cfg)
-    registry, mark = cfg.registry, cfg.mark
-    first_new = len(registry)
-    # each chart of `cfg` seen holding a centre -> its line
-    lines: dict[int, _Line] = {}
-    # component -> the lines holding P and the component, for the
-    # components the run made and has not taken, and those of `cfg` taken
-    holders: dict[int, list] = {}
-    records = []
-    for c in components:
-        center = p | {c}
-        held = holders.pop(c, None)
-        if held is None:
-            if not (is_int(c) and 0 <= c < len(registry)) or c in p:
-                raise ValidationError(f"centre references unregistered component id {c!r} or one cutting P")
-            held = []
-            if c < first_new:
-                for ch in cfg.charts_containing(center):
-                    if id(ch) not in lines:
-                        lines[id(ch)] = _Line.of(ch)
-                    held.append(lines[id(ch)])
-        stage = growth.n_blowups + 1
-        exceptional = len(registry)
-        steps = [(stage, k) for k in sorted(center)]
-        at = steps.index((stage, c))
-        outcomes, entries = [], []
-        for line in held:
-            degrees = _degrees(line, center, registry, mark)
-            excess_degree = _degree(line.excess, center)
-            key = (line.start.label, line.path)
-            kids = [
-                line.copy().advance(step, exceptional, degrees, excess_degree).chart()
-                for step in steps if step[1] != c
-            ]
-            line.advance(steps[at], exceptional, degrees, excess_degree)
-            kids.insert(at, line.chart() if on_step else line)
-            outcomes.append((line.current or line, kids))
-            line.current = kids[at] if on_step else None
-            entries.append((key, tuple([kid.path for kid in kids])))
-        registry = growth.apply(outcomes)
-        if c < first_new:
-            holders[c] = []
-        holders[exceptional] = held
-        rec = BlowUpRecord(stage, center, exceptional, tuple(entries))
-        records.append(rec)
-        if on_step is not None:
-            on_step(registry, outcomes, rec)
-    for line in lines.values():
-        if line.current is None:
-            growth.settle(line, line.chart())
-    return growth.grown(), records

@@ -685,20 +685,21 @@ class TestTracesFromTheRun:
         ],
     )
     def test_no_second_blowup_pass(self, command, doc, flags, tmp_path, monkeypatch, capsys):
-        """Every blow-up but stage 1's goes through `BlowUpRun.blow_up`:
-        the command makes as many as the library run does."""
-        blow_up = monored.transform.BlowUpRun.blow_up
+        """Every blow-up goes through `BlowUpRun.blow_up_along`: the
+        command makes as many as the library run does."""
+        blow_up_along = monored.transform.BlowUpRun.blow_up_along
         calls, written = [], []
 
-        def counted(run, center):
-            calls.append(center)
-            return blow_up(run, center)
+        def counted(run, centres):
+            records = blow_up_along(run, centres)
+            calls.extend(rec.center for rec in records)
+            return records
 
         def replaying_writer(*args, **kwargs):
             written.append(args)
             return trace_to_obj(*args, **kwargs)
 
-        monkeypatch.setattr(monored.transform.BlowUpRun, "blow_up", counted)
+        monkeypatch.setattr(monored.transform.BlowUpRun, "blow_up_along", counted)
         for module in (monored.serialize, monored.cli):
             monkeypatch.setattr(module, "trace_to_obj", replaying_writer, raising=False)
         path = tmp_path / "in.json"

@@ -13,11 +13,12 @@ object's private attributes, so the storage of charts has one home.
 non-prime.  `errors.is_int` is the one integer test of the package, and
 `reduction` never calls `id`, so the monomial stage keys nothing by chart
 identity, nor builds a chart: `transform` makes every child.  `transform`
-exposes its blow-ups only: the run `BlowUpRun`, `blow_up_global`,
-`blow_up_sequence` and `blow_up_each`, and no loop of `reduction` or
-`serialize` calls `blow_up_global`; its child rule `_Line.advance` is, beside `Monomial.exchanged`, the only caller of the
-exponent rule `core.exchange`, and `_Line.chart` the one place it builds a
-chart.
+exposes its blow-ups only: the run `BlowUpRun`, `blow_up_global` and
+`blow_up_sequence`, and no loop of `reduction` or `serialize` calls
+`blow_up_global`; only `BlowUpRun` calls its child rule `_Line.advance`,
+so one run makes every child, and `_Line.advance` is, beside
+`Monomial.exchanged`, the only caller of the exponent rule
+`core.exchange`, and `_Line.chart` the one place it builds a chart.
 No module concatenates or slices a chart path: a path is a linked node,
 and a child's step is read from its own node.  `core.Growth.apply` alone
 spells an exceptional component's name (`exc<stage>`) and extends a
@@ -348,8 +349,8 @@ def test_method_callers_are_seen():
 
 def test_one_exponent_transform():
     """The blow-ups apply the substitution rule in one place, `core.exchange`
-    on pair maps, through the child rule both `blow_up_global` and
-    `blow_up_each` build with (`transform._Line.advance`); `Monomial.exchanged`
+    on pair maps, through the child rule every run builds with
+    (`transform._Line.advance`); `Monomial.exchanged`
     is the rule on a monomial, and no module of the package calls it.  The
     strict transform of `weak_resolve` only drops a chart's defining
     component, and no second exponent transform sits beside it."""
@@ -361,12 +362,41 @@ def test_one_exponent_transform():
 
 def test_transform_exposes_its_blow_ups():
     """A run of blow-ups along any centres (`BlowUpRun`), the run of one
-    (`blow_up_global`) and of a given sequence (`blow_up_sequence`), and a
-    run along P and one component each, for the first monomial stage."""
+    (`blow_up_global`) and of a given sequence (`blow_up_sequence`)."""
     tree = ast.parse((PACKAGE / "transform.py").read_text(encoding="utf-8"))
     kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     public = {n.name for n in tree.body if isinstance(n, kinds) and not n.name.startswith("_")}
-    assert public == {"BlowUpRecord", "BlowUpRun", "blow_up_global", "blow_up_sequence", "blow_up_each"}
+    assert public == {"BlowUpRecord", "BlowUpRun", "blow_up_global", "blow_up_sequence"}
+
+
+def advance_callers(sources: dict[str, str]) -> set[tuple[str, str]]:
+    """(module, top-level definition) of each call of `.advance(`, the child
+    rule, in the given module sources; a method counts as its class."""
+    found = set()
+    for module, text in sources.items():
+        for node in ast.parse(text).body:
+            if any(
+                isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute) and n.func.attr == "advance"
+                for n in ast.walk(node)
+            ):
+                found.add((module, getattr(node, "name", "<module>")))
+    return found
+
+
+def test_advance_callers_are_seen():
+    sources = package_sources()
+    sources["reduction"] += "\n\ndef planted(line, e):\n    return line.copy().advance((1, 0), e, [2], 0)\n"
+    sources["transform"] += (
+        "\n\nclass Planted:\n    def step(self, line):\n"
+        "        return [line.advance(s, 3, [], 0) for s in self.steps]\n"
+    )
+    assert {("reduction", "planted"), ("transform", "Planted")} <= advance_callers(sources)
+
+
+def test_one_run_makes_every_child():
+    """Only the run (`BlowUpRun`) applies the child rule, so every child of
+    every blow-up comes from one run of blow-ups."""
+    assert advance_callers(package_sources()) == {("transform", "BlowUpRun")}
 
 
 def looped_calls(tree: ast.AST, name: str) -> list[int]:

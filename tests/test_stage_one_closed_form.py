@@ -1,7 +1,7 @@
 """Runs of blow-ups against the one-step blow-up.
 
 Stage 1 takes its centre sequence from its table and makes all of its
-blow-ups in one call.  Every record a run returns must be the record
+blow-ups in one run (`blow_up_sequence`), as every other sequence is made.  Every record a run returns must be the record
 `blow_up_global` makes when the recorded centres are replayed one at a
 time, and the replay must end on the returned configuration, chart order
 included.  Where a stage-1 centre is not permissible, the run must refuse
@@ -9,9 +9,9 @@ at that step with the error `blow_up_global` raises, after the observer
 has seen exactly the steps before it.  Each run goes with an observer,
 which gets every step's children built, and without one, when a chart is
 built only for each chart that leaves the run: both must give the same.
-The general run (`BlowUpRun`), which makes the replays, the later stages
-and trace replay, is held to the same one-step replay on whole reductions
-and written traces.
+The run (`BlowUpRun`), which also makes the replays, the later stages and
+trace replay, is held to the same one-step replay on whole reductions and
+written traces.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from monored.errors import MonoredError, NonPermissibleError
 from monored.reduction import reduce, reduce_monomial
 from monored.resolution import principalize
 from monored.serialize import config_to_obj, load_config, replay_trace
-from monored.transform import blow_up_each, blow_up_global
+from monored.transform import blow_up_global, blow_up_sequence
 from test_path_nodes import tower
 
 X, Y = 0, 1
@@ -173,7 +173,7 @@ def one_at_a_time(cfg, p, components):
 @observed
 def test_a_run_is_one_blow_up_at_a_time(observe):
     """Along drawn components, the charts of the start and the components
-    the run makes among them, `blow_up_each` makes the steps, records,
+    the run makes among them, one run makes the steps, records,
     registry and configuration that `blow_up_global` makes one at a time,
     and refuses at the same step with the same error."""
     rng = random.Random(31)
@@ -184,7 +184,9 @@ def test_a_run_is_one_blow_up_at_a_time(observe):
         expected, last, error = one_at_a_time(cfg, p, components)
         seen = []
         try:
-            final, records = blow_up_each(cfg, p, components, (lambda *step: seen.append(step)) if observe else None)
+            final, records = blow_up_sequence(
+                cfg, [p | {c} for c in components], (lambda *step: seen.append(step)) if observe else None
+            )
         except MonoredError as exc:
             assert (type(exc), str(exc)) == error
             refused += 1
@@ -203,9 +205,9 @@ def test_a_run_is_one_blow_up_at_a_time(observe):
 
 @observed
 def test_a_chart_is_built_once_it_leaves_the_run(monkeypatch, observe):
-    """Without an observer, stage 1 builds one `Chart` per chart that
-    leaves its run, the children off P at their step and each line's last
-    descendant at the end: none that the same run replaces.  With one, it
+    """Without an observer, each run of `blow_up_sequence` (stage 1's and
+    the replays) builds one `Chart` per chart that leaves it, each line's
+    last descendant at the end: none that the same run replaces.  With one, it
     builds every step's children, which the observer sees.  The runs
     inside companion reductions go without one either way."""
     built = []
@@ -217,14 +219,14 @@ def test_a_chart_is_built_once_it_leaves_the_run(monkeypatch, observe):
 
     runs = []
 
-    def counted_run(cfg, p, components, on_step=None):
+    def counted_run(cfg, centres, on_step=None):
         before = len(built)
-        final, records = blow_up_each(cfg, p, components, on_step)
+        final, records = blow_up_sequence(cfg, centres, on_step)
         runs.append((len(built) - before, final.step, records, on_step is not None))
         return final, records
 
     monkeypatch.setattr(transform, "Chart", counted_chart)
-    monkeypatch.setattr(reduction, "blow_up_each", counted_run)
+    monkeypatch.setattr(reduction, "blow_up_sequence", counted_run)
     principalize(tower(100), on_step=(lambda *step: None) if observe else None)
     assert runs[-1][3] == observe
     steps = made_total = left_total = 0

@@ -84,14 +84,15 @@ def test_observer_document_is_the_replayed_document(name):
 
 
 def test_companion_blowups_do_not_reach_the_observer(monkeypatch):
-    blow_up = monored.transform.BlowUpRun.blow_up
+    blow_up_along = monored.transform.BlowUpRun.blow_up_along
     calls = []
 
-    def counted(run, center):
-        calls.append(center)
-        return blow_up(run, center)
+    def counted(run, centres):
+        records = blow_up_along(run, centres)
+        calls.extend(rec.center for rec in records)
+        return records
 
-    monkeypatch.setattr(monored.transform.BlowUpRun, "blow_up", counted)
+    monkeypatch.setattr(monored.transform.BlowUpRun, "blow_up_along", counted)
     seen = []
     _, records = reduce(draw(*COMPANION_DRAW), on_step=lambda registry, outcomes, rec: seen.append(rec))
     # the run blows up sub-configurations too, and only its own steps are seen

@@ -18,7 +18,7 @@ from monored.core import (
     sum_marked,
 )
 from monored.errors import NonPermissibleError, ValidationError
-from monored.transform import blow_up_each, blow_up_global
+from monored.transform import blow_up_global
 
 from conftest import (
     U,
@@ -269,27 +269,25 @@ class TestGrowthValidation:
         """Every run of blow-ups, the first monomial stage's included."""
         grown = []
 
-        def validated(new):
+        def checked(run):
+            new = end_run(run)
             full = Configuration(new.registry, new.charts, new.dim_p, new.n_blowups)
             assert full == new
             assert index_answers(full) == index_answers(new)
             grown.append(new)
-
-        def checked(run):
-            new = end_run(run)
-            validated(new)
             return new
 
-        def checked_run(cfg, *args):
-            new, records = blow_up_each(cfg, *args)
-            validated(new)
-            runs.append(len(records))
-            return new, records
+        def counted_stage_one(table, *args):
+            # the first monomial stage's centres, which one run makes
+            centres = stage_one(table, *args)
+            runs.append(len(centres))
+            return centres
 
         runs = []
         end_run = transform.BlowUpRun.grown
+        stage_one = reduction._StageTable.stage_one
         monkeypatch.setattr(transform.BlowUpRun, "grown", checked)
-        monkeypatch.setattr(reduction, "blow_up_each", checked_run)
+        monkeypatch.setattr(reduction._StageTable, "stage_one", counted_stage_one)
         rng = random.Random(1)
         for _ in range(20):
             reduction.reduce(random_config(rng))
