@@ -6,7 +6,8 @@ same centres up one at a time with `blow_up_global` starts each step from a
 configuration holding every chart, so it shares none of that bookkeeping.
 On drawn multi-chart roots and drawn centre sequences, both must give the
 same records, registry and configuration, chart order included, or the
-same error at the same step.  The draws include centres that omit P and
+same error at the same step; the run's `step` must map each replaced chart
+of the start to its final descendants as the composed steps do.  The draws include centres that omit P and
 centres held only by a child that an earlier step of the same run made off
 P, which a run must refuse as `blow_up_global` does.
 """
@@ -83,6 +84,23 @@ def one_at_a_time(cfg, centres):
     return steps, cfg, None
 
 
+def composed(steps):
+    """The (chart, children) pairs of the run of `steps`: each chart of the
+    start that a step replaced, in the order first replaced, with its
+    descendants that no later step replaced, in chart order."""
+    pairs = []
+    for step, _ in steps:
+        for ch, kids in step:
+            for _, leaves in pairs:
+                if ch in leaves:
+                    at = leaves.index(ch)
+                    leaves[at : at + 1] = kids
+                    break
+            else:
+                pairs.append((ch, list(kids)))
+    return pairs
+
+
 def held_off_p_only(cfg, centre) -> bool:
     """Whether the charts of `cfg` holding `centre` are all children off P,
     and there is one."""
@@ -93,9 +111,10 @@ def held_off_p_only(cfg, centre) -> bool:
 @observed
 def test_a_run_is_one_blow_up_at_a_time(observe):
     """Both sides give the same steps, or refuse at the same step with the
-    same error; the observer sees exactly the steps made."""
+    same error; the observer sees exactly the steps made, and the grown
+    configuration's `step` is the composition of the steps."""
     rng = random.Random(34)
-    counts = dict.fromkeys(["steps", "ran", "refused", "omit P", "off P only"], 0)
+    counts = dict.fromkeys(["steps", "ran", "multi-step", "refused", "omit P", "off P only"], 0)
     for _ in range(1000):
         cfg, p = drawn_roots(rng)
         centres = drawn_centres(rng, p, len(cfg.registry))
@@ -116,12 +135,15 @@ def test_a_run_is_one_blow_up_at_a_time(observe):
             assert records == [rec for _, rec in expected]
             assert final.registry == last.registry
             assert final == last and final.charts == last.charts
+            assert [(ch, list(kids)) for ch, kids in final.step] == composed(expected)
             counts["ran"] += 1
+            counts["multi-step"] += len(records) > 1
         assert [(registry, list(outcomes), rec) for registry, outcomes, rec in seen] == [
             (tuple(last.registry)[: len(cfg.registry) + n], step, rec)
             for n, (step, rec) in enumerate(expected, 1)
         ] * observe
     assert counts["steps"] > 1000 and counts["ran"] > 250 and counts["refused"] > 250
+    assert counts["multi-step"] > 150
     assert counts["omit P"] > 100 and counts["off P only"] > 30
 
 
