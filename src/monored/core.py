@@ -17,15 +17,15 @@ Within a chart every stratum is non-empty, and the full stratum, the
 chart's distinguished point, is its largest point of P.
 
 A configuration validates its charts once, when it is built; a chart
-checks nothing itself.  A run of one or more blow-ups (`Growth`) adds
-only children that meet every rule by construction, and checks none: their
+checks nothing itself.  A run of one or more blow-ups (`grow`) adds only
+children that meet every rule by construction, and checks none: their
 paths end at a stage no chart reached before, so their keys are new.  The
 grown configuration carries, as its `step`, each chart the run replaced
 paired with the charts that replaced it.  Monomials and marked ideals too
 are checked where they enter, not where the engine derives them (`derived`,
 with the substitution rule `exchange` on pair maps), and a lineage
-shares one name list and name -> id map (`Registry`), where `Growth` names
-each new component.
+shares one name list and name -> id map (`Registry`), where
+`name_exceptional` names each new component.
 
 A chart's path is a `PathNode` linked to its parent chart's, so a blow-up
 copies no path; a caller's tuple path becomes a node when a configuration
@@ -355,8 +355,8 @@ class Chart:
 class Registry(Sequence):
     """A configuration's component names in id order: the first `len(self)`
     of an append-only list its lineage shares, with the lineage's one map
-    from name to id, which `in` reads (see `Growth`).  It equals, and hashes
-    as, the tuple of its names."""
+    from name to id, which `in` reads (see `name_exceptional`).  It equals,
+    and hashes as, the tuple of its names."""
 
     __slots__ = ("_names", "_ids", "_n")
 
@@ -365,7 +365,8 @@ class Registry(Sequence):
 
     def extended(self, name: str) -> "Registry":
         """This registry with `name` appended, to the shared list and map
-        unless another branch put it there (`Growth` names each position)."""
+        unless another branch put it there (`name_exceptional` names each
+        position alike)."""
         if len(self._names) == self._n:
             self._ids[name] = self._n
             self._names.append(name)
@@ -444,7 +445,7 @@ class Configuration:
     lookups.  All charts carry one mark, `mark`.  `n_blowups` counts the
     blow-ups made so far; no chart's path goes past that stage.  `step`
     pairs each chart that the run of blow-ups making this configuration
-    replaced (`Growth`) with the charts that replaced it in the end, in
+    replaced (`grow`) with the charts that replaced it in the end, in
     chart order, the replaced charts in the order the run first replaced
     them; for one blow-up, its (chart, children) pairs in chart order.  It
     is `()` for one built here.
@@ -467,11 +468,11 @@ class Configuration:
     without reading `n_vars`.
 
     The charts are held as a tuple (`charts`), in a `_ChartIndex`, or both.
-    A run of blow-ups (`Growth`) moves the index on to the grown
-    configuration and updates it there for the charts it replaces and keeps,
-    each child placed from its parent's place, so a run costs what it
-    touches.  A configuration without an index builds one from its chart
-    tuple when asked; a copy or pickle rebuilds it.
+    A run of blow-ups moves the index on to the grown configuration
+    (`grow`) and updates it there for the charts it replaces and keeps, each
+    child placed from its parent's place, so a run costs what it touches.
+    A configuration without an index builds one from its chart tuple when
+    asked; a copy or pickle rebuilds it.
 
     One rule brings back the charts of a configuration that holds neither:
     it was grown from without a tuple, and kept a link to the configuration
@@ -615,6 +616,11 @@ class Configuration:
         """The charts with non-empty support, in chart order."""
         return self._own_index().supported()
 
+    def place(self, ch: Chart) -> int:
+        """The place of `ch`, one of the charts, in the chart index
+        (`_ChartIndex`)."""
+        return self._own_index().place[id(ch)]
+
     def is_registered(self, name: str) -> bool:
         return name in self.registry
 
@@ -659,10 +665,10 @@ class _ChartIndex:
     per blow-up that split its line into several charts.  Root n of the N
     charts an index is built from gets `(1 << N.bit_length()) | n`; child n
     of k children gets its parent's place followed by n in a field as wide
-    as k - 1 (`Growth`), so a lone child keeps its parent's place.  Siblings'
-    fields are equally wide and in centre-component order, and no place is
-    a prefix of another chart's, so places aligned at the left (`ordered`)
-    sort in chart order, (root position, path).
+    as k - 1 (`transform.BlowUpRun`), so a lone child keeps its parent's
+    place.  Siblings' fields are equally wide and in centre-component
+    order, and no place is a prefix of another chart's, so places aligned
+    at the left (`ordered`) sort in chart order, (root position, path).
     """
 
     __slots__ = ("charts", "place", "by_component", "supporting")
@@ -722,115 +728,41 @@ def by_place(items, places: list[int]) -> list:
     return [item for _, item in keyed]
 
 
-class Growth:
-    """A run of blow-ups of one configuration, whose chart index moves
-    once, at the end (`grown`).
-
-    `apply` takes each blow-up's (chart, children) pairs, in chart order,
-    and gives the registry after it.  The component of stage s is named
-    `exc<s>`, primed while the name is taken.  A lineage's registry length
-    less `n_blowups` is fixed, so the name depends only on the names before
-    it: branches name a position alike and share one name list and map.
-    Each child is placed by the one split rule (`_ChartIndex`) from its
-    parent's place; a child that a later blow-up replaces is dropped then,
-    its entry in its parent's list of children becoming its own children.
-    A child is placed by identity only, so a run may hand `apply` a stand-in
-    for a chart it builds once the run is over, and `settle` it then.
-
-    `grown` moves the index of `cfg` to the configuration the run made,
-    visiting only the charts the run replaced and kept.  Its `step` pairs
-    each chart of `cfg` the run replaced, in the order it first replaced
-    them, with the charts that replaced it in the end, in chart order.  A
-    `cfg` without a chart tuple keeps a link to the result to undo it from;
-    until `grown`, `cfg` is as it was.
-
-    Nothing is re-checked, and no field of a chart is read.  The children
-    of a blow-up meet every rule of the constructor by construction: their
-    components are registered once the exceptional one is, they swap one
-    component for another, keep the mark and drop out of P or keep its
-    P-cutting set, and their paths end at a stage no earlier chart reaches,
-    so their keys are new.
-    """
-
-    __slots__ = ("cfg", "registry", "n_blowups", "_index", "_made", "_replaced")
-
-    def __init__(self, cfg: Configuration) -> None:
-        self.cfg, self.registry, self.n_blowups = cfg, cfg.registry, cfg.n_blowups
-        self._index = cfg._own_index()
-        # id(child) -> (child, place, list holding it, its position there)
-        self._made: dict[int, tuple] = {}
-        self._replaced: list[tuple[Chart, list]] = []
-
-    def apply(self, outcomes) -> Registry:
-        """Take one blow-up's (chart, children) pairs; give the registry
-        naming its exceptional component."""
-        self.n_blowups += 1
-        name = f"exc{self.n_blowups}"
-        while name in self.registry:
-            name += "'"
-        self.registry = self.registry.extended(name)
-        place, made = self._index.place, self._made
-        for ch, kids in outcomes:
-            i = id(ch)
-            if i in made:
-                _, first, holder, at = made.pop(i)
-            else:
-                first, holder, at = place[i], [ch], 0
-                self._replaced.append((ch, holder))
-            if len(kids) == 1:
-                holder[at] = kids[0]
-                made[id(kids[0])] = (kids[0], first, holder, at)
-                continue
-            holder[at] = branch = list(kids)
-            first <<= (len(kids) - 1).bit_length()
-            for n, kid in enumerate(kids):
-                made[id(kid)] = (kid, first | n, branch, n)
-        return self.registry
-
-    def place(self, item) -> int:
-        """The place of `item`, a chart of `cfg` or a child `apply` took,
-        that no blow-up of the run has replaced since (`_ChartIndex`)."""
-        made = self._made.get(id(item))
-        return self._index.place[id(item)] if made is None else made[1]
-
-    def settle(self, stand_in, chart: Chart) -> None:
-        """Put `chart` in the place of `stand_in`, a child of a blow-up that
-        no later one replaced: a run may hand `apply` any object as a
-        child, and build the chart for the ones that leave it only."""
-        _, place, holder, at = self._made.pop(id(stand_in))
-        holder[at] = chart
-        self._made[id(chart)] = (chart, place, holder, at)
-
-    def grown(self) -> Configuration:
-        """The configuration the run made, holding the chart index of `cfg`."""
-        cfg, index = self.cfg, self._index
-        for ch, _ in self._replaced:
-            index.remove(ch)
-        for kid, place, _, _ in self._made.values():
-            index.add(kid, place)
-        new = object.__new__(Configuration)
-        new.registry, new.dim_p, new.mark = self.registry, cfg.dim_p, cfg.mark
-        new.n_blowups = self.n_blowups
-        new.step = [(ch, _leaves(holder)) for ch, holder in self._replaced]
-        new._index, new._charts, new._grown = index, None, None
-        cfg._index = None
-        if cfg._charts is None:
-            cfg._grown = new
-        return new
+def name_exceptional(registry: Registry, stage: int) -> Registry:
+    """`registry` extended by the name of the exceptional component of
+    blow-up stage `stage`: `exc<stage>`, primed while the name is taken.  A
+    lineage's registry length less `n_blowups` is fixed, so the name
+    depends only on the names before it: branches name a position alike
+    and share one name list and map."""
+    name = f"exc{stage}"
+    while name in registry:
+        name += "'"
+    return registry.extended(name)
 
 
-def _leaves(nested: list) -> list:
-    """The charts of a nested list, in order, nesting undone."""
-    out, stack = [], [iter(nested)]
-    while stack:
-        for item in stack[-1]:
-            if type(item) is list:
-                stack.append(iter(item))
-                break
-            out.append(item)
-        else:
-            stack.pop()
-    return out
+def grow(cfg: Configuration, registry: Registry, step: list, places: list[int]) -> Configuration:
+    """The configuration a run of blow-ups of `cfg` made, holding the chart
+    index of `cfg` moved on: `registry` names every component the run made,
+    one per blow-up, `step` is its `step` (see `Configuration`), and
+    `places` lists the place (`_ChartIndex`) of each chart `step` keeps, in
+    order.  Only the charts the run replaced and kept are visited, and none
+    is re-checked or read: a blow-up's children meet every rule of the
+    constructor by construction.  A `cfg` without a chart tuple keeps a link
+    to the result to undo it from."""
+    index = cfg._own_index()
+    for ch, _ in step:
+        index.remove(ch)
+    for kid, place in zip([kid for _, kids in step for kid in kids], places):
+        index.add(kid, place)
+    new = object.__new__(Configuration)
+    new.registry, new.dim_p, new.mark = registry, cfg.dim_p, cfg.mark
+    new.n_blowups = cfg.n_blowups + len(registry) - len(cfg.registry)
+    new.step = step
+    new._index, new._charts, new._grown = index, None, None
+    cfg._index = None
+    if cfg._charts is None:
+        cfg._grown = new
+    return new
 
 
 def min_degree(gens, vanishing) -> int:

@@ -26,13 +26,14 @@ from operator import attrgetter
 from .core import (
     Chart,
     Configuration,
-    Growth,
     MarkedIdeal,
     Monomial,
     PathNode,
     by_place,
     centre,
     exchange,
+    grow,
+    name_exceptional,
 )
 from .errors import NonPermissibleError
 
@@ -68,29 +69,32 @@ def _refusal(registry, center, mark: int) -> NonPermissibleError:
 class _Line:
     """A chart followed through blow-ups as light state: its components,
     its generators and pullback excess as pair maps (`Monomial.pairs`), in
-    component order, its P-cutting set and its path, beside the chart it
-    started from (root label, `n_vars`, mark).  `advance` is the one child
-    rule, applying the substitution rule `exchange`, and `chart` the one
-    place a child `Chart` is built.  `current` is the chart the run's
-    `Growth` holds for it, or None where `Growth` holds the line itself: a
-    line copied from another is a child that `Growth` does not hold yet.
+    component order, its P-cutting set, its path and its place in chart
+    order (`core._ChartIndex`), beside the chart it started from (root
+    label, `n_vars`, mark).  `advance` is the one child rule, applying the
+    substitution rule `exchange`, and `chart` the one place a child `Chart`
+    is built.  `current` is the chart built for the line as it stands, or
+    None: the chart it started from until it is advanced, and after that
+    the chart an observed step built for it.
     """
 
-    __slots__ = ("start", "comps", "p_comps", "p_empty", "gens", "excess", "path", "current")
+    __slots__ = ("start", "comps", "p_comps", "p_empty", "gens", "excess", "path", "place", "current")
 
-    def __init__(self, start: Chart, comps: dict, p_comps, p_empty: bool, gens: list, excess: dict, path, current) -> None:
+    def __init__(
+        self, start: Chart, comps: dict, p_comps, p_empty: bool, gens: list, excess: dict, path, place: int, current
+    ) -> None:
         self.start, self.comps, self.p_comps, self.p_empty = start, comps, p_comps, p_empty
-        self.gens, self.excess, self.path, self.current = gens, excess, path, current
+        self.gens, self.excess, self.path, self.place, self.current = gens, excess, path, place, current
 
     @staticmethod
-    def of(ch: Chart) -> "_Line":
+    def of(ch: Chart, place: int) -> "_Line":
         gens = [g.pairs() for g in ch.ideal.generators]
         excess = ch.pullback_excess.pairs()
-        return _Line(ch, dict.fromkeys(ch.e_components), ch.p_components, ch.p_empty, gens, excess, ch.path, ch)
+        return _Line(ch, dict.fromkeys(ch.e_components), ch.p_components, ch.p_empty, gens, excess, ch.path, place, ch)
 
     def copy(self) -> "_Line":
-        gens = [dict(g) for g in self.gens]
-        return _Line(self.start, dict(self.comps), self.p_comps, self.p_empty, gens, dict(self.excess), self.path, None)
+        comps, gens, excess = dict(self.comps), [dict(g) for g in self.gens], dict(self.excess)
+        return _Line(self.start, comps, self.p_comps, self.p_empty, gens, excess, self.path, self.place, None)
 
     def advance(self, step, exceptional: int, degrees, excess_degree: int) -> "_Line":
         """Become the child of k, of path step `step` = (stage, k), in a
@@ -158,16 +162,18 @@ class BlowUpRun:
     the centres an iterable gives (`blow_up_along`); `grown` gives the
     configuration it made.
 
-    One `Growth` moves the chart index once, for the run.  Each chart the
-    run replaces is followed as a `_Line`: a chart of `cfg`, from the step
-    whose centre first meets it, and every child the run makes.  A step's
-    charts are the charts of `cfg` holding its centre that the run has not
-    replaced (`Configuration.charts_containing`) and the lines the run made
-    holding it.  Two facts keep a step from looking at other lines:
+    Each chart the run replaces is followed as a `_Line`: a chart of `cfg`,
+    from the step whose centre first meets it, with its place in the chart
+    index (`Configuration.place`), and every child the run makes, placed by
+    the index's split rule from its parent's place.  A step's charts are the
+    charts of `cfg` holding its centre that the run has not replaced
+    (`Configuration.charts_containing`) and the lines the run made holding
+    it.  Two facts keep a step from looking at other lines:
 
     - A child the run makes off P lacks a component of P, so no centre
-      holding P meets it: it is kept for settling only, and looked for
-      only by a centre not holding P, which any chart holding it refuses.
+      holding P meets it: it is kept for the end of the run only, and
+      looked for only by a centre not holding P, which any chart holding
+      it refuses.
     - Each line on P is listed under each component it holds.  A replaced
       line goes on as its first child on P, and children keep their
       parent's place in chart order, so a list filled by one step is in
@@ -175,19 +181,23 @@ class BlowUpRun:
       charts of `cfg` merged with a list.
 
     A step refuses where `_degrees` does, before it changes anything, after
-    the centre passes `core.centre`.  A `Chart` is built for each chart
-    that leaves the run, once it is over, the line standing in for it in
-    `Growth` until then.  With `on_step`, each step's children are built at
-    that step instead, as the observer sees every step: `on_step(registry,
-    outcomes, record)` is called after each step with the registry naming
-    its exceptional component, its (chart, children) pairs and its record.
-    A run of no blow-up gives `cfg` itself.
+    the centre passes `core.centre`, and names its exceptional component
+    (`core.name_exceptional`).  A `Chart` is built for each chart that
+    leaves the run, once it is over: `grown` groups the lines by the chart
+    of `cfg` they started from, in the order the run first replaced those,
+    sorts each group by place, and moves the chart index (`core.grow`).
+    With `on_step`, each step's children are built at that step instead, as
+    the observer sees every step: `on_step(registry, outcomes, record)` is
+    called after each step with the registry naming its exceptional
+    component, its (chart, children) pairs and its record.  A run of no
+    blow-up gives `cfg` itself.
     """
 
-    __slots__ = ("cfg", "on_step", "growth", "_taken", "_lines", "_holding", "_filled", "_p")
+    __slots__ = ("cfg", "on_step", "registry", "_taken", "_lines", "_holding", "_filled", "_p")
 
     def __init__(self, cfg: Configuration, on_step=None) -> None:
-        self.cfg, self.on_step, self.growth = cfg, on_step, Growth(cfg)
+        # `registry` names every component made so far
+        self.cfg, self.on_step, self.registry = cfg, on_step, cfg.registry
         # ids of the charts of `cfg` the run replaced
         self._taken: set[int] = set()
         # every line the run made, each standing for a chart of its present
@@ -199,11 +209,6 @@ class BlowUpRun:
         # the P-cutting set of the lines replaced so far
         self._p = frozenset()
 
-    @property
-    def registry(self):
-        """The registry naming every component made so far."""
-        return self.growth.registry
-
     def blow_up_along(self, centres) -> list[BlowUpRecord]:
         """Blow up along each centre of `centres` in turn, a set of
         component ids the registry holds when it is taken; give the
@@ -211,12 +216,14 @@ class BlowUpRun:
         one per centre component k, in component order; each child's path
         is one new node on its parent's.  `centres` may read the run
         (`registry`, `supported`) between its steps."""
-        cfg, growth, on_step = self.cfg, self.growth, self.on_step
+        cfg, on_step = self.cfg, self.on_step
         mark, n_start = cfg.mark, len(cfg.registry)
+        # a lineage's registry length less its blow-ups is fixed
+        base = n_start - cfg.n_blowups - 1
         taken, lines, holding, filled = self._taken, self._lines, self._holding, self._filled
         records = []
         for center in centres:
-            registry = growth.registry
+            registry = self.registry
             center = centre(registry, center)
             p = self._p
             if not p <= center and any([line.p_empty and center <= line.comps.keys() for line in lines]):
@@ -231,32 +238,36 @@ class BlowUpRun:
                 held = [line for line in holding.get(rarest, ()) if center <= line.comps.keys()]
             in_order = not held or filled[rarest]
             if max(center) < n_start:
-                fresh = [_Line.of(ch) for ch in cfg.charts_containing(center) if id(ch) not in taken]
+                fresh = [_Line.of(ch, cfg.place(ch)) for ch in cfg.charts_containing(center) if id(ch) not in taken]
                 if fresh:
                     in_order, held = not held, fresh + held
                     # the charts on P agree on P, and one off P is refused
                     p = self._p = fresh[0].p_comps
                     rest = center - p
             if not in_order:
-                held = by_place(held, [growth.place(line.current or line) for line in held])
+                held = by_place(held, [line.place for line in held])
             checked = [(line, _degrees(line, center, registry, mark)) for line in held]
-            stage, exceptional = growth.n_blowups + 1, len(registry)
+            exceptional = len(registry)
+            stage = exceptional - base
+            registry = self.registry = name_exceptional(registry, stage)
             ks = sorted(center)
             # each line goes on as its first child on P, if it has one
             k = min(rest) if rest else ks[0]
             at, own = ks.index(k), (stage, k)
             steps = [(stage, c) for c in ks if c != k]
+            width = (len(ks) - 1).bit_length()
             on_e = holding[exceptional] = {}
             filled[exceptional] = stage
-            outcomes, entries = [], []
+            outcomes = [] if on_step else None
+            entries = []
             for line, degrees in checked:
                 excess_degree = _degree(line.excess, center)
                 key = (line.start.label, line.path)
-                parent = line.current or line
+                parent, first = line.current, line.place << width
                 kids = [line.copy().advance(step, exceptional, degrees, excess_degree) for step in steps] if steps else []
                 line.advance(own, exceptional, degrees, excess_degree)
+                line.current = None
                 if parent is line.start:
-                    line.current = None
                     taken.add(id(parent))
                     lines.append(line)
                     if not line.p_empty:
@@ -273,17 +284,16 @@ class BlowUpRun:
                     if not kid.p_empty:
                         self._hold(kid, stage)
                 kids.insert(at, line)
+                for n, kid in enumerate(kids):
+                    kid.place = first | n
                 if on_step:
                     for kid in kids:
                         kid.current = kid.chart()
                     outcomes.append((parent, [kid.current for kid in kids]))
-                else:
-                    outcomes.append((parent, kids))
                 entries.append((key, tuple(map(_path, kids))))
-            registry = growth.apply(outcomes)
             rec = BlowUpRecord(stage, center, exceptional, tuple(entries))
             records.append(rec)
-            if on_step is not None:
+            if on_step:
                 on_step(registry, outcomes, rec)
         return records
 
@@ -310,13 +320,18 @@ class BlowUpRun:
 
     def grown(self) -> Configuration:
         """The configuration the run made."""
-        growth = self.growth
-        if growth.n_blowups == self.cfg.n_blowups:
-            return self.cfg
+        cfg = self.cfg
+        if len(self.registry) == len(cfg.registry):
+            return cfg
+        starts: dict[int, list[_Line]] = {}
         for line in self._lines:
-            if line.current is None:
-                growth.settle(line, line.chart())
-        return growth.grown()
+            starts.setdefault(id(line.start), []).append(line)
+        step, places = [], []
+        for group in starts.values():
+            group = by_place(group, [line.place for line in group])
+            step.append((group[0].start, [line.current or line.chart() for line in group]))
+            places += [line.place for line in group]
+        return grow(cfg, self.registry, step, places)
 
 
 def blow_up_global(cfg: Configuration, center) -> tuple[Configuration, BlowUpRecord]:

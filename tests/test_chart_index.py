@@ -28,7 +28,7 @@ from conftest import (
     random_principal_config,
     stage_tables_by_step,
 )
-from monored import core, reduction
+from monored import core, reduction, transform
 from monored.core import Configuration, chart_support, has_support, is_permissible
 from monored.errors import InternalLogicError, ValidationError
 from monored.resolution import principalize
@@ -239,14 +239,14 @@ def test_runs_keep_no_undo_links(monkeypatch):
     chart tuple, so no undo link keeps the later configurations alive.
     Every index move, at the end of a run of blow-ups, is checked."""
     grows = []
-    grown = core.Growth.grown
+    grow = transform.grow
 
-    def counted(growth):
+    def counted(*args):
         grows.append(None)
         live = [o for o in gc.get_objects() if isinstance(o, Configuration)]
         assert not [o for o in live if o._grown is not None]
-        return grown(growth)
+        return grow(*args)
 
-    monkeypatch.setattr(core.Growth, "grown", counted)
+    monkeypatch.setattr(transform, "grow", counted)
     principalize(golden_config())
     assert len(grows) > 50

@@ -20,11 +20,11 @@ so one run makes every child, and `_Line.advance` is, beside
 `Monomial.exchanged`, the only caller of the exponent rule
 `core.exchange`, and `_Line.chart` the one place it builds a chart.
 No module concatenates or slices a chart path: a path is a linked node,
-and a child's step is read from its own node.  `core.Growth.apply` alone
-spells an exceptional component's name (`exc<stage>`) and extends a
-registry, and `Growth` visits only the charts a run of blow-ups replaces
-and keeps: it reads no chart list, sorts nothing and reads no field of a
-chart.  In `cli` only `main` prints.  `cli` imports only `core`, `errors` and `transform` when it
+and a child's step is read from its own node.  `core.name_exceptional`
+alone spells an exceptional component's name (`exc<stage>`) and extends a
+registry, and `core.grow`, which moves the chart index at the end of a run
+of blow-ups, visits only the charts the run replaces and keeps: it reads
+no chart list, sorts nothing and reads no field of a chart.  In `cli` only `main` prints.  `cli` imports only `core`, `errors` and `transform` when it
 loads, and each command the other modules it runs, so `check-lambda` loads
 no trace or engine module and `replay` no reduction.
 """
@@ -496,12 +496,13 @@ def test_naming_rules_are_seen():
     assert ("transform", "planted") in registry_extenders(sources)
 
 
-def test_grow_alone_names_exceptional_components():
-    """The naming rule has one home: no function but `core.Growth.apply`
-    spells an exceptional name, and none but it extends a registry."""
+def test_one_function_names_exceptional_components():
+    """The naming rule has one home: no function but
+    `core.name_exceptional` spells an exceptional name, and none but it
+    extends a registry."""
     sources = package_sources()
-    assert exc_name_spellers(sources) == {("core", "apply")}
-    assert registry_extenders(sources) == {("core", "apply")}
+    assert exc_name_spellers(sources) == {("core", "name_exceptional")}
+    assert registry_extenders(sources) == {("core", "name_exceptional")}
 
 
 def bool_tests(tree: ast.AST) -> list[int]:
@@ -649,15 +650,16 @@ def test_whole_visits_are_seen():
 
 
 def test_grow_visits_only_the_charts_it_touches():
-    """A blow-up places each child from its parent's place alone: `Growth`
-    neither reads the chart list nor sorts, so a run never visits the
-    charts it does not replace."""
-    assert whole_visits(ast.parse(CORE.read_text(encoding="utf-8")), "Growth") == []
+    """A blow-up places each child from its parent's place alone, and the
+    index moves by the charts a run replaced and kept: `grow` neither reads
+    the chart list nor sorts, so a run never visits the charts it does not
+    replace."""
+    assert whole_visits(ast.parse(CORE.read_text(encoding="utf-8")), "grow") == []
 
 
 def chart_field_reads(tree: ast.AST, function: str) -> list[tuple[int, str]]:
     """(line, attribute) of each attribute the module-level `function` (or
-    class) reads from `ch` or `kid`, the charts `Growth` loops over."""
+    class) reads from `ch` or `kid`, the charts `grow` loops over."""
     body = top_level(tree, function)
     return [
         (node.lineno, node.attr)
@@ -680,7 +682,6 @@ def test_chart_field_reads_are_seen():
 
 
 def test_grow_reads_no_chart_field():
-    """A blow-up step is index bookkeeping only: `Growth` hands each chart
-    a run replaces and keeps to the index and reads no field of either
-    itself."""
-    assert chart_field_reads(ast.parse(CORE.read_text(encoding="utf-8")), "Growth") == []
+    """Moving the index is bookkeeping only: `grow` hands each chart a run
+    replaces and keeps to the index and reads no field of either itself."""
+    assert chart_field_reads(ast.parse(CORE.read_text(encoding="utf-8")), "grow") == []

@@ -2,7 +2,8 @@
 and one map from name to id.
 
 Each registry reads the list up to its own length and equals the tuple of
-its names.  `Growth` names each new component by the names before it, so a
+its names.  `name_exceptional` names each new component by the names
+before it, so a
 configuration grown from a second time names it as the first branch did,
 and no branch copies the list or the map.  No blow-up step reads a
 registry whole.
@@ -13,7 +14,7 @@ from __future__ import annotations
 import pytest
 
 from conftest import chart, config, golden_config, mono, permissible_centers
-from monored.core import Configuration, Growth, Registry
+from monored.core import Configuration, Registry, name_exceptional
 from monored.resolution import principalize
 from monored.serialize import StepRenderer
 from monored.transform import blow_up_global
@@ -63,7 +64,7 @@ class TestSharedRegistry:
         its own does, under the id after the parent's names."""
         n = len(parent.registry)
         alone = Configuration(parent.registry, parent.charts, parent.dim_p, parent.n_blowups)
-        name = Growth(alone).apply([])[n]
+        name = name_exceptional(alone.registry, alone.n_blowups + 1)[n]
         for branch in branches:
             assert branch.registry._names is parent.registry._names
             assert branch.registry._ids is parent.registry._ids

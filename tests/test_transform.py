@@ -10,15 +10,15 @@ from monored.core import (
     Chart,
     Configuration,
     MarkedIdeal,
-    Growth,
     Monomial,
     is_permissible,
     max_order,
     minimalize,
+    name_exceptional,
     sum_marked,
 )
 from monored.errors import NonPermissibleError, ValidationError
-from monored.transform import blow_up_global
+from monored.transform import blow_up_global, blow_up_sequence
 
 from conftest import (
     U,
@@ -316,15 +316,18 @@ class TestGrowthValidation:
             Configuration(("x", "y"), (kid, replace(kid)), 2, 1)
 
     def test_taken_names_get_primes(self):
-        """`Growth` names the component of stage s `exc<s>`, primed past the
-        names an input holds already, so no registered name is taken twice."""
+        """`name_exceptional` names the component of stage s `exc<s>`, primed
+        past the names an input holds already, so no registered name is
+        taken twice.  A run along K and then K again, which no chart holds
+        any more, names both and replaces the root once."""
         gens = [mono({X: 2, Y: 3}), mono({X: 2, V: 6}), mono({Y: 4, U: 5})]
         cfg = config(("x", "exc1", "exc1'", "v"), [chart(4, gens, 5)], 4)
         ((_, kids),) = fresh_step(cfg, K)
-        growth = Growth(cfg)
-        assert growth.apply([(cfg.charts[0], kids)]) == ("x", "exc1", "exc1'", "v", "exc1''")
-        assert growth.apply([]) == ("x", "exc1", "exc1'", "v", "exc1''", "exc2")
-        grown = growth.grown()
+        registry = name_exceptional(cfg.registry, 1)
+        assert registry == ("x", "exc1", "exc1'", "v", "exc1''")
+        assert name_exceptional(registry, 2) == ("x", "exc1", "exc1'", "v", "exc1''", "exc2")
+        grown, _ = blow_up_sequence(cfg, [K, K])
+        assert grown.registry == ("x", "exc1", "exc1'", "v", "exc1''", "exc2")
         assert grown.component_id("exc1''") == 4 and grown.component_id("exc1'") == 2
         assert grown.n_blowups == 2 and grown.step == [(cfg.charts[0], kids)]
 
