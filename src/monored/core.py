@@ -481,8 +481,10 @@ class Configuration:
     undoes the runs from there back to itself.  The links are
     strong, so a kept grown-from configuration keeps alive every later
     configuration it would undo from, until it makes its tuple.  Making the
-    tuple lets the index and the link go, as the tuple rebuilds the index.
-    Either way a configuration's answers never change.
+    tuple lets the link go but keeps the index, whose places a run of
+    blow-ups from the configuration may be reading (`place`); `settled`
+    lets the index go too, as the tuple rebuilds it.  Either way a
+    configuration's answers never change.
     """
 
     __slots__ = (
@@ -572,7 +574,7 @@ class Configuration:
     def charts(self) -> tuple[Chart, ...]:
         if self._charts is None:
             self._charts = tuple(self._ordered())
-            self._index = self._grown = None
+            self._grown = None
         return self._charts
 
     def _ordered(self) -> list[Chart]:
@@ -605,6 +607,7 @@ class Configuration:
         go, as suits a result: the tuple costs a pointer per chart where the
         index costs a few hundred bytes, and rebuilds the index if asked."""
         self.charts
+        self._index = None
         return self
 
     def charts_containing(self, center) -> list[Chart]:

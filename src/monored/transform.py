@@ -6,16 +6,18 @@ substitution rule for blow-up coordinates followed by division by the m-th
 power of the exceptional coordinate; on exponent vectors that is pure
 integer arithmetic (`core.exchange`), verified independently by the
 polynomial oracle in `arithmetic`.  A chart being blown up is followed as
-light state (`_Line`): `_Line.advance` is the one place the rule is applied
-to it, `_Line.chart` the one place a child chart is built, and `_degrees`
-the one permissibility rule.
+light state (`_Line`) that carries its own place in chart order:
+`_Line.advance` is the one place the rule is applied to it, `_Line.chart`
+the one place a child chart is built, and `_degrees` the one
+permissibility rule.
 
-Every sequence of blow-ups is one run (`BlowUpRun`), whose chart index
-moves once and which builds a chart only for each chart that leaves it.  It
-takes its centres from an iterable, so the next centre may depend on the
-last step: the monomial stages, the replays of order reduction and trace
-replay go through it, `blow_up_sequence` for a list of centres and
-`blow_up_global` for one.
+Every sequence of blow-ups is one run (`BlowUpRun`), which owns each chart
+it makes until its end, builds a chart only for each chart that leaves it
+and then moves the chart index once (`core.grow`).  It takes its centres
+from an iterable, so the next centre may depend on the last step: the
+monomial stages, the replays of order reduction and trace replay go
+through it, `blow_up_sequence` for a list of centres and `blow_up_global`
+for one.
 """
 
 from __future__ import annotations

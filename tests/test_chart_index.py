@@ -11,6 +11,7 @@ disagree on an exponent.
 from __future__ import annotations
 
 import gc
+import itertools
 import random
 import sys
 
@@ -30,9 +31,9 @@ from conftest import (
 )
 from monored import core, reduction, transform
 from monored.core import Configuration, chart_support, has_support, is_permissible
-from monored.errors import InternalLogicError, ValidationError
+from monored.errors import InternalLogicError, NonPermissibleError, ValidationError
 from monored.resolution import principalize
-from monored.transform import blow_up_global
+from monored.transform import blow_up_global, blow_up_sequence
 
 X, Y, U, V = 0, 1, 2, 3
 K = frozenset({X, Y, U, V})
@@ -109,6 +110,35 @@ def test_children_take_their_parents_place():
         ("Q", ()),
     ]
     assert grown.support_charts() == [ch for ch in grown.charts if brute_support_set(ch, 2)]
+
+
+def test_a_run_keeps_one_index_while_its_start_makes_its_tuple():
+    """A run places each chart it reads from its start by the start's
+    index, and moves that index at its end.  An observer that asks the
+    start, grown without a chart tuple, for its charts mid-run makes the
+    tuple; the index must stay, or the charts read after it would be placed
+    by a rebuilt index and the grown configuration would lose chart order.
+    Each permissible pair of centres must give the charts that one blow-up
+    at a time gives."""
+
+    def start():
+        cfg = config(("x", "y", "z"), [chart(3, [mono({0: 4, 1: 3, 2: 5})], 1)], 3)
+        cfg, _ = blow_up_global(cfg, {0, 1, 2})
+        return blow_up_global(cfg, {1, 3})[0]
+
+    ran = 0
+    for pair in itertools.product(permissible_centers(start()), repeat=2):
+        cfg = start()
+        one = Configuration(cfg.registry, start().charts, cfg.dim_p, cfg.n_blowups)
+        try:
+            for centre in pair:
+                one, _ = blow_up_global(one, centre)
+        except NonPermissibleError:
+            continue
+        grown, _ = blow_up_sequence(cfg, pair, lambda *step: cfg.charts)
+        assert grown.charts == one.charts
+        ran += 1
+    assert ran > 100
 
 
 def answers(cfg: Configuration, centres) -> tuple:
