@@ -620,8 +620,7 @@ class Configuration:
         return self._own_index().supported()
 
     def place(self, ch: Chart) -> int:
-        """The place of `ch`, one of the charts, in the chart index
-        (`_ChartIndex`)."""
+        """The place of `ch`, one of the charts, in the chart index."""
         return self._own_index().place[id(ch)]
 
     def is_registered(self, name: str) -> bool:

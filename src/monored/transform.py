@@ -220,8 +220,6 @@ class BlowUpRun:
         (`registry`, `supported`) between its steps."""
         cfg, on_step = self.cfg, self.on_step
         mark, n_start = cfg.mark, len(cfg.registry)
-        # a lineage's registry length less its blow-ups is fixed
-        base = n_start - cfg.n_blowups - 1
         taken, lines, holding, filled = self._taken, self._lines, self._holding, self._filled
         records = []
         for center in centres:
@@ -249,8 +247,9 @@ class BlowUpRun:
             if not in_order:
                 held = by_place(held, [line.place for line in held])
             checked = [(line, _degrees(line, center, registry, mark)) for line in held]
+            # each blow-up registers one component
             exceptional = len(registry)
-            stage = exceptional - base
+            stage = cfg.n_blowups + 1 + exceptional - n_start
             registry = self.registry = name_exceptional(registry, stage)
             ks = sorted(center)
             # each line goes on as its first child on P, if it has one
@@ -295,7 +294,7 @@ class BlowUpRun:
                 entries.append((key, tuple(map(_path, kids))))
             rec = BlowUpRecord(stage, center, exceptional, tuple(entries))
             records.append(rec)
-            if on_step:
+            if on_step is not None:
                 on_step(registry, outcomes, rec)
         return records
 
