@@ -16,16 +16,16 @@ integers) components not cutting P; configurations reject any other chart.
 Within a chart every stratum is non-empty, and the full stratum, the
 chart's distinguished point, is its largest point of P.
 
-A configuration validates its charts once, when it is built; a chart
-checks nothing itself.  A run of one or more blow-ups (`grow`) adds only
-children that meet every rule by construction, and checks none: their
-paths end at a stage no chart reached before, so their keys are new.  The
-grown configuration carries, as its `step`, each chart the run replaced
-paired with the charts that replaced it.  Monomials and marked ideals too
-are checked where they enter, not where the engine derives them (`derived`,
-with the substitution rule `exchange` on pair maps), and a lineage
-shares one name list and name -> id map (`Registry`), where
-`name_exceptional` names each new component.
+A configuration validates its charts once, where they enter (the
+constructor); a chart checks nothing itself.  The configurations the engine
+derives, by a run of blow-ups (`grow`) or new ideals (`map_ideals`,
+`on_locus`), meet every rule by construction and are made unchecked
+(`_assemble`).  The grown configuration carries, as its `step`, each chart
+the run replaced paired with the charts that replaced it.  Monomials and
+marked ideals too are checked where they enter, not where the engine
+derives them (`derived`, with the substitution rule `exchange` on pair
+maps), and a lineage shares one name list and name -> id map (`Registry`),
+where `name_exceptional` names each new component.
 
 A chart's path is a `PathNode` linked to its parent chart's, so a blow-up
 copies no path; a caller's tuple path becomes a node when a configuration
@@ -447,14 +447,15 @@ class Configuration:
     pairs each chart that the run of blow-ups making this configuration
     replaced (`grow`) with the charts that replaced it in the end, in
     chart order, the replaced charts in the order the run first replaced
-    them; for one blow-up, its (chart, children) pairs in chart order.  It
-    is `()` for one built here.
+    them; for one blow-up, its (chart, children) pairs in chart order; `()`
+    for one no run made.
 
-    The constructor is the one place that checks chart rules: non-empty
-    `str` names and labels (checked before either is hashed), unique names,
-    the field types the engine relies on (a tuple of int components,
-    frozenset `p_components` and `n_vars`, a `MarkedIdeal`, a `Monomial`
-    pullback excess), `str` `n_vars` labels, strictly increasing, registered
+    The constructor is the input boundary, the one place that checks chart
+    rules (`_assemble` makes derived configurations): non-empty `str` names
+    and labels (checked before either is hashed), unique names, the field
+    types the engine relies on (a tuple of int components, frozenset
+    `p_components` and `n_vars`, a `MarkedIdeal`, a `Monomial` pullback
+    excess), `str` `n_vars` labels, strictly increasing, registered
     components holding the P-cutting set, the generators and pullback
     excess, no generator on a P-cutting component, at most `dim_p`
     components off P in a chart meeting P, registered components and no
@@ -564,11 +565,7 @@ class Configuration:
             raise ValidationError("all charts must carry the same mark")
         if len(p_sets) > 1:
             raise ValidationError("charts meeting P must agree on the components cutting P")
-        self.registry, self.dim_p, self.n_blowups = Registry(list(registry), ids, n_names), dim_p, n_blowups
-        self.mark = marks.pop()
-        self.step = ()
-        self._charts = tuple(charts)
-        self._index = self._grown = None  # the index is built on first use
+        _assemble(self, Registry(list(registry), ids, n_names), tuple(charts), dim_p, n_blowups, marks.pop())
 
     @property
     def charts(self) -> tuple[Chart, ...]:
@@ -742,25 +739,38 @@ def name_exceptional(registry: Registry, stage: int) -> Registry:
     return registry.extended(name)
 
 
+def _assemble(new, registry, charts, dim_p: int, n_blowups: int, mark: int, step=(), index=None) -> Configuration:
+    """`new`, a `Configuration`, with its slots set, the one place they are
+    set.  The constructor calls it after its checks; `grow`, `map_ideals`
+    and `on_locus` pass their source's registry and check nothing, as each
+    rule holds by construction.  A blow-up's children swap one component
+    for the exceptional one, keep the mark and the P-cutting set or leave
+    P, and end their paths at a stage no chart reached, so their keys are
+    new.  Re-marking, the residual and the balanced companion only divide,
+    raise or drop a chart's own generators, give every chart of one call
+    one mark, and change no component, P-cutting set, path or key.
+    `on_locus` makes one chart, whose locus (P and contact components) is
+    present in it; the companion's residues avoid the locus, and at most
+    dim_p - |contact|, the new dim_p, of its components are off P."""
+    new.registry, new.dim_p, new.n_blowups, new.mark, new.step = registry, dim_p, n_blowups, mark, step
+    new._charts, new._index, new._grown = charts, index, None  # the index is built on first use
+    return new
+
+
 def grow(cfg: Configuration, registry: Registry, step: list, places: list[int]) -> Configuration:
     """The configuration a run of blow-ups of `cfg` made, holding the chart
-    index of `cfg` moved on: `registry` names every component the run made,
-    one per blow-up, `step` is its `step` (see `Configuration`), and
-    `places` lists the place (`_ChartIndex`) of each chart `step` keeps, in
-    order.  Only the charts the run replaced and kept are visited, and none
-    is re-checked or read: a blow-up's children meet every rule of the
-    constructor by construction.  A `cfg` without a chart tuple keeps a link
-    to the result to undo it from."""
+    index of `cfg` moved on: `registry` names each component the run made,
+    `step` is its `step` (see `Configuration`), and `places` gives the place
+    (`_ChartIndex`) of each chart `step` keeps.  Only those charts and the
+    replaced ones are visited, none is read (see `_assemble`), and a `cfg`
+    without a chart tuple links to the result to undo it from."""
     index = cfg._own_index()
     for ch, _ in step:
         index.remove(ch)
     for kid, place in zip([kid for _, kids in step for kid in kids], places):
         index.add(kid, place)
-    new = object.__new__(Configuration)
-    new.registry, new.dim_p, new.mark = registry, cfg.dim_p, cfg.mark
-    new.n_blowups = cfg.n_blowups + len(registry) - len(cfg.registry)
-    new.step = step
-    new._index, new._charts, new._grown = index, None, None
+    n_blowups = cfg.n_blowups + len(registry) - len(cfg.registry)
+    new = _assemble(object.__new__(Configuration), registry, None, cfg.dim_p, n_blowups, cfg.mark, step, index)
     cfg._index = None
     if cfg._charts is None:
         cfg._grown = new
@@ -903,10 +913,10 @@ def on_locus(cfg: Configuration, chart: Chart, locus, ideal: MarkedIdeal, dim_p:
     `ideal` and relative dimension `dim_p`: where a companion ideal of the
     chart is reduced."""
     sub = replace(chart, p_components=frozenset(locus), ideal=ideal, p_empty=False)
-    return Configuration(cfg.registry, (sub,), dim_p, cfg.n_blowups)
+    return _assemble(object.__new__(Configuration), cfg.registry, (sub,), dim_p, cfg.n_blowups, ideal.mark)
 
 
 def map_ideals(cfg: Configuration, ideal_of) -> Configuration:
     """The configuration with each chart's ideal replaced by `ideal_of(chart)`."""
-    charts = [replace(ch, ideal=ideal_of(ch)) for ch in cfg.charts]
-    return Configuration(cfg.registry, charts, cfg.dim_p, cfg.n_blowups)
+    charts = tuple([replace(ch, ideal=ideal_of(ch)) for ch in cfg.charts])
+    return _assemble(object.__new__(Configuration), cfg.registry, charts, cfg.dim_p, cfg.n_blowups, charts[0].mark)

@@ -204,8 +204,8 @@ class BlowUpRun:
         self._taken: set[int] = set()
         # every line the run made, each standing for a chart of its present
         self._lines: list[_Line] = []
-        # component -> the lines on P holding it, in a dict, and the step
-        # that filled that list, or 0 once more than one has
+        # component -> the lines on P holding it, in a dict, none empty, and
+        # the step that filled that list, or 0 once more than one has
         self._holding: dict[int, dict[_Line, None]] = {}
         self._filled: dict[int, int] = {}
         # the P-cutting set of the lines replaced so far
@@ -257,14 +257,18 @@ class BlowUpRun:
             at, own = ks.index(k), (stage, k)
             steps = [(stage, c) for c in ks if c != k]
             width = (len(ks) - 1).bit_length()
-            on_e = holding[exceptional] = {}
-            filled[exceptional] = stage
             outcomes = [] if on_step else None
             entries = []
             for line, degrees in checked:
                 excess_degree = _degree(line.excess, center)
                 key = (line.start.label, line.path)
                 parent, first = line.current, line.place << width
+                if parent is not line.start:
+                    # a line on P leaves k's list, or every list if k cuts P
+                    for c in line.comps if k in line.p_comps else (k,):
+                        del holding[c][line]
+                        if not holding[c]:
+                            del holding[c], filled[c]
                 kids = [line.copy().advance(step, exceptional, degrees, excess_degree) for step in steps] if steps else []
                 line.advance(own, exceptional, degrees, excess_degree)
                 line.current = None
@@ -273,13 +277,9 @@ class BlowUpRun:
                     lines.append(line)
                     if not line.p_empty:
                         self._hold(line, stage)
-                elif line.p_empty:
-                    # the centre is P: the line leaves every list
-                    for c in (k, *line.comps):
-                        holding[c].pop(line, None)
-                else:
-                    del holding[k][line]
-                    on_e[line] = None
+                elif not line.p_empty:
+                    holding.setdefault(exceptional, {})[line] = None
+                    filled[exceptional] = stage
                 lines += kids
                 for kid in kids:
                     if not kid.p_empty:

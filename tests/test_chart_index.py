@@ -280,3 +280,33 @@ def test_runs_keep_no_undo_links(monkeypatch):
     monkeypatch.setattr(transform, "grow", counted)
     principalize(golden_config())
     assert len(grows) > 50
+
+
+def test_a_run_holds_no_empty_list(monkeypatch):
+    """A run lists each line on P under each component it holds, and drops
+    a list once its last line leaves it: at the end of every run, the long
+    stage-1 run of (x^100, y^3) and the runs of stages s >= 2 of seeded
+    draws included, no list is empty, and each list has its step entry."""
+    ended, later = [], []
+
+    def checked(run):
+        assert all(run._holding.values())
+        assert run._filled.keys() == run._holding.keys()
+        ended.append(len(run.registry) - len(run.cfg.registry))
+        return end_run(run)
+
+    class StageRun(transform.BlowUpRun):
+        # a run of a monomial stage s >= 2
+        def grown(self):
+            later.append(len(self.registry) - len(self.cfg.registry))
+            return super().grown()
+
+    end_run = transform.BlowUpRun.grown
+    monkeypatch.setattr(transform.BlowUpRun, "grown", checked)
+    monkeypatch.setattr(reduction, "BlowUpRun", StageRun)
+    principalize(config(("x", "y"), [chart(2, [mono({X: 100}), mono({Y: 3})], 1)], 2))
+    assert max(ended) > 1000
+    rng = random.Random(1)
+    for _ in range(100):
+        reduction.reduce(random_config(rng))
+    assert len([n for n in later if n]) > 10 and sum(later) > 100

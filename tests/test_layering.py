@@ -24,7 +24,11 @@ and a child's step is read from its own node.  `core.name_exceptional`
 alone spells an exceptional component's name (`exc<stage>`) and extends a
 registry, and `core.grow`, which moves the chart index at the end of a run
 of blow-ups, visits only the charts the run replaces and keeps: it reads
-no chart list, sorts nothing and reads no field of a chart.  In `cli` only `main` prints.  `cli` imports only `core`, `errors` and `transform` when it
+no chart list, sorts nothing and reads no field of a chart.  Only
+`serialize.load_config` calls the `Configuration` constructor, the input
+boundary: `core._assemble`, the one function setting a configuration's
+slots, makes every configuration the engine derives, on its source's
+registry.  In `cli` only `main` prints.  `cli` imports only `core`, `errors` and `transform` when it
 loads, and each command the other modules it runs, so `check-lambda` loads
 no trace or engine module and `replay` no reduction.
 """
@@ -685,3 +689,85 @@ def test_grow_reads_no_chart_field():
     """Moving the index is bookkeeping only: `grow` hands each chart a run
     replaces and keeps to the index and reads no field of either itself."""
     assert chart_field_reads(ast.parse(CORE.read_text(encoding="utf-8")), "grow") == []
+
+
+def callers(sources: dict[str, str], name: str) -> set[tuple[str, str]]:
+    """(module, function) of each call of `name`, as a name or an
+    attribute, in the given module sources."""
+
+    def calls(node) -> bool:
+        if not isinstance(node, ast.Call):
+            return False
+        f = node.func
+        return (isinstance(f, ast.Name) and f.id == name) or (isinstance(f, ast.Attribute) and f.attr == name)
+
+    return {(module, owner) for module, text in sources.items() for owner in owners(ast.parse(text), calls)}
+
+
+def slot_setters(sources: dict[str, str]) -> set[tuple[str, str, str]]:
+    """(module, function, slot) of each assignment to an attribute named
+    as a `Configuration` slot, except on `self` outside `core`, where no
+    class is a configuration."""
+    found = set()
+    for module, text in sources.items():
+        tree = ast.parse(text)
+        for slot in monored.core.Configuration.__slots__:
+
+            def sets(node, slot=slot) -> bool:
+                return (
+                    isinstance(node, ast.Attribute)
+                    and node.attr == slot
+                    and isinstance(node.ctx, ast.Store)
+                    and not (module != "core" and isinstance(node.value, ast.Name) and node.value.id == "self")
+                )
+
+            found.update((module, owner, slot) for owner in owners(tree, sets))
+    return found
+
+
+def test_constructor_and_slot_setters_are_seen():
+    sources = package_sources()
+    sources["reduction"] += (
+        "\n\ndef planted(cfg):\n    return Configuration(cfg.registry, cfg.charts, 1)\n"
+        "\n\nclass Planted:\n    def make(self, cfg):\n        return core.Configuration(cfg.registry, cfg.charts, 1)\n"
+        "    def __reduce__(self):\n        return Configuration, ()\n"
+    )
+    sources["transform"] += (
+        "\n\ndef planted(cfg):\n    cfg.mark = 2\n"
+        "\n\nclass Planted:\n    def __init__(self, cfg):\n        self.registry = cfg.registry\n"
+    )
+    sources["core"] += "\n\ndef planted(cfg, new):\n    new.step, cfg._grown = (), new\n"
+    built = callers(sources, "Configuration")
+    assert {("reduction", "planted"), ("reduction", "make")} <= built
+    assert ("reduction", "__reduce__") not in built
+    found = slot_setters(sources)
+    assert {("transform", "planted", "mark"), ("core", "planted", "step"), ("core", "planted", "_grown")} <= found
+    assert ("transform", "__init__", "registry") not in found
+
+
+def test_the_constructor_is_the_input_boundary():
+    """Only `load_config` (with library callers and the pickle of a
+    configuration, which names the class) builds a configuration through
+    the constructor.  A run of blow-ups (`grow`) and a new ideal on each
+    chart (`map_ideals`, `on_locus`) make theirs through `core._assemble`,
+    on the registry of the configuration they come from, and only the
+    constructor makes a registry (`Registry.extended` lengthens one)."""
+    sources = package_sources()
+    assert callers(sources, "Configuration") == {("serialize", "load_config")}
+    assert callers(sources, "_assemble") == {("core", n) for n in ("__init__", "grow", "map_ideals", "on_locus")}
+    assert callers(sources, "Registry") == {("core", "__init__"), ("core", "extended")}
+
+
+def test_one_function_sets_a_configuration():
+    """`_assemble` alone sets a configuration's slots; elsewhere only its
+    chart storage moves: the tuple made on first use (`charts`), the index
+    built or let go, and the index and undo link `grow` moves on."""
+    slots = monored.core.Configuration.__slots__
+    assert slot_setters(package_sources()) == {("core", "_assemble", slot) for slot in slots} | {
+        ("core", "charts", "_charts"),
+        ("core", "charts", "_grown"),
+        ("core", "settled", "_index"),
+        ("core", "_own_index", "_index"),
+        ("core", "grow", "_index"),
+        ("core", "grow", "_grown"),
+    }

@@ -14,7 +14,7 @@ from __future__ import annotations
 import pytest
 
 from conftest import chart, config, golden_config, mono, permissible_centers
-from monored.core import Configuration, Registry, name_exceptional
+from monored.core import Configuration, MarkedIdeal, Registry, map_ideals, name_exceptional
 from monored.resolution import principalize
 from monored.serialize import StepRenderer
 from monored.transform import blow_up_global
@@ -56,6 +56,11 @@ class TestSharedRegistry:
         assert cfg.registry == self.NAMES
         assert first.registry == self.NAMES + ("exc1",)
         assert second.registry == self.NAMES + ("exc1", "exc2")
+        # a sub-configuration with new ideals, and what it grows into
+        sub = map_ideals(second, lambda ch: MarkedIdeal.of(ch.ideal.generators, 1))
+        third, _ = blow_up_global(sub, {X, Y, U, 4})
+        assert third.registry._names is sub.registry._names is cfg.registry._names
+        assert third.registry == self.NAMES + ("exc1", "exc2", "exc3")
 
     @staticmethod
     def assert_branches_alike(parent, *branches):

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from monored import core, reduction, transform
+from monored import core, reduction, resolution, transform
 from monored.arithmetic import IntPoly, oracle_transform
 from monored.core import (
     Chart,
@@ -292,6 +292,43 @@ class TestGrowthValidation:
         for _ in range(20):
             reduction.reduce(random_config(rng))
         assert len(grown) > 20 and sum(runs) > 50
+
+    def test_derived_equals_fully_validated(self, monkeypatch):
+        """The configurations order reduction and principalization derive
+        with new ideals (`map_ideals`, `on_locus`) are not checked either:
+        each must equal its fully validated copy, with the mark its ideals
+        carry, answer its index alike and share its source's name list."""
+        kinds = {"residual": 0, "balanced": 0, "locus": 0, "re-marked": 0}
+
+        def checked(kind, derive):
+            def derived(cfg, *args):
+                calls = len(companions)
+                new = derive(cfg, *args)
+                full = Configuration(tuple(new.registry), new.charts, new.dim_p, new.n_blowups)
+                assert full == new and full.mark == new.mark and new.step == ()
+                assert index_answers(full) == index_answers(new)
+                assert new.registry._names is cfg.registry._names
+                kinds[kind if len(companions) == calls else "balanced"] += 1
+                return new
+
+            return derived
+
+        def counted_companion(ch, nu):
+            companions.append(nu)
+            return companion(ch, nu)
+
+        companions, companion = [], reduction.balanced_companion
+        monkeypatch.setattr(reduction, "balanced_companion", counted_companion)
+        monkeypatch.setattr(reduction, "map_ideals", checked("residual", reduction.map_ideals))
+        monkeypatch.setattr(reduction, "on_locus", checked("locus", reduction.on_locus))
+        monkeypatch.setattr(resolution, "map_ideals", checked("re-marked", resolution.map_ideals))
+        rng = random.Random(1)
+        for _ in range(100):
+            cfg = random_config(rng)
+            reduction.reduce(cfg)
+            resolution.principalize(cfg)
+        assert kinds["re-marked"] == 100 and kinds["locus"] > 60
+        assert kinds["residual"] > 40 and kinds["balanced"] > 15
 
     def test_key_a_blow_up_would_make_is_rejected(self):
         """A chart `U/x` of stage 1 before any blow-up holds the key the
